@@ -15,6 +15,7 @@ byte-identical and values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -23,10 +24,14 @@ import sys
 import numpy as np
 
 from .equilibrium import analyze
-from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy
-from .payoff import PayoffTable, GameSetup, play
-from .unruh import R_MAX
+from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, named_strategy_matrix, validate_gamma
+from .payoff import PayoffTable, GameSetup, play, play_batch
+from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
+
+# Grid points scored per engine call in sweep and fig2, so that memory stays
+# bounded however large --steps is.
+GRID_BLOCK = 4096
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coef>\d+(?:\.\d*)?)?pi(?:/(?P<den>\d+(?:\.\d*)?))?$"
@@ -84,7 +89,10 @@ def parse_payoffs(token: str) -> PayoffTable:
         reward, sucker, temptation, punishment = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--payoffs wants four numbers, got {token!r}") from None
-    return PayoffTable.from_scalars(reward, sucker, temptation, punishment)
+    try:
+        return PayoffTable.from_scalars(reward, sucker, temptation, punishment)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"--payoffs: {exc}") from None
 
 
 def load_config_table(path: str, base: PayoffTable) -> PayoffTable:
@@ -213,13 +221,28 @@ def cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    text = "\n".join([header, *rows]) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the header, then each row as it comes, LF-terminated; '-' is stdout."""
+    sink = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
+    with sink as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(row + "\n")
+
+
+def _grid_payoffs(gamma: float, r_values: np.ndarray, profiles: list[str], table: PayoffTable):
+    """Yield (r, [(alice, bob) per profile]) along r_values, scoring GRID_BLOCK points per call.
+
+    r_values must lie within EDGE_SLACK of [0, R_MAX]; each is clamped into
+    that range for scoring, as GameSetup does, and yielded as given.
+    """
+    moves = [[named_strategy_matrix(NAMED_STRATEGIES[label]) for label in profile] for profile in profiles]
+    for start in range(0, len(r_values), GRID_BLOCK):
+        block = r_values[start : start + GRID_BLOCK]
+        scored = np.clip(block, 0.0, R_MAX)
+        results = [play_batch(gamma, scored, u_alice, u_bob, table).tolist() for u_alice, u_bob in moves]
+        for i, r in enumerate(block.tolist()):
+            yield r, [result[i] for result in results]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -227,34 +250,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be at least 2")
     if args.r_start > args.r_end:
         raise ValueError("--r-start must not exceed --r-end")
+    gamma = validate_gamma(args.gamma)
+    validate_r(args.r_start)
+    validate_r(args.r_end)
     table = resolve_table(args)
-    rows = []
-    for r in np.linspace(args.r_start, args.r_end, args.steps):
-        setup = GameSetup(gamma=args.gamma, r=float(r), table=table)
-        for profile in args.profiles:
-            alice, bob = NAMED_STRATEGIES[profile[0]], NAMED_STRATEGIES[profile[1]]
-            result = play(setup, alice, bob)
-            rows.append(
-                ",".join(
-                    [fmt(args.gamma), fmt(float(r)), profile[0], profile[1], fmt(result.alice), fmt(result.bob)]
-                )
-            )
+    prefix = fmt(args.gamma)
+    rows = (
+        f"{prefix},{fmt(r)},{profile[0]},{profile[1]},{fmt(alice)},{fmt(bob)}"
+        for r, results in _grid_payoffs(gamma, np.linspace(args.r_start, args.r_end, args.steps), args.profiles, table)
+        for profile, (alice, bob) in zip(args.profiles, results)
+    )
     _write_csv(args.out, "gamma,r,alice_strategy,bob_strategy,alice_payoff,bob_payoff", rows)
     return 0
+
+
+FIG2_PROFILES = ["CC", "DD", "CD", "DC"]
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     table = resolve_table(args)
-    rows = []
-    for r in np.linspace(0.0, R_MAX, args.steps):
-        setup = GameSetup(gamma=math.pi / 2.0, r=float(r), table=table)
-        p_cc = play(setup, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["C"]).alice
-        p_dd = play(setup, NAMED_STRATEGIES["D"], NAMED_STRATEGIES["D"]).alice
-        p_a_cd = play(setup, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"]).alice
-        p_a_dc = play(setup, NAMED_STRATEGIES["D"], NAMED_STRATEGIES["C"]).alice
-        rows.append(",".join([fmt(float(r)), fmt(p_cc), fmt(p_dd), fmt(p_a_cd), fmt(p_a_dc)]))
+    rows = (
+        ",".join([fmt(r), *(fmt(alice) for alice, _ in results)])
+        for r, results in _grid_payoffs(math.pi / 2.0, np.linspace(0.0, R_MAX, args.steps), FIG2_PROFILES, table)
+    )
     _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", rows)
     return 0
 
@@ -262,8 +282,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.grid < 3:
         raise ValueError("--grid must be at least 3")
-    if args.tol <= 0.0:
-        raise ValueError("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError("--tol must be positive and finite")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     outcomes = [run_suite(name, args.grid, args.tol) for name in names]
     for outcome in outcomes:

@@ -89,7 +89,11 @@ def find_dominant(table: list[list[Payoffs]], player: str) -> tuple[int, str] | 
 
 
 def pareto_front(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
-    """Profiles not strictly improvable for both players at once."""
+    """Profiles not strictly improvable for both players at once.
+
+    Payoffs within DEVIATION_TOL count as equal, so roundoff noise cannot
+    make one of two tied profiles dominate the other.
+    """
     n = _check_square(table)
     cells = [(i, j) for i in range(n) for j in range(n)]
 
@@ -97,7 +101,8 @@ def pareto_front(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
         pa, pb = table[cell[0]][cell[1]]
         for other in cells:
             qa, qb = table[other[0]][other[1]]
-            if qa >= pa and qb >= pb and (qa > pa or qb > pb):
+            no_worse = qa >= pa - DEVIATION_TOL and qb >= pb - DEVIATION_TOL
+            if no_worse and (qa > pa + DEVIATION_TOL or qb > pb + DEVIATION_TOL):
                 return True
         return False
 

@@ -74,23 +74,30 @@ NAMED_STRATEGIES = {"C": COOPERATE, "D": DEFECT, "Q": Q_MOVE, "M": MIRACLE}
 
 def strategy_matrix(alpha: float, theta: float) -> np.ndarray:
     """Unitary move [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]."""
-    alpha, theta = validate_strategy_params(alpha, theta)
+    return _move(*validate_strategy_params(alpha, theta))
+
+
+def _move(alpha: float, theta: float) -> np.ndarray:
+    phase = complex(math.cos(alpha), math.sin(alpha))
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     return np.array(
         [
-            [np.exp(1j * alpha) * c, 1j * s],
-            [1j * s, np.exp(-1j * alpha) * c],
+            [phase * c, 1j * s],
+            [1j * s, phase.conjugate() * c],
         ],
         dtype=complex,
     )
 
 
 def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
-    """Move matrix for a strategy; Q returns diag(i, -i) exactly."""
+    """Move matrix for a strategy; Q returns diag(i, -i) exactly.
+
+    A Strategy validated its angles when it was built, so they are not checked again.
+    """
     if strategy.label == "Q":
         return np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-    return strategy_matrix(strategy.alpha, strategy.theta)
+    return _move(strategy.alpha, strategy.theta)
 
 
 def entangler(gamma: float) -> np.ndarray:

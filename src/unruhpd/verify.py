@@ -17,13 +17,16 @@ import numpy as np
 from . import closed_forms
 from .game import NAMED_STRATEGIES, Strategy, entangler, named_strategy_matrix
 from .linalg import kron, sup_norm
-from .payoff import GameSetup, play
+from .payoff import PayoffTable, play_batch
+from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
 
 SUITE_NAMES = ("table2", "eq8", "eq11", "eq13", "commutators")
 
 DEFAULT_GRID = 9
 DEFAULT_TOL = 1e-12
+
+DEFAULT_TABLE = PayoffTable()
 
 NOTE_Q_LABEL = (
     "quantum move Q: the published label U(0, pi/2) does not generate the "
@@ -77,8 +80,8 @@ def r_grid(points: int) -> np.ndarray:
 
 def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> VerifyOutcome:
     """Run one named suite, or every suite aggregated under 'all'."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be positive and finite")
     if suite == "all":
         outcomes = [run_suite(name, grid, tol) for name in SUITE_NAMES]
         return VerifyOutcome(
@@ -104,66 +107,67 @@ def _profile_pair(profile: str) -> tuple[Strategy, Strategy]:
     return NAMED_STRATEGIES[profile[0]], NAMED_STRATEGIES[profile[1]]
 
 
+def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
+    """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
+    return play_batch(gamma, rs, named_strategy_matrix(alice), named_strategy_matrix(bob), DEFAULT_TABLE)
+
+
+def _formula(form, rs: np.ndarray, *args) -> np.ndarray:
+    """(len(rs), 2) closed-form payoffs, evaluated one r at a time."""
+    return np.array([form(r, *args) for r in rs.tolist()])
+
+
+def _deviation(engine: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.max(np.abs(engine - expected)))
+
+
 def _suite_table2(grid: int, tol: float) -> VerifyOutcome:
+    rs = r_grid(grid)
     worst = 0.0
-    points = 0
-    for r in r_grid(grid):
-        setup = GameSetup(gamma=0.0, r=float(r))
-        for profile in closed_forms.CLASSICAL_PROFILES:
-            engine = play(setup, *_profile_pair(profile))
-            expected = closed_forms.unentangled_classical(float(r), profile)
-            worst = max(worst, abs(engine.alice - expected.alice), abs(engine.bob - expected.bob))
-            points += 1
+    for profile in closed_forms.CLASSICAL_PROFILES:
+        engine = _engine(0.0, rs, *_profile_pair(profile))
+        worst = max(worst, _deviation(engine, _formula(closed_forms.unentangled_classical, rs, profile)))
+    points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
     return VerifyOutcome("table2", points, worst, [NOTE_TABLE2_MISPRINT, NOTE_TABLE2_NASH], worst <= tol)
 
 
 def _suite_eq8(grid: int, tol: float) -> VerifyOutcome:
+    rs = r_grid(grid)
     worst = 0.0
-    points = 0
-    for r in r_grid(grid):
-        setup = GameSetup(gamma=math.pi / 2.0, r=float(r))
-        for profile in closed_forms.CLASSICAL_PROFILES:
-            engine = play(setup, *_profile_pair(profile))
-            expected = closed_forms.max_entangled_classical(float(r), profile)
-            worst = max(worst, abs(engine.alice - expected.alice), abs(engine.bob - expected.bob))
-            points += 1
+    for profile in closed_forms.CLASSICAL_PROFILES:
+        engine = _engine(math.pi / 2.0, rs, *_profile_pair(profile))
+        worst = max(worst, _deviation(engine, _formula(closed_forms.max_entangled_classical, rs, profile)))
+    points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
     return VerifyOutcome("eq8", points, worst, [NOTE_EQ8_CROSS, NOTE_EQ8_PARETO], worst <= tol)
 
 
 def _suite_eq11(grid: int, tol: float) -> VerifyOutcome:
+    rs = r_grid(grid)
     worst = 0.0
-    points = 0
     q = NAMED_STRATEGIES["Q"]
-    for r in r_grid(grid):
-        setup = GameSetup(gamma=math.pi / 2.0, r=float(r))
-        for alpha_b in (0.0, math.pi / 4.0):
-            for theta_b in (0.0, math.pi / 2.0, math.pi):
-                engine = play(setup, q, Strategy(alpha_b, theta_b))
-                expected = closed_forms.q_vs_arbitrary(float(r), alpha_b, theta_b)
-                worst = max(worst, abs(engine.alice - expected.alice), abs(engine.bob - expected.bob))
-                points += 1
-        # Q-vs-defect for Bob must coincide with cooperate-vs-defect for Alice.
-        qd_bob = play(setup, q, NAMED_STRATEGIES["D"]).bob
-        cd_alice = play(setup, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"]).alice
-        worst = max(worst, abs(qd_bob - cd_alice))
-        points += 1
+    moves = [(alpha_b, theta_b) for alpha_b in (0.0, math.pi / 4.0) for theta_b in (0.0, math.pi / 2.0, math.pi)]
+    for alpha_b, theta_b in moves:
+        engine = _engine(math.pi / 2.0, rs, q, Strategy(alpha_b, theta_b))
+        worst = max(worst, _deviation(engine, _formula(closed_forms.q_vs_arbitrary, rs, alpha_b, theta_b)))
+    # Q-vs-defect for Bob must coincide with cooperate-vs-defect for Alice.
+    qd_bob = _engine(math.pi / 2.0, rs, q, NAMED_STRATEGIES["D"])[:, 1]
+    cd_alice = _engine(math.pi / 2.0, rs, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])[:, 0]
+    worst = max(worst, _deviation(qd_bob, cd_alice))
+    points = len(rs) * (len(moves) + 1)
     return VerifyOutcome("eq11", points, worst, [NOTE_Q_LABEL], worst <= tol)
 
 
 def _suite_eq13(grid: int, tol: float) -> VerifyOutcome:
+    rs = r_grid(grid)
     worst = 0.0
-    points = 0
     ordering_ok = True
     m = NAMED_STRATEGIES["M"]
-    for r in r_grid(grid):
-        setup = GameSetup(gamma=math.pi / 2.0, r=float(r))
-        for reply, theta_b in (("C", 0.0), ("D", math.pi)):
-            engine = play(setup, m, NAMED_STRATEGIES[reply])
-            expected = closed_forms.miracle_vs_classical(float(r), theta_b)
-            worst = max(worst, abs(engine.alice - expected.alice), abs(engine.bob - expected.bob))
-            if engine.alice >= engine.bob:
-                ordering_ok = False
-            points += 1
+    for reply, theta_b in (("C", 0.0), ("D", math.pi)):
+        engine = _engine(math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply])
+        worst = max(worst, _deviation(engine, _formula(closed_forms.miracle_vs_classical, rs, theta_b)))
+        if np.any(engine[:, 0] >= engine[:, 1]):
+            ordering_ok = False
+    points = len(rs) * 2
     notes = [NOTE_EQ13_INVERSION]
     if not ordering_ok:
         notes.append("ordering violation: the miracle player failed to score below the classical reply somewhere on the grid")

@@ -260,3 +260,59 @@ def test_play_output_is_stable_across_runs():
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_sweep_rejects_out_of_domain_endpoint_before_writing():
+    result = run_cli("sweep", "--gamma", "0", "--r-end", "1.0", "--steps", "3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+def test_sweep_and_fig2_stdout_matches_file_bytes(tmp_path):
+    for args in (("sweep", "--gamma", "pi/3", "--steps", "5"), ("fig2", "--steps", "5")):
+        out = tmp_path / f"{args[0]}.csv"
+        to_stdout = subprocess.run(
+            [sys.executable, "-m", "unruhpd", *args, "--out", "-"], capture_output=True, timeout=120
+        )
+        assert to_stdout.returncode == 0
+        assert run_cli(*args, "--out", str(out)).returncode == 0
+        assert to_stdout.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--payoffs", "nan,0,inf,1"),
+        ("equilibria", "--gamma", "0", "--r", "0", "--payoffs", "3,0,5,nan"),
+        ("sweep", "--gamma", "0", "--steps", "2", "--payoffs", "3,-inf,5,1"),
+    ],
+)
+def test_non_finite_payoffs_are_usage_errors(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+def test_config_file_non_finite_payoff_is_usage_error(tmp_path):
+    config = tmp_path / "table.cfg"
+    config.write_text("cd = nan, 5\n")
+    result = run_cli("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_verify_rejects_non_finite_tol(tol):
+    result = run_cli("verify", "--suite", "table2", "--tol", tol)
+    assert result.returncode == 2
+    assert "overall=" not in result.stdout
+
+
+def test_equilibria_pareto_front_keeps_profiles_tied_up_to_roundoff():
+    result = run_cli("equilibria", "--gamma", "pi/2", "--r", "0.3", "--set", "C,D,Q,M")
+    assert result.returncode == 0
+    # (C,D) ties (D,Q) and (D,C) ties (Q,D) in exact arithmetic; all four stay.
+    assert "pareto=(C,C),(C,D),(D,C),(D,Q),(Q,D),(Q,Q),(Q,M),(M,Q)" in result.stdout

@@ -17,7 +17,7 @@ from unruhpd.equilibrium import (
     validate_strategy_set,
 )
 from unruhpd.game import NAMED_STRATEGIES, Strategy
-from unruhpd.payoff import GameSetup, PayoffTable, play
+from unruhpd.payoff import GameSetup, Payoffs, PayoffTable, play
 
 C = NAMED_STRATEGIES["C"]
 D = NAMED_STRATEGIES["D"]
@@ -121,6 +121,15 @@ def test_pareto_front_max_entanglement_contains_cooperation():
     assert (0, 0) in front
     # Mutual defection is payoff-dominated by mutual cooperation here.
     assert (1, 1) not in front
+
+
+def test_pareto_front_treats_roundoff_as_a_tie():
+    # Two profiles one ulp apart must not dominate each other.
+    table = [
+        [Payoffs(4.0, 0.1), Payoffs(4.0, math.nextafter(0.1, 1.0))],
+        [Payoffs(0.0, 0.0), Payoffs(0.0, 0.0)],
+    ]
+    assert pareto_front(table) == [(0, 0), (0, 1)]
 
 
 def test_pareto_front_singleton():

@@ -177,3 +177,11 @@ def test_custom_table_flows_through():
     table = PayoffTable.from_scalars(2.0, 1.0, 4.0, 0.0)
     got = play(GameSetup(gamma=0.0, r=0.0, table=table), C, C)
     assert abs(got.alice - 2.0) <= 1e-14 and abs(got.bob - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_payoff_table_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        PayoffTable(cd=(0.0, bad))
+    with pytest.raises(ValueError):
+        PayoffTable.from_scalars(3.0, 0.0, bad, 1.0)

@@ -78,3 +78,11 @@ def test_argument_validation():
         run_suite("table2", grid=2)
     with pytest.raises(ValueError):
         run_suite("table2", tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-12])
+def test_non_finite_or_negative_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError):
+        run_suite("table2", tol=tol)
+    with pytest.raises(ValueError):
+        run_suite("all", tol=tol)
