@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import re
@@ -32,6 +33,8 @@ from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
 # Grid points scored per engine call in sweep and fig2, so that memory stays
 # bounded however large --steps is.
 GRID_BLOCK = 4096
+# CSV rows joined into one write: few writes, and no string as large as a block.
+ROWS_PER_WRITE = 256
 
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coef>\d+(?:\.\d*)?)?pi(?:/(?P<den>\d+(?:\.\d*)?))?$"
@@ -39,6 +42,7 @@ _PI_TOKEN = re.compile(
 
 
 def fmt(value: float) -> str:
+    """17 significant digits; the same bytes as the "%.17g" templates of the CSV rows."""
     return f"{value:.17g}"
 
 
@@ -221,17 +225,22 @@ def cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write the header, then each row as it comes, LF-terminated; '-' is stdout."""
+def _write_csv(path: str, header: str, lines, lines_per_write: int) -> None:
+    """Write the header, then the LF-terminated `lines` as they come; '-' is stdout.
+
+    Lines are joined and written `lines_per_write` at a time, so each write
+    is bounded however many rows there are.
+    """
     sink = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
+    lines = iter(lines)
     with sink as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(row + "\n")
+        while chunk := "".join(itertools.islice(lines, lines_per_write)):
+            handle.write(chunk)
 
 
 def _grid_payoffs(gamma: float, r_values: np.ndarray, profiles: list[str], table: PayoffTable):
-    """Yield (r, [(alice, bob) per profile]) along r_values, scoring GRID_BLOCK points per call.
+    """Yield (r list, [[alice list, bob list] per profile]) along r_values, GRID_BLOCK points at a time.
 
     r_values must lie within EDGE_SLACK of [0, R_MAX]; each is clamped into
     that range for scoring, as GameSetup does, and yielded as given.
@@ -240,9 +249,7 @@ def _grid_payoffs(gamma: float, r_values: np.ndarray, profiles: list[str], table
     for start in range(0, len(r_values), GRID_BLOCK):
         block = r_values[start : start + GRID_BLOCK]
         scored = np.clip(block, 0.0, R_MAX)
-        results = [play_batch(gamma, scored, u_alice, u_bob, table).tolist() for u_alice, u_bob in moves]
-        for i, r in enumerate(block.tolist()):
-            yield r, [result[i] for result in results]
+        yield block.tolist(), [play_batch(gamma, scored, u_alice, u_bob, table).T.tolist() for u_alice, u_bob in moves]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -254,28 +261,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     validate_r(args.r_start)
     validate_r(args.r_end)
     table = resolve_table(args)
-    prefix = fmt(args.gamma)
-    rows = (
-        f"{prefix},{fmt(r)},{profile[0]},{profile[1]},{fmt(alice)},{fmt(bob)}"
-        for r, results in _grid_payoffs(gamma, np.linspace(args.r_start, args.r_end, args.steps), args.profiles, table)
-        for profile, (alice, bob) in zip(args.profiles, results)
-    )
-    _write_csv(args.out, "gamma,r,alice_strategy,bob_strategy,alice_payoff,bob_payoff", rows)
+    # The rows of one grid point, one per profile, filled by a single % call
+    # from r (formatted once) and each profile's payoff pair.
+    template = "".join(f"{fmt(args.gamma)},%s,{a},{b},%.17g,%.17g\n" for a, b in args.profiles)
+    r_values = np.linspace(args.r_start, args.r_end, args.steps)
+
+    def lines():
+        for rs, columns in _grid_payoffs(gamma, r_values, args.profiles, table):
+            r_text = list(map("%.17g".__mod__, rs))
+            yield from map(template.__mod__, zip(*(c for alice, bob in columns for c in (r_text, alice, bob))))
+
+    header = "gamma,r,alice_strategy,bob_strategy,alice_payoff,bob_payoff"
+    _write_csv(args.out, header, lines(), max(1, ROWS_PER_WRITE // len(args.profiles)))
     return 0
 
 
 FIG2_PROFILES = ["CC", "DD", "CD", "DC"]
+FIG2_TEMPLATE = ",".join(["%.17g"] * (1 + len(FIG2_PROFILES))) + "\n"
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     table = resolve_table(args)
-    rows = (
-        ",".join([fmt(r), *(fmt(alice) for alice, _ in results)])
-        for r, results in _grid_payoffs(math.pi / 2.0, np.linspace(0.0, R_MAX, args.steps), FIG2_PROFILES, table)
+    lines = (
+        line
+        for rs, columns in _grid_payoffs(math.pi / 2.0, np.linspace(0.0, R_MAX, args.steps), FIG2_PROFILES, table)
+        for line in map(FIG2_TEMPLATE.__mod__, zip(rs, *(alice for alice, _ in columns)))
     )
-    _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", rows)
+    _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", lines, ROWS_PER_WRITE)
     return 0
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI
-from .payoff import GameSetup, Payoffs, play
+import numpy as np
+
+from .game import Strategy, TWO_PI, named_strategy_matrix
+from .payoff import GameSetup, Payoffs, play, play_batch
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -32,9 +34,15 @@ def validate_strategy_set(strategies: list[Strategy]) -> list[Strategy]:
 
 
 def payoff_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payoffs]]:
-    """Full |set| x |set| table; entry [i][j] plays strategies[i] vs strategies[j]."""
+    """Full |set| x |set| table; entry [i][j] plays strategies[i] vs strategies[j].
+
+    All n^2 games are scored in one `play_batch` call, element-wise, so each
+    entry equals `play` of that profile exactly.
+    """
     strategies = validate_strategy_set(strategies)
-    return [[play(setup, a, b) for b in strategies] for a in strategies]
+    moves = np.stack([named_strategy_matrix(s) for s in strategies])
+    scores = play_batch(setup.gamma, setup.r, moves[:, None], moves[None, :], setup.table)
+    return [[Payoffs(*pair) for pair in row] for row in scores.tolist()]
 
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:

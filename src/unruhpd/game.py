@@ -32,6 +32,16 @@ def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
     return min(max(value, 0.0), upper)
 
 
+def clamp_array_to_domain(values, upper: float, name: str, span: str) -> np.ndarray:
+    """`clamp_to_domain` for a whole array: one check of every element, then one clip."""
+    values = np.asarray(values, dtype=float)
+    # NaN fails both comparisons, so it is rejected with the infinities.
+    outside = ~((values >= -EDGE_SLACK) & (values <= upper + EDGE_SLACK))
+    if outside.any():
+        raise ValueError(f"{name} must lie in {span}, got {values[outside].flat[0]}")
+    return np.clip(values, 0.0, upper)
+
+
 def validate_gamma(gamma: float) -> float:
     return clamp_to_domain(gamma, GAMMA_MAX, "entanglement gamma", "[0, pi/2]")
 

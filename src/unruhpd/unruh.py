@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .game import clamp_to_domain
+from .game import clamp_array_to_domain, clamp_to_domain
 from .linalg import partial_trace
 
 R_MAX = math.pi / 4.0
@@ -30,6 +30,10 @@ NORM_TOL = 1e-12
 
 def validate_r(r: float) -> float:
     return clamp_to_domain(r, R_MAX, "acceleration parameter r", "[0, pi/4]")
+
+
+def validate_r_array(r) -> np.ndarray:
+    return clamp_array_to_domain(r, R_MAX, "acceleration parameter r", "[0, pi/4]")
 
 
 def r_from_acceleration(omega: float, a: float, c: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,19 @@ NOTE_EQ13_INVERSION = (
 )
 
 
+class WorstAt(NamedTuple):
+    """Where a suite's largest deviation occurred.
+
+    `label` names the compared profile or move pair; `r` and `player` are
+    None where the check has no acceleration grid or player (commutators).
+    """
+
+    suite: str
+    label: str
+    r: float | None = None
+    player: str | None = None
+
+
 @dataclass
 class VerifyOutcome:
     suite: str
@@ -70,6 +84,7 @@ class VerifyOutcome:
     max_abs_error: float
     discrepancy_notes: list[str]
     passed: bool
+    worst_at: WorstAt | None = None
 
 
 def r_grid(points: int) -> np.ndarray:
@@ -84,12 +99,14 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
         raise ValueError("tolerance must be positive and finite")
     if suite == "all":
         outcomes = [run_suite(name, grid, tol) for name in SUITE_NAMES]
+        worst = max(outcomes, key=lambda o: o.max_abs_error)
         return VerifyOutcome(
             suite="all",
             points_checked=sum(o.points_checked for o in outcomes),
-            max_abs_error=max(o.max_abs_error for o in outcomes),
+            max_abs_error=worst.max_abs_error,
             discrepancy_notes=[note for o in outcomes for note in o.discrepancy_notes],
             passed=all(o.passed for o in outcomes),
+            worst_at=worst.worst_at,
         )
     runners = {
         "table2": _suite_table2,
@@ -113,65 +130,92 @@ def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.
 
 
 def _formula(form, rs: np.ndarray, *args) -> np.ndarray:
-    """(len(rs), 2) closed-form payoffs, evaluated one r at a time."""
-    return np.array([form(r, *args) for r in rs.tolist()])
+    """(len(rs), 2) closed-form payoffs over the whole r grid, in one call."""
+    return np.stack(form(rs, *args), axis=-1)
 
 
-def _deviation(engine: np.ndarray, expected: np.ndarray) -> float:
-    return float(np.max(np.abs(engine - expected)))
+def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
+    """Largest |engine - expected| over `checks` and where it occurred.
+
+    Each check is (label, players, engine, expected), the arrays of shape
+    (len(rs), len(players)). The first of equal deviations is kept; a NaN
+    deviation counts as the largest, so it cannot pass.
+    """
+    worst, at = 0.0, None
+    for label, players, engine, expected in checks:
+        deviation = np.abs(engine - expected)
+        i, col = np.unravel_index(np.argmax(deviation), deviation.shape)
+        value = float(deviation[i, col])
+        if at is None or value > worst or (math.isnan(value) and not math.isnan(worst)):
+            worst, at = value, WorstAt(suite, label, float(rs[i]), players[col])
+    return worst, at
+
+
+PLAYERS = ("alice", "bob")
+
+
+def _classical_checks(gamma: float, form, rs: np.ndarray) -> list:
+    return [
+        (profile, PLAYERS, _engine(gamma, rs, *_profile_pair(profile)), _formula(form, rs, profile))
+        for profile in closed_forms.CLASSICAL_PROFILES
+    ]
 
 
 def _suite_table2(grid: int, tol: float) -> VerifyOutcome:
     rs = r_grid(grid)
-    worst = 0.0
-    for profile in closed_forms.CLASSICAL_PROFILES:
-        engine = _engine(0.0, rs, *_profile_pair(profile))
-        worst = max(worst, _deviation(engine, _formula(closed_forms.unentangled_classical, rs, profile)))
+    worst, at = _worst("table2", rs, _classical_checks(0.0, closed_forms.unentangled_classical, rs))
     points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
-    return VerifyOutcome("table2", points, worst, [NOTE_TABLE2_MISPRINT, NOTE_TABLE2_NASH], worst <= tol)
+    return VerifyOutcome("table2", points, worst, [NOTE_TABLE2_MISPRINT, NOTE_TABLE2_NASH], worst <= tol, at)
 
 
 def _suite_eq8(grid: int, tol: float) -> VerifyOutcome:
     rs = r_grid(grid)
-    worst = 0.0
-    for profile in closed_forms.CLASSICAL_PROFILES:
-        engine = _engine(math.pi / 2.0, rs, *_profile_pair(profile))
-        worst = max(worst, _deviation(engine, _formula(closed_forms.max_entangled_classical, rs, profile)))
+    worst, at = _worst("eq8", rs, _classical_checks(math.pi / 2.0, closed_forms.max_entangled_classical, rs))
     points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
-    return VerifyOutcome("eq8", points, worst, [NOTE_EQ8_CROSS, NOTE_EQ8_PARETO], worst <= tol)
+    return VerifyOutcome("eq8", points, worst, [NOTE_EQ8_CROSS, NOTE_EQ8_PARETO], worst <= tol, at)
 
 
 def _suite_eq11(grid: int, tol: float) -> VerifyOutcome:
     rs = r_grid(grid)
-    worst = 0.0
     q = NAMED_STRATEGIES["Q"]
     moves = [(alpha_b, theta_b) for alpha_b in (0.0, math.pi / 4.0) for theta_b in (0.0, math.pi / 2.0, math.pi)]
-    for alpha_b, theta_b in moves:
-        engine = _engine(math.pi / 2.0, rs, q, Strategy(alpha_b, theta_b))
-        worst = max(worst, _deviation(engine, _formula(closed_forms.q_vs_arbitrary, rs, alpha_b, theta_b)))
+    checks = [
+        (
+            f"Q vs {Strategy(alpha_b, theta_b)}",
+            PLAYERS,
+            _engine(math.pi / 2.0, rs, q, Strategy(alpha_b, theta_b)),
+            _formula(closed_forms.q_vs_arbitrary, rs, alpha_b, theta_b),
+        )
+        for alpha_b, theta_b in moves
+    ]
     # Q-vs-defect for Bob must coincide with cooperate-vs-defect for Alice.
-    qd_bob = _engine(math.pi / 2.0, rs, q, NAMED_STRATEGIES["D"])[:, 1]
-    cd_alice = _engine(math.pi / 2.0, rs, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])[:, 0]
-    worst = max(worst, _deviation(qd_bob, cd_alice))
+    qd_bob = _engine(math.pi / 2.0, rs, q, NAMED_STRATEGIES["D"])[:, 1:]
+    cd_alice = _engine(math.pi / 2.0, rs, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])[:, :1]
+    checks.append(("QD bob vs CD alice", ("bob",), qd_bob, cd_alice))
+    worst, at = _worst("eq11", rs, checks)
     points = len(rs) * (len(moves) + 1)
-    return VerifyOutcome("eq11", points, worst, [NOTE_Q_LABEL], worst <= tol)
+    return VerifyOutcome("eq11", points, worst, [NOTE_Q_LABEL], worst <= tol, at)
 
 
 def _suite_eq13(grid: int, tol: float) -> VerifyOutcome:
     rs = r_grid(grid)
-    worst = 0.0
-    ordering_ok = True
     m = NAMED_STRATEGIES["M"]
-    for reply, theta_b in (("C", 0.0), ("D", math.pi)):
-        engine = _engine(math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply])
-        worst = max(worst, _deviation(engine, _formula(closed_forms.miracle_vs_classical, rs, theta_b)))
-        if np.any(engine[:, 0] >= engine[:, 1]):
-            ordering_ok = False
+    checks = [
+        (
+            "M" + reply,
+            PLAYERS,
+            _engine(math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply]),
+            _formula(closed_forms.miracle_vs_classical, rs, theta_b),
+        )
+        for reply, theta_b in (("C", 0.0), ("D", math.pi))
+    ]
+    worst, at = _worst("eq13", rs, checks)
+    ordering_ok = all(np.all(engine[:, 0] < engine[:, 1]) for _, _, engine, _ in checks)
     points = len(rs) * 2
     notes = [NOTE_EQ13_INVERSION]
     if not ordering_ok:
         notes.append("ordering violation: the miracle player failed to score below the classical reply somewhere on the grid")
-    return VerifyOutcome("eq13", points, worst, notes, worst <= tol and ordering_ok)
+    return VerifyOutcome("eq13", points, worst, notes, worst <= tol and ordering_ok, at)
 
 
 def _suite_commutators(grid: int, tol: float) -> VerifyOutcome:
@@ -182,11 +226,12 @@ def _suite_commutators(grid: int, tol: float) -> VerifyOutcome:
         for b in ("C", "D"):
             u = kron(named_strategy_matrix(NAMED_STRATEGIES[a]), named_strategy_matrix(NAMED_STRATEGIES[b]))
             norms[a + b] = sup_norm(j @ u - u @ j)
-    worst_same = max(norms["CC"], norms["DD"])
+    same = max(("CC", "DD"), key=norms.__getitem__)
+    worst_same = norms[same]
     notes = [
         "entangler commutator sup-norms at gamma = pi/2: "
         + ", ".join(f"[J, {a}x{b}] = {norms[a + b]:.6g}" for a in "CD" for b in "CD")
         + "; the mixed classical pairs do not commute under this move "
         "parametrization (reported for information, not a failure)."
     ]
-    return VerifyOutcome("commutators", len(norms), worst_same, notes, worst_same <= tol)
+    return VerifyOutcome("commutators", len(norms), worst_same, notes, worst_same <= tol, WorstAt("commutators", same))

@@ -5,7 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from unruhpd.cli import GRID_BLOCK
+from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
+from unruhpd.payoff import PayoffTable, play_batch
+from unruhpd.unruh import R_MAX
 
 
 def run_cli(*args, **kwargs):
@@ -316,3 +322,62 @@ def test_equilibria_pareto_front_keeps_profiles_tied_up_to_roundoff():
     assert result.returncode == 0
     # (C,D) ties (D,Q) and (D,C) ties (Q,D) in exact arithmetic; all four stay.
     assert "pareto=(C,C),(C,D),(D,C),(D,Q),(Q,D),(Q,Q),(Q,M),(M,Q)" in result.stdout
+
+
+def reference_rows(gamma, r_start, r_end, steps, profiles, table):
+    """Per-field '.17g' rows, r-major, from play_batch over the clamped r grid."""
+    rs = np.linspace(r_start, r_end, steps)
+    scores = [
+        play_batch(gamma, np.clip(rs, 0.0, R_MAX), *(named_strategy_matrix(NAMED_STRATEGIES[m]) for m in profile), table)
+        for profile in profiles
+    ]
+    return rs.tolist(), [score.tolist() for score in scores]
+
+
+CLASSICAL = ["CC", "CD", "DC", "DD"]
+CUSTOM_FLAGS = ("--payoffs", "2.5,-1,7.25,0.5")
+CUSTOM_TABLE = PayoffTable.from_scalars(2.5, -1.0, 7.25, 0.5)
+
+# (extra flags, gamma, r_start, r_end, steps, profiles, table)
+SWEEP_CASES = [
+    ((), math.pi / 2, 0.0, R_MAX, 7, CLASSICAL, PayoffTable()),
+    # Endpoints just outside [0, pi/4], within EDGE_SLACK: printed raw, scored clamped.
+    (("--r-start=-5e-7", "--r-end", "0.78539866"), math.pi / 2, -5e-7, 0.78539866, 9, CLASSICAL, PayoffTable()),
+    (("--r-start", "0.1", "--r-end", "0.6"), math.pi / 3, 0.1, 0.6, 11, CLASSICAL, PayoffTable()),
+    (("--profiles", "QM", "CD"), math.pi / 3, 0.0, R_MAX, 13, ["QM", "CD"], PayoffTable()),
+    (CUSTOM_FLAGS, 0.7, 0.0, R_MAX, 6, CLASSICAL, CUSTOM_TABLE),
+    ((), math.pi / 2, 0.0, R_MAX, GRID_BLOCK + 3, CLASSICAL, PayoffTable()),
+]
+
+
+@pytest.mark.parametrize("flags,gamma,r_start,r_end,steps,profiles,table", SWEEP_CASES)
+def test_sweep_bytes_match_per_field_formatting(flags, gamma, r_start, r_end, steps, profiles, table):
+    rs, scores = reference_rows(gamma, r_start, r_end, steps, profiles, table)
+    lines = ["gamma,r,alice_strategy,bob_strategy,alice_payoff,bob_payoff"]
+    for i, r in enumerate(rs):
+        for profile, score in zip(profiles, scores):
+            alice, bob = score[i]
+            lines.append(",".join([f"{gamma:.17g}", f"{r:.17g}", profile[0], profile[1], f"{alice:.17g}", f"{bob:.17g}"]))
+    result = subprocess.run(
+        [sys.executable, "-m", "unruhpd", "sweep", "--gamma", repr(gamma), "--steps", str(steps), *flags],
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stdout == ("\n".join(lines) + "\n").encode()
+
+
+FIG2_CASES = [((), 7, PayoffTable()), (CUSTOM_FLAGS, 6, CUSTOM_TABLE), ((), GRID_BLOCK + 3, PayoffTable())]
+
+
+@pytest.mark.parametrize("flags,steps,table", FIG2_CASES)
+def test_fig2_bytes_match_per_field_formatting(flags, steps, table):
+    rs, scores = reference_rows(math.pi / 2, 0.0, R_MAX, steps, ["CC", "DD", "CD", "DC"], table)
+    lines = ["r,P_CC,P_DD,P_A_CD,P_A_DC"]
+    for i, r in enumerate(rs):
+        lines.append(",".join([f"{r:.17g}", *(f"{score[i][0]:.17g}" for score in scores)]))
+    result = subprocess.run(
+        [sys.executable, "-m", "unruhpd", "fig2", "--steps", str(steps), *flags], capture_output=True, timeout=120
+    )
+    assert result.returncode == 0
+    assert result.stdout == ("\n".join(lines) + "\n").encode()

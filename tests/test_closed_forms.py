@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from unruhpd.game import EDGE_SLACK
+
 from unruhpd.closed_forms import (
     CLASSICAL_PROFILES,
     max_entangled_classical,
@@ -111,3 +113,42 @@ def test_unknown_profile_rejected():
         unentangled_classical(0.1, "CQ")
     with pytest.raises(ValueError):
         max_entangled_classical(0.1, "XX")
+
+
+FAMILIES = [
+    (unentangled_classical, (profile,)) for profile in CLASSICAL_PROFILES
+] + [(max_entangled_classical, (profile,)) for profile in CLASSICAL_PROFILES] + [
+    (q_vs_arbitrary, (alpha_b, theta_b)) for alpha_b in (0.0, 0.7, math.pi / 4) for theta_b in (0.0, 1.9, math.pi)
+] + [(miracle_vs_classical, (theta_b,)) for theta_b in (0.0, 1.1, math.pi)]
+
+
+@pytest.mark.parametrize("form,args", FAMILIES)
+def test_array_call_equals_scalar_calls(form, args):
+    rs = np.concatenate([np.linspace(0.0, math.pi / 4, 101), np.random.default_rng(7).uniform(0.0, math.pi / 4, 200)])
+    got = form(rs, *args)
+    want = np.array([form(r, *args) for r in rs.tolist()])
+    assert got.alice.shape == got.bob.shape == rs.shape
+    assert np.max(np.abs(np.stack(got, axis=-1) - want)) <= 1e-15
+
+
+def test_array_call_keeps_the_shape_of_r():
+    rs = np.linspace(0.0, math.pi / 4, 12).reshape(3, 4)
+    got = max_entangled_classical(rs, "CD")
+    assert got.alice.shape == got.bob.shape == (3, 4)
+    assert got.alice[1, 2] == max_entangled_classical(rs[1:2, 2:3], "CD").alice[0, 0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3, math.pi / 4 + 1e-3])
+@pytest.mark.parametrize("form,args", [FAMILIES[0], FAMILIES[4], FAMILIES[8], FAMILIES[-2]])
+def test_one_bad_element_rejects_the_array(form, args, bad):
+    rs = np.linspace(0.0, math.pi / 4, 9)
+    rs[5] = bad
+    with pytest.raises(ValueError, match="acceleration parameter r"):
+        form(rs, *args)
+
+
+def test_array_within_edge_slack_is_clamped():
+    rs = np.array([-0.5 * EDGE_SLACK, math.pi / 4 + 0.5 * EDGE_SLACK])
+    got = unentangled_classical(rs, "CC")
+    want = [unentangled_classical(0.0, "CC"), unentangled_classical(math.pi / 4, "CC")]
+    assert np.array_equal(np.stack(got, axis=-1), np.array(want))

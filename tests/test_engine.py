@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import unruhpd.game
 import unruhpd.payoff
-from unruhpd.game import Strategy, entangler, initial_state, strategy_matrix
+from unruhpd import closed_forms
+from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, named_strategy_matrix, strategy_matrix
 from unruhpd.linalg import basis_ket, identity, kron
 from unruhpd.payoff import (
     GameSetup,
@@ -46,6 +47,13 @@ def reference_payoffs(gamma, r, u_alice, u_bob, table):
     """The density-matrix pipeline: Rindler expansion and partial trace, then J^dag (UA x UB)."""
     rho = unruh_channel(initial_state(gamma), r)
     return np.array(payoffs(final_density(rho, u_alice, u_bob, gamma), table))
+
+
+R_ARRAYS = st.lists(RS, min_size=1, max_size=64).map(np.array)
+
+
+def named(label):
+    return named_strategy_matrix(NAMED_STRATEGIES[label])
 
 
 def random_games(seed, n):
@@ -106,6 +114,35 @@ def test_kraus_form_equals_rindler_trace_out(r, parts):
     rho = np.outer(psi, psi.conj())
     kraus_form = sum(kron(identity(2), k) @ rho @ kron(identity(2), k).conj().T for k in kraus_operators(r))
     assert np.max(np.abs(kraus_form - unruh_channel(psi, r))) <= 1e-15
+
+
+@SEEDED
+@given(R_ARRAYS, st.sampled_from(closed_forms.CLASSICAL_PROFILES))
+def test_engine_matches_classical_closed_forms_over_r_arrays(rs, profile):
+    u_alice, u_bob = named(profile[0]), named(profile[1])
+    for gamma, form in ((0.0, closed_forms.unentangled_classical), (math.pi / 2, closed_forms.max_entangled_classical)):
+        engine = play_batch(gamma, rs, u_alice, u_bob, PayoffTable())
+        assert np.max(np.abs(engine - np.stack(form(rs, profile), axis=-1))) <= 1e-12
+
+
+@SEEDED
+@given(R_ARRAYS, ALPHAS, THETAS)
+def test_engine_matches_q_and_miracle_closed_forms_over_r_arrays(rs, alpha_b, theta_b):
+    q_engine = play_batch(math.pi / 2, rs, named("Q"), strategy_matrix(alpha_b, theta_b), PayoffTable())
+    q_formula = np.stack(closed_forms.q_vs_arbitrary(rs, alpha_b, theta_b), axis=-1)
+    assert np.max(np.abs(q_engine - q_formula)) <= 1e-12
+    m_engine = play_batch(math.pi / 2, rs, named("M"), strategy_matrix(0.0, theta_b), PayoffTable())
+    m_formula = np.stack(closed_forms.miracle_vs_classical(rs, theta_b), axis=-1)
+    assert np.max(np.abs(m_engine - m_formula)) <= 1e-12
+
+
+@SEEDED
+@given(GAMMAS, RS)
+def test_post_channel_state_is_a_density_matrix(gamma, r):
+    rho = unruh_channel(initial_state(gamma), r)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+    assert abs(np.trace(rho) - 1.0) <= 1e-13
+    assert np.linalg.eigvalsh(rho).min() >= -1e-13
 
 
 @SEEDED

@@ -63,6 +63,18 @@ def test_payoff_table_singleton():
     assert abs(table[0][0].alice - 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_payoff_table_equals_per_game_play_exactly(seed):
+    rng = np.random.default_rng(seed)
+    setup = GameSetup(
+        rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, math.pi / 4), PayoffTable.from_scalars(*rng.normal(0.0, 3.0, 4))
+    )
+    strategies = [C, D, Q, M] + [Strategy(rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, math.pi)) for _ in range(3)]
+    table = payoff_table(setup, strategies)
+    assert table == [[play(setup, a, b) for b in strategies] for a in strategies]
+    assert all(type(entry) is Payoffs for row in table for entry in row)
+
+
 def test_nash_inertial_classical_game():
     table = payoff_table(classical_setup(), CLASSICAL_SET)
     assert find_nash(table) == [(1, 1)]

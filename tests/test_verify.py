@@ -1,8 +1,15 @@
 """Verification-suite plumbing: pass/fail logic and discrepancy notes."""
 
+import math
+
+import numpy as np
 import pytest
 
-from unruhpd.verify import SUITE_NAMES, run_suite
+import unruhpd.verify
+from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
+from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
+from unruhpd.payoff import PayoffTable, play_batch
+from unruhpd.verify import SUITE_NAMES, WorstAt, r_grid, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -86,3 +93,47 @@ def test_non_finite_or_negative_tolerance_is_rejected(tol):
         run_suite("table2", tol=tol)
     with pytest.raises(ValueError):
         run_suite("all", tol=tol)
+
+
+def test_worst_at_locates_the_largest_deviation():
+    outcome = run_suite("eq8", grid=101)
+    at = outcome.worst_at
+    assert at.suite == "eq8"
+    assert at.label in CLASSICAL_PROFILES
+    assert at.player in ("alice", "bob")
+    assert at.r in r_grid(101).tolist()
+    # Re-score that one point as the suite does: the deviation there is the maximum.
+    rs = np.array([at.r])
+    moves = [named_strategy_matrix(NAMED_STRATEGIES[label]) for label in at.label]
+    engine = play_batch(math.pi / 2, rs, *moves, PayoffTable())[0]
+    formula = max_entangled_classical(rs, at.label)
+    column = ("alice", "bob").index(at.player)
+    assert abs(engine[column] - formula[column][0]) == outcome.max_abs_error
+
+
+def test_worst_at_of_all_is_the_worst_suite():
+    combined = run_suite("all")
+    parts = [run_suite(name) for name in SUITE_NAMES]
+    worst = max(parts, key=lambda p: p.max_abs_error)
+    assert combined.worst_at == worst.worst_at
+    assert combined.worst_at.suite == worst.suite
+
+
+def test_worst_at_is_set_by_every_suite():
+    for name in SUITE_NAMES:
+        at = run_suite(name).worst_at
+        assert isinstance(at, WorstAt)
+        assert at.suite == name
+    assert run_suite("commutators").worst_at.label in ("CC", "DD")
+    assert run_suite("eq11").worst_at.r is not None
+
+
+def test_non_finite_engine_values_fail_the_suite(monkeypatch):
+    def nan_engine(*args, **kwargs):
+        return np.full_like(play_batch(*args, **kwargs), np.nan)
+
+    monkeypatch.setattr(unruhpd.verify, "play_batch", nan_engine)
+    outcome = run_suite("table2")
+    assert not outcome.passed
+    assert math.isnan(outcome.max_abs_error)
+    assert outcome.worst_at.label == "CC"
