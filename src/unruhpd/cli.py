@@ -36,6 +36,9 @@ GRID_BLOCK = 4096
 # CSV rows joined into one write: few writes, and no string as large as a block.
 ROWS_PER_WRITE = 256
 
+# Values such as -5e-7, -.5 or -1,0,5,1; plain argparse takes only -5 and -0.5 for values.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
 _PI_TOKEN = re.compile(
     r"^(?P<sign>[+-])?(?P<coef>\d+(?:\.\d*)?)?pi(?:/(?P<den>\d+(?:\.\d*)?))?$"
 )
@@ -147,8 +150,15 @@ def add_table_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser (its subparsers too) that reads a `_NEGATIVE_VALUE` token as a value."""
+
+    def _parse_optional(self, arg_string):
+        return None if _NEGATIVE_VALUE.match(arg_string) else super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unruhpd",
         description="Quantum prisoner's dilemma with one uniformly accelerated player.",
     )

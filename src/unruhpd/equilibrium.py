@@ -1,8 +1,8 @@
 """Solution concepts over finite strategy sets plus a continuous best response.
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
-an explicit payoff table; the continuous search scans the full (alpha, theta)
-move space on a grid and polishes the winner by coordinate descent.
+an explicit payoff table; the continuous search scores an (alpha, theta) grid
+in one `play_batch` call and polishes the winner by coordinate descent.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Strategy, TWO_PI, named_strategy_matrix
-from .payoff import GameSetup, Payoffs, play, play_batch
+from .game import Strategy, TWO_PI, _move, named_strategy_matrix
+from .payoff import GameSetup, Payoffs, play, play_batch  # noqa: F401  (play kept bound: benchmarks/tracer.py wraps it)
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -170,11 +170,15 @@ def best_response(
 ) -> tuple[Strategy, float]:
     """Argmax reply over the whole (alpha, theta) move space.
 
-    Grid scan over [0, 2*pi] x [0, pi] (inclusive endpoints), then coordinate
-    descent from the best grid point with step halving until the step drops
-    below 1e-6. Deterministic: only strict improvements are accepted and grid
-    ties resolve to the lexicographically smallest (alpha, theta).
+    Grid scan over [0, 2*pi] x [0, pi] (inclusive endpoints), scored in one
+    `play_batch` call, then coordinate descent from the best grid point with
+    step halving until the step drops below 1e-6, one move per `play_batch`
+    call. Deterministic: only strict improvements are accepted and grid ties
+    resolve to the lexicographically smallest (alpha, theta).
     """
+    for name, count in (("grid", grid), ("refine", refine)):
+        if not isinstance(count, int):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if grid < 8:
         raise ValueError("grid must be at least 8 points per axis")
     if refine < 0:
@@ -182,23 +186,21 @@ def best_response(
     if responder not in ("alice", "bob"):
         raise ValueError(f"responder must be 'alice' or 'bob', got {responder!r}")
 
-    def score(alpha: float, theta: float) -> float:
-        mover = Strategy(alpha, theta)
-        if responder == "alice":
-            return play(setup, mover, opponent).alice
-        return play(setup, opponent, mover).bob
+    u_opponent = named_strategy_matrix(opponent)
+    player = 0 if responder == "alice" else 1
+
+    def scores(moves: np.ndarray) -> np.ndarray:
+        pair = (moves, u_opponent) if player == 0 else (u_opponent, moves)
+        return play_batch(setup.gamma, setup.r, *pair, setup.table)[..., player]
 
     alpha_step = TWO_PI / (grid - 1)
     theta_step = math.pi / (grid - 1)
-    best_alpha = best_theta = 0.0
-    best_value = -math.inf
-    for i in range(grid):
-        alpha = min(i * alpha_step, TWO_PI)
-        for j in range(grid):
-            theta = min(j * theta_step, math.pi)
-            value = score(alpha, theta)
-            if value > best_value:
-                best_alpha, best_theta, best_value = alpha, theta, value
+    alphas = [min(i * alpha_step, TWO_PI) for i in range(grid)]
+    thetas = [min(j * theta_step, math.pi) for j in range(grid)]
+    values = scores(_grid_moves(alphas, thetas))
+    # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
 
     step_a, step_t = alpha_step, theta_step
     for _ in range(refine):
@@ -208,7 +210,7 @@ def best_response(
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
-            value = score(alpha, theta)
+            value = float(scores(_move(alpha, theta)))
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True
@@ -217,6 +219,18 @@ def best_response(
             step_t /= 2.0
 
     return Strategy(best_alpha, best_theta), best_value
+
+
+def _grid_moves(alphas: list[float], thetas: list[float]) -> np.ndarray:
+    """Stack whose entry [i, j] is `_move(alphas[i], thetas[j])`: the same `math` values and products."""
+    cos_a, sin_a = (np.array([f(a) for a in alphas]) for f in (math.cos, math.sin))
+    cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
+    moves = np.zeros((len(alphas), len(thetas), 2, 2), dtype=complex)
+    moves.real[..., 0, 0] = moves.real[..., 1, 1] = cos_a[:, None] * cos_t
+    moves.imag[..., 0, 0] = sin_a[:, None] * cos_t
+    moves.imag[..., 1, 1] = -moves.imag[..., 0, 0]
+    moves.imag[..., 0, 1] = moves.imag[..., 1, 0] = sin_t
+    return moves
 
 
 def _check_square(table: list[list[Payoffs]]) -> int:

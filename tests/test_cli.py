@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from unruhpd.cli import GRID_BLOCK
+from unruhpd.cli import GRID_BLOCK, build_parser
 from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
 from unruhpd.payoff import PayoffTable, play_batch
 from unruhpd.unruh import R_MAX
@@ -315,6 +315,39 @@ def test_verify_rejects_non_finite_tol(tol):
     result = run_cli("verify", "--suite", "table2", "--tol", tol)
     assert result.returncode == 2
     assert "overall=" not in result.stdout
+
+
+def test_negative_exponent_value_reads_like_the_equals_form():
+    base = ("sweep", "--gamma", "0", "--steps", "3")
+    spaced = run_cli(*base, "--r-start", "-5e-7")
+    joined = run_cli(*base, "--r-start=-5e-7")
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert spaced.stdout.splitlines()[1].startswith("0,-4.9999999999999998e-07,")
+
+
+def test_negative_payoff_list_reads_like_the_equals_form():
+    base = ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C")
+    spaced = run_cli(*base, "--payoffs", "-1,0,5,1")
+    joined = run_cli(*base, "--payoffs=-1,0,5,1")
+    assert spaced.returncode == joined.returncode == 0
+    assert "alice_payoff=-1\n" in spaced.stdout
+    assert spaced.stdout == joined.stdout
+
+
+def test_negative_values_parse_in_every_number_form():
+    argv = ["sweep", "--gamma", "-.5", "--steps", "3", "--r-start", "-5E-7", "--payoffs", "-1,-2,-3,-4"]
+    args = build_parser().parse_args(argv)
+    assert (args.gamma, args.r_start) == (-0.5, -5e-7)
+    assert args.payoffs == PayoffTable.from_scalars(-1.0, -2.0, -3.0, -4.0)
+
+
+def test_negative_out_of_domain_value_is_still_a_usage_error():
+    result = run_cli("sweep", "--gamma", "0", "--steps", "3", "--r-start", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "must lie in" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_equilibria_pareto_front_keeps_profiles_tied_up_to_roundoff():

@@ -7,6 +7,8 @@ import pytest
 
 from unruhpd.closed_forms import miracle_vs_classical
 from unruhpd.equilibrium import (
+    REFINE_MIN_STEP,
+    _grid_moves,
     analyze,
     best_response,
     find_dominant,
@@ -16,7 +18,7 @@ from unruhpd.equilibrium import (
     set_best_responses,
     validate_strategy_set,
 )
-from unruhpd.game import NAMED_STRATEGIES, Strategy
+from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move
 from unruhpd.payoff import GameSetup, Payoffs, PayoffTable, play
 
 C = NAMED_STRATEGIES["C"]
@@ -219,6 +221,104 @@ def test_best_response_argument_validation():
         best_response(classical_setup(), C, "alice", refine=-1)
     with pytest.raises(ValueError):
         best_response(classical_setup(), C, "carol")
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        best_response(classical_setup(), C, "alice", grid=8.5)
+    with pytest.raises(ValueError, match="refine must be an integer"):
+        best_response(classical_setup(), C, "alice", refine=2.5)
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        best_response(classical_setup(), C, "alice", grid="32")
+
+
+def reference_best_response(setup, opponent, responder, grid=32, refine=100):
+    """The per-game search `best_response` replaced: one `Strategy` and one `play` per evaluation."""
+
+    def score(alpha: float, theta: float) -> float:
+        mover = Strategy(alpha, theta)
+        if responder == "alice":
+            return play(setup, mover, opponent).alice
+        return play(setup, opponent, mover).bob
+
+    alpha_step = TWO_PI / (grid - 1)
+    theta_step = math.pi / (grid - 1)
+    best_alpha = best_theta = 0.0
+    best_value = -math.inf
+    for i in range(grid):
+        alpha = min(i * alpha_step, TWO_PI)
+        for j in range(grid):
+            theta = min(j * theta_step, math.pi)
+            value = score(alpha, theta)
+            if value > best_value:
+                best_alpha, best_theta, best_value = alpha, theta, value
+
+    step_a, step_t = alpha_step, theta_step
+    for _ in range(refine):
+        if max(step_a, step_t) < REFINE_MIN_STEP:
+            break
+        improved = False
+        for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
+            alpha = min(max(best_alpha + da, 0.0), TWO_PI)
+            theta = min(max(best_theta + dt, 0.0), math.pi)
+            value = score(alpha, theta)
+            if value > best_value:
+                best_alpha, best_theta, best_value = alpha, theta, value
+                improved = True
+        if not improved:
+            step_a /= 2.0
+            step_t /= 2.0
+
+    return Strategy(best_alpha, best_theta), best_value
+
+
+_RNG = np.random.default_rng(2024)
+# gamma = 0 ties many grid points, which exercises the first-maximum rule.
+GAMMAS = (0.0, math.pi / 2, float(_RNG.uniform(0.0, math.pi / 2)))
+RS = (0.0, math.pi / 4, float(_RNG.uniform(0.0, math.pi / 4)))
+OPPONENTS = [C, D, Q, M] + [Strategy(*_RNG.uniform((0.0, 0.0), (TWO_PI, math.pi))) for _ in range(2)]
+CONFIGS = [(gamma, r) for gamma in GAMMAS for r in RS]
+
+
+def assert_same_reply(setup, opponent, responder, **knobs):
+    got = best_response(setup, opponent, responder, **knobs)
+    want = reference_best_response(setup, opponent, responder, **knobs)
+    # Strategy equality compares alpha, theta and label.
+    assert got == want
+    assert type(got[1]) is float
+
+
+@pytest.mark.parametrize("gamma,r", CONFIGS)
+def test_best_response_equals_per_game_search_on_a_coarse_grid(gamma, r):
+    setup = GameSetup(gamma, r)
+    for opponent in OPPONENTS:
+        for responder in ("alice", "bob"):
+            assert_same_reply(setup, opponent, responder, grid=8, refine=0)
+
+
+@pytest.mark.parametrize("k,config", enumerate(CONFIGS))
+def test_best_response_equals_per_game_search_with_default_knobs(k, config):
+    # Each configuration meets one opponent, so all six are covered within the time budget.
+    setup = GameSetup(*config)
+    opponent = OPPONENTS[k % len(OPPONENTS)]
+    for responder in ("alice", "bob"):
+        assert_same_reply(setup, opponent, responder)
+
+
+@pytest.mark.parametrize("k,config", enumerate(CONFIGS[::2]))
+def test_best_response_equals_per_game_search_on_an_odd_grid(k, config):
+    setup = GameSetup(*config)
+    opponent = OPPONENTS[(k + 3) % len(OPPONENTS)]
+    for responder in ("alice", "bob"):
+        assert_same_reply(setup, opponent, responder, grid=9)
+
+
+@pytest.mark.parametrize("grid", [8, 9, 32])
+def test_grid_moves_equal_move_at_every_grid_point(grid):
+    alphas = [min(i * (TWO_PI / (grid - 1)), TWO_PI) for i in range(grid)]
+    thetas = [min(j * (math.pi / (grid - 1)), math.pi) for j in range(grid)]
+    moves = _grid_moves(alphas, thetas)
+    assert moves.shape == (grid, grid, 2, 2)
+    for i, alpha in enumerate(alphas):
+        for j, theta in enumerate(thetas):
+            assert np.array_equal(moves[i, j], _move(alpha, theta))
 
 
 def test_find_dominant_rejects_unknown_player():
