@@ -66,8 +66,7 @@ def find_dominant(table: list[list[Payoffs]], player: str) -> tuple[int, str] | 
     None otherwise.
     """
     n = _check_square(table)
-    if player not in ("alice", "bob"):
-        raise ValueError(f"player must be 'alice' or 'bob', got {player!r}")
+    _check_player("player", player)
 
     def against(own: int, opp: int) -> float:
         if player == "alice":
@@ -124,6 +123,7 @@ def set_best_responses(table: list[list[Payoffs]], responder: str) -> dict[int, 
     index wins, so roundoff noise cannot flip the reported reply.
     """
     n = _check_square(table)
+    _check_player("responder", responder)
     out: dict[int, int] = {}
     for opp in range(n):
         if responder == "alice":
@@ -183,8 +183,7 @@ def best_response(
         raise ValueError("grid must be at least 8 points per axis")
     if refine < 0:
         raise ValueError("refine must be >= 0")
-    if responder not in ("alice", "bob"):
-        raise ValueError(f"responder must be 'alice' or 'bob', got {responder!r}")
+    _check_player("responder", responder)
 
     u_opponent = named_strategy_matrix(opponent)
     player = 0 if responder == "alice" else 1
@@ -238,3 +237,8 @@ def _check_square(table: list[list[Payoffs]]) -> int:
     if n == 0 or any(len(row) != n for row in table):
         raise ValueError("payoff table must be square and nonempty")
     return n
+
+
+def _check_player(name: str, player: str) -> None:
+    if player not in ("alice", "bob"):
+        raise ValueError(f"{name} must be 'alice' or 'bob', got {player!r}")

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import identity, kron
-
 TWO_PI = 2.0 * math.pi
 GAMMA_MAX = math.pi / 2.0
 
@@ -113,8 +111,7 @@ def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
 def entangler(gamma: float) -> np.ndarray:
     """Closed form of exp[i gamma/2 (D1 x D1)], a 4x4 unitary."""
     gamma = validate_gamma(gamma)
-    k = kron(D1, D1)
-    return math.cos(gamma / 2.0) * identity(4) + 1j * math.sin(gamma / 2.0) * k
+    return math.cos(gamma / 2.0) * np.eye(4, dtype=complex) + 1j * math.sin(gamma / 2.0) * np.kron(D1, D1)
 
 
 def initial_state(gamma: float) -> np.ndarray:

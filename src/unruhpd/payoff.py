@@ -10,8 +10,8 @@ handled as a 2x2 block Phi[a, b] over (Alice, Bob) bits, on which UA x UB acts
 as UA Phi UB^T.
 
 `final_density` and `payoffs` score one game from its 4x4 density matrix.
-Together with `unruh.unruh_channel` they are the reference the engine is
-tested against.
+With `unruh.unruh_channel` (Rindler expansion, `unruh.partial_trace` of
+region II) they are the reference the engine is tested against.
 
 Expected payoffs weight the outcomes CC, CD, DC, DD with a classical payoff
 table.
@@ -28,7 +28,6 @@ import numpy as np
 
 from .game import Strategy, entangler, named_strategy_matrix, validate_gamma
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
-from .linalg import adjoint, identity, kron, sup_norm
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import validate_r
 
@@ -136,17 +135,17 @@ def play_batch(gamma, r, u_alice: np.ndarray, u_bob: np.ndarray, table: PayoffTa
 
 def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the joint move and undo the entangler: J^dag (uA x uB) rho (.)^dag J."""
-    gamma = validate_gamma(gamma)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     for name, u in (("alice", u_alice), ("bob", u_bob)):
         u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2) or sup_norm(adjoint(u) @ u - identity(2)) > UNITARITY_TOL:
+        # Negated <=, so that a NaN entry fails it too.
+        if u.shape != (2, 2) or not np.abs(u.conj().T @ u - np.eye(2)).max() <= UNITARITY_TOL:
             raise ValueError(f"{name} move is not a 2x2 unitary")
     j = entangler(gamma)
-    moves = kron(u_alice, u_bob)
-    return adjoint(j) @ moves @ rho @ adjoint(moves) @ j
+    moves = np.kron(u_alice, u_bob)
+    return j.conj().T @ moves @ rho @ moves.conj().T @ j
 
 
 def payoffs(rho_final: np.ndarray, table: PayoffTable) -> Payoffs:

@@ -12,6 +12,11 @@ disconnected from him and gets traced out, which turns the shared pure
 state into a mixed two-qubit state and degrades its entanglement. Only a
 single field mode per wedge is kept, the standard highly-monochromatic
 detector idealization.
+
+`expand_bob_mode`, `partial_trace` and `unruh_channel` build that reduced
+state as an explicit 4x4 density matrix. `payoff` applies the same channel
+in its Kraus form without one; these functions are the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 import numpy as np
 
 from .game import clamp_array_to_domain, clamp_to_domain
-from .linalg import partial_trace
 
 R_MAX = math.pi / 4.0
 
@@ -73,6 +77,31 @@ def expand_bob_mode(state: np.ndarray, r: float) -> np.ndarray:
         block = state[2 * alice_bit] * ket0 + state[2 * alice_bit + 1] * ket1
         out[4 * alice_bit : 4 * alice_bit + 4] = block
     return out
+
+
+def partial_trace(rho: np.ndarray, dims: list[int], which: int) -> np.ndarray:
+    """Trace out subsystem `which`, preserving the order of the rest.
+
+    `dims` lists the subsystem dimensions, most significant first; their
+    product must equal the side of the square matrix `rho`, whose entries
+    must be finite.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError("subsystem dimensions must be positive")
+    total = math.prod(dims)
+    if rho.shape != (total, total):
+        raise ValueError(f"dims {dims} inconsistent with matrix shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix entries must be finite")
+    n = len(dims)
+    if not 0 <= which < n:
+        raise ValueError(f"subsystem index {which} out of range for {n} subsystems")
+    t = rho.reshape(dims + dims)
+    reduced = np.trace(t, axis1=which, axis2=n + which)
+    keep = total // dims[which]
+    return reduced.reshape(keep, keep)
 
 
 def unruh_channel(state: np.ndarray, r: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Cross-checks of the engine against the published closed forms.
 
-Each suite replays a family of analytic payoff results on an r grid and
-reports the worst engine-vs-formula deviation. Known anomalies in the
-published account (label mismatches, misprinted values, an unexplained
-player inversion) are surfaced as discrepancy notes rather than silently
-corrected or failed.
+Each payoff suite, an entry of `PAYOFF_SUITES`, replays a family of analytic
+payoff results on one r grid and reports the worst engine-vs-formula
+deviation. Known anomalies in the published account (label mismatches,
+misprinted values, an unexplained player inversion) are surfaced as
+discrepancy notes rather than silently corrected or failed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import closed_forms
 from .game import NAMED_STRATEGIES, Strategy, entangler, named_strategy_matrix
-from .linalg import kron, sup_norm
 from .payoff import PayoffTable, play_batch
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
@@ -28,6 +27,7 @@ DEFAULT_GRID = 9
 DEFAULT_TOL = 1e-12
 
 DEFAULT_TABLE = PayoffTable()
+PLAYERS = ("alice", "bob")
 
 NOTE_Q_LABEL = (
     "quantum move Q: the published label U(0, pi/2) does not generate the "
@@ -62,6 +62,9 @@ NOTE_EQ13_INVERSION = (
     "no explanation for this inconsistency. The formulas are reproduced "
     "exactly as stated, not corrected."
 )
+NOTE_EQ13_ORDERING = (
+    "ordering violation: the miracle player failed to score below the classical reply somewhere on the grid"
+)
 
 
 class WorstAt(NamedTuple):
@@ -87,41 +90,37 @@ class VerifyOutcome:
     worst_at: WorstAt | None = None
 
 
-def r_grid(points: int) -> np.ndarray:
-    if points < 3:
-        raise ValueError("grid must have at least 3 points")
-    return np.linspace(0.0, R_MAX, points)
-
-
 def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> VerifyOutcome:
-    """Run one named suite, or every suite aggregated under 'all'."""
+    """Run one named suite, or every suite aggregated under 'all'; arguments are checked here only."""
+    if suite not in SUITE_NAMES + ("all",):
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
+    if not (isinstance(grid, int) and grid >= 3):
+        raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be positive and finite")
-    if suite == "all":
-        outcomes = [run_suite(name, grid, tol) for name in SUITE_NAMES]
-        worst = max(outcomes, key=lambda o: o.max_abs_error)
-        return VerifyOutcome(
-            suite="all",
-            points_checked=sum(o.points_checked for o in outcomes),
-            max_abs_error=worst.max_abs_error,
-            discrepancy_notes=[note for o in outcomes for note in o.discrepancy_notes],
-            passed=all(o.passed for o in outcomes),
-            worst_at=worst.worst_at,
-        )
-    runners = {
-        "table2": _suite_table2,
-        "eq8": _suite_eq8,
-        "eq11": _suite_eq11,
-        "eq13": _suite_eq13,
-        "commutators": _suite_commutators,
-    }
-    if suite not in runners:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    return runners[suite](grid, tol)
+    rs = np.linspace(0.0, R_MAX, grid)
+    if suite != "all":
+        return _run(suite, rs, tol)
+    outcomes = [_run(name, rs, tol) for name in SUITE_NAMES]
+    worst = max(outcomes, key=lambda o: o.max_abs_error)
+    return VerifyOutcome(
+        suite="all",
+        points_checked=sum(o.points_checked for o in outcomes),
+        max_abs_error=worst.max_abs_error,
+        discrepancy_notes=[note for o in outcomes for note in o.discrepancy_notes],
+        passed=all(o.passed for o in outcomes),
+        worst_at=worst.worst_at,
+    )
 
 
-def _profile_pair(profile: str) -> tuple[Strategy, Strategy]:
-    return NAMED_STRATEGIES[profile[0]], NAMED_STRATEGIES[profile[1]]
+def _run(suite: str, rs: np.ndarray, tol: float) -> VerifyOutcome:
+    if suite == "commutators":
+        return _suite_commutators(tol)
+    build, notes = PAYOFF_SUITES[suite]
+    checks, failures = build(rs)
+    worst, at = _worst(suite, rs, checks)
+    points = len(rs) * len(checks)
+    return VerifyOutcome(suite, points, worst, [*notes, *failures], worst <= tol and not failures, at)
 
 
 def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
@@ -129,9 +128,9 @@ def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.
     return play_batch(gamma, rs, named_strategy_matrix(alice), named_strategy_matrix(bob), DEFAULT_TABLE)
 
 
-def _formula(form, rs: np.ndarray, *args) -> np.ndarray:
-    """(len(rs), 2) closed-form payoffs over the whole r grid, in one call."""
-    return np.stack(form(rs, *args), axis=-1)
+def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:
+    """One profile's engine payoffs against the closed form `form(rs, *args)`, both (len(rs), 2)."""
+    return label, PLAYERS, _engine(gamma, rs, alice, bob), np.stack(form(rs, *args), axis=-1)
 
 
 def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
@@ -151,81 +150,61 @@ def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
     return worst, at
 
 
-PLAYERS = ("alice", "bob")
-
-
-def _classical_checks(gamma: float, form, rs: np.ndarray) -> list:
-    return [
-        (profile, PLAYERS, _engine(gamma, rs, *_profile_pair(profile)), _formula(form, rs, profile))
+def _classical_checks(gamma: float, form, rs: np.ndarray) -> tuple[list, list[str]]:
+    checks = [
+        _check(profile, gamma, rs, NAMED_STRATEGIES[profile[0]], NAMED_STRATEGIES[profile[1]], form, profile)
         for profile in closed_forms.CLASSICAL_PROFILES
     ]
+    return checks, []
 
 
-def _suite_table2(grid: int, tol: float) -> VerifyOutcome:
-    rs = r_grid(grid)
-    worst, at = _worst("table2", rs, _classical_checks(0.0, closed_forms.unentangled_classical, rs))
-    points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
-    return VerifyOutcome("table2", points, worst, [NOTE_TABLE2_MISPRINT, NOTE_TABLE2_NASH], worst <= tol, at)
-
-
-def _suite_eq8(grid: int, tol: float) -> VerifyOutcome:
-    rs = r_grid(grid)
-    worst, at = _worst("eq8", rs, _classical_checks(math.pi / 2.0, closed_forms.max_entangled_classical, rs))
-    points = len(rs) * len(closed_forms.CLASSICAL_PROFILES)
-    return VerifyOutcome("eq8", points, worst, [NOTE_EQ8_CROSS, NOTE_EQ8_PARETO], worst <= tol, at)
-
-
-def _suite_eq11(grid: int, tol: float) -> VerifyOutcome:
-    rs = r_grid(grid)
+def _eq11_checks(rs: np.ndarray) -> tuple[list, list[str]]:
     q = NAMED_STRATEGIES["Q"]
-    moves = [(alpha_b, theta_b) for alpha_b in (0.0, math.pi / 4.0) for theta_b in (0.0, math.pi / 2.0, math.pi)]
-    checks = [
-        (
-            f"Q vs {Strategy(alpha_b, theta_b)}",
-            PLAYERS,
-            _engine(math.pi / 2.0, rs, q, Strategy(alpha_b, theta_b)),
-            _formula(closed_forms.q_vs_arbitrary, rs, alpha_b, theta_b),
-        )
-        for alpha_b, theta_b in moves
-    ]
+    moves = [Strategy(alpha, theta) for alpha in (0.0, math.pi / 4.0) for theta in (0.0, math.pi / 2.0, math.pi)]
+    form = closed_forms.q_vs_arbitrary
+    checks = [_check(f"Q vs {move}", math.pi / 2.0, rs, q, move, form, move.alpha, move.theta) for move in moves]
     # Q-vs-defect for Bob must coincide with cooperate-vs-defect for Alice.
     qd_bob = _engine(math.pi / 2.0, rs, q, NAMED_STRATEGIES["D"])[:, 1:]
     cd_alice = _engine(math.pi / 2.0, rs, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])[:, :1]
     checks.append(("QD bob vs CD alice", ("bob",), qd_bob, cd_alice))
-    worst, at = _worst("eq11", rs, checks)
-    points = len(rs) * (len(moves) + 1)
-    return VerifyOutcome("eq11", points, worst, [NOTE_Q_LABEL], worst <= tol, at)
+    return checks, []
 
 
-def _suite_eq13(grid: int, tol: float) -> VerifyOutcome:
-    rs = r_grid(grid)
-    m = NAMED_STRATEGIES["M"]
+def _eq13_checks(rs: np.ndarray) -> tuple[list, list[str]]:
+    m, form = NAMED_STRATEGIES["M"], closed_forms.miracle_vs_classical
     checks = [
-        (
-            "M" + reply,
-            PLAYERS,
-            _engine(math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply]),
-            _formula(closed_forms.miracle_vs_classical, rs, theta_b),
-        )
-        for reply, theta_b in (("C", 0.0), ("D", math.pi))
+        _check("M" + reply, math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply], form, theta)
+        for reply, theta in (("C", 0.0), ("D", math.pi))
     ]
-    worst, at = _worst("eq13", rs, checks)
-    ordering_ok = all(np.all(engine[:, 0] < engine[:, 1]) for _, _, engine, _ in checks)
-    points = len(rs) * 2
-    notes = [NOTE_EQ13_INVERSION]
-    if not ordering_ok:
-        notes.append("ordering violation: the miracle player failed to score below the classical reply somewhere on the grid")
-    return VerifyOutcome("eq13", points, worst, notes, worst <= tol and ordering_ok, at)
+    ordered = all(np.all(engine[:, 0] < engine[:, 1]) for _, _, engine, _ in checks)
+    return checks, [] if ordered else [NOTE_EQ13_ORDERING]
 
 
-def _suite_commutators(grid: int, tol: float) -> VerifyOutcome:
-    del grid
+# Suite name -> (check builder, discrepancy notes). A builder maps the r grid to
+# its checks, as `_worst` takes them, and the notes of failures no deviation
+# shows. Closed forms are looked up when a suite runs, so a wrapper put on them
+# later sees the calls.
+PAYOFF_SUITES = {
+    "table2": (
+        lambda rs: _classical_checks(0.0, closed_forms.unentangled_classical, rs),
+        (NOTE_TABLE2_MISPRINT, NOTE_TABLE2_NASH),
+    ),
+    "eq8": (
+        lambda rs: _classical_checks(math.pi / 2.0, closed_forms.max_entangled_classical, rs),
+        (NOTE_EQ8_CROSS, NOTE_EQ8_PARETO),
+    ),
+    "eq11": (_eq11_checks, (NOTE_Q_LABEL,)),
+    "eq13": (_eq13_checks, (NOTE_EQ13_INVERSION,)),
+}
+
+
+def _suite_commutators(tol: float) -> VerifyOutcome:
     j = entangler(math.pi / 2.0)
     norms: dict[str, float] = {}
     for a in ("C", "D"):
         for b in ("C", "D"):
-            u = kron(named_strategy_matrix(NAMED_STRATEGIES[a]), named_strategy_matrix(NAMED_STRATEGIES[b]))
-            norms[a + b] = sup_norm(j @ u - u @ j)
+            u = np.kron(named_strategy_matrix(NAMED_STRATEGIES[a]), named_strategy_matrix(NAMED_STRATEGIES[b]))
+            norms[a + b] = float(np.abs(j @ u - u @ j).max())
     same = max(("CC", "DD"), key=norms.__getitem__)
     worst_same = norms[same]
     notes = [

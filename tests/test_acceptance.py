@@ -20,7 +20,6 @@ from unruhpd.closed_forms import (
 )
 from unruhpd.equilibrium import find_dominant, find_nash, payoff_table
 from unruhpd.game import NAMED_STRATEGIES, Strategy, initial_state
-from unruhpd.linalg import sup_norm
 from unruhpd.payoff import GameSetup, play
 from unruhpd.unruh import unruh_channel
 
@@ -175,8 +174,8 @@ def test_criterion_7_channel_properties():
         for r in np.linspace(0.0, math.pi / 4, 20):
             rho = unruh_channel(state, float(r))
             worst_trace = max(worst_trace, abs(float(np.real(np.trace(rho))) - 1.0))
-            worst_herm = max(worst_herm, sup_norm(rho - rho.conj().T))
-        worst_r0 = max(worst_r0, sup_norm(unruh_channel(state, 0.0) - np.outer(state, state.conj())))
+            worst_herm = max(worst_herm, np.abs(rho - rho.conj().T).max())
+        worst_r0 = max(worst_r0, np.abs(unruh_channel(state, 0.0) - np.outer(state, state.conj())).max())
     if worst_trace > 1e-12:
         failures.append(f"trace deviation {worst_trace} > 1e-12")
     if worst_herm > 1e-13:
@@ -193,7 +192,7 @@ def test_criterion_7_channel_properties():
         want[3, 3] = s * s
         want[0, 3] = -1j * math.cos(r) * c * s
         want[3, 0] = 1j * math.cos(r) * c * s
-        worst_form = max(worst_form, sup_norm(unruh_channel(initial_state(gamma), r) - want))
+        worst_form = max(worst_form, np.abs(unruh_channel(initial_state(gamma), r) - want).max())
     if worst_form > 1e-13:
         failures.append(f"reduced-matrix closed form deviation {worst_form} > 1e-13")
     report(7, f"channel trace/Hermiticity/identity/closed-form properties (max {max(worst_trace, worst_herm, worst_form):.3e})", failures)

@@ -342,6 +342,21 @@ def test_negative_values_parse_in_every_number_form():
     assert args.payoffs == PayoffTable.from_scalars(-1.0, -2.0, -3.0, -4.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--gamma", "pi/0", "--r", "0", "--alice", "C", "--bob", "C"),
+        ("--gamma", "0", "--r", "0", "--alice", "pi/0,0", "--bob", "C"),
+    ],
+)
+def test_zero_pi_denominator_is_a_usage_error(args):
+    result = run_cli("play", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "zero denominator" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_negative_out_of_domain_value_is_still_a_usage_error():
     result = run_cli("sweep", "--gamma", "0", "--steps", "3", "--r-start", "-1")
     assert result.returncode == 2

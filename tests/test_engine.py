@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg import basis_ket
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
 from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, named_strategy_matrix, strategy_matrix
-from unruhpd.linalg import basis_ket, identity, kron
 from unruhpd.payoff import (
     GameSetup,
     PayoffTable,
@@ -100,7 +100,7 @@ def test_batch_broadcasts_grids_against_move_stacks():
 def test_kraus_operators_are_complete(r):
     k0, k1 = kraus_operators(r)
     total = k0.conj().T @ k0 + k1.conj().T @ k1
-    assert np.max(np.abs(total - identity(2))) <= 1e-15
+    assert np.max(np.abs(total - np.eye(2))) <= 1e-15
 
 
 @SEEDED
@@ -112,7 +112,7 @@ def test_kraus_form_equals_rindler_trace_out(r, parts):
         return
     psi = psi / norm
     rho = np.outer(psi, psi.conj())
-    kraus_form = sum(kron(identity(2), k) @ rho @ kron(identity(2), k).conj().T for k in kraus_operators(r))
+    kraus_form = sum(np.kron(np.eye(2), k) @ rho @ np.kron(np.eye(2), k).conj().T for k in kraus_operators(r))
     assert np.max(np.abs(kraus_form - unruh_channel(psi, r))) <= 1e-15
 
 
@@ -169,7 +169,7 @@ def test_payoffs_lie_within_the_table_range(gamma, r, alpha_a, theta_a, alpha_b,
 def test_zero_acceleration_is_the_inertial_game(gamma, alpha_a, theta_a, alpha_b, theta_b):
     u_alice, u_bob = strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b)
     j = entangler(gamma)
-    final = j.conj().T @ kron(u_alice, u_bob) @ j @ basis_ket(4, 0)
+    final = j.conj().T @ np.kron(u_alice, u_bob) @ j @ basis_ket(4, 0)
     got = outcome_probabilities(gamma, 0.0, u_alice, u_bob)
     assert np.max(np.abs(got - np.abs(final) ** 2)) <= 1e-14
 

@@ -325,6 +325,8 @@ def test_find_dominant_rejects_unknown_player():
     table = payoff_table(classical_setup(), CLASSICAL_SET)
     with pytest.raises(ValueError):
         find_dominant(table, "carol")
+    with pytest.raises(ValueError, match="responder must be"):
+        set_best_responses(table, "carol")
 
 
 def test_square_table_required():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from linalg import basis_ket
 from unruhpd.closed_forms import (
     max_entangled_classical,
     miracle_vs_classical,
@@ -12,7 +13,6 @@ from unruhpd.closed_forms import (
     unentangled_classical,
 )
 from unruhpd.game import NAMED_STRATEGIES, Strategy, named_strategy_matrix
-from unruhpd.linalg import basis_ket, identity, sup_norm
 from unruhpd.payoff import GameSetup, PayoffTable, final_density, payoffs, play
 
 RNG = np.random.default_rng(20240813)
@@ -46,8 +46,8 @@ def test_setup_validation():
 
 def test_final_density_identity_case():
     rho = projector(0)
-    out = final_density(rho, identity(2), identity(2), gamma=0.0)
-    assert sup_norm(out - rho) <= 1e-15
+    out = final_density(rho, np.eye(2), np.eye(2), gamma=0.0)
+    assert np.abs(out - rho).max() <= 1e-15
 
 
 def test_final_density_cooperate_defect_at_max_entanglement():
@@ -58,7 +58,7 @@ def test_final_density_cooperate_defect_at_max_entanglement():
 
     rho = unruh_channel(initial_state(math.pi / 2), 0.0)
     out = final_density(rho, named_strategy_matrix(C), named_strategy_matrix(D), math.pi / 2)
-    assert sup_norm(out - projector(2)) <= 1e-14
+    assert np.abs(out - projector(2)).max() <= 1e-14
 
 
 def test_final_density_q_vs_cooperate_at_max_entanglement():
@@ -67,12 +67,14 @@ def test_final_density_q_vs_cooperate_at_max_entanglement():
 
     rho = unruh_channel(initial_state(math.pi / 2), 0.0)
     out = final_density(rho, named_strategy_matrix(Q), named_strategy_matrix(C), math.pi / 2)
-    assert sup_norm(out - projector(3)) <= 1e-14
+    assert np.abs(out - projector(3)).max() <= 1e-14
 
 
 def test_final_density_rejects_non_unitary_moves():
     with pytest.raises(ValueError):
-        final_density(projector(0), np.array([[1.0, 1.0], [0.0, 1.0]]), identity(2), 0.0)
+        final_density(projector(0), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.0)
+    with pytest.raises(ValueError):
+        final_density(projector(0), np.eye(2), np.full((2, 2), np.nan), 0.0)
 
 
 def test_final_density_preserves_trace_and_hermiticity():
@@ -82,13 +84,13 @@ def test_final_density_preserves_trace_and_hermiticity():
     rho = unruh_channel(initial_state(0.9), 0.4)
     out = final_density(rho, strategy_matrix(1.0, 2.0), strategy_matrix(4.0, 0.5), 0.9)
     assert abs(np.trace(out) - 1.0) <= 1e-12
-    assert sup_norm(out - out.conj().T) <= 1e-13
+    assert np.abs(out - out.conj().T).max() <= 1e-13
 
 
 def test_payoffs_pure_and_mixed_diagonals():
     table = PayoffTable()
     assert payoffs(projector(0), table) == (3.0, 3.0)
-    assert payoffs(identity(4) / 4.0, table) == (9.0 / 4.0, 9.0 / 4.0)
+    assert payoffs(np.eye(4) / 4.0, table) == (9.0 / 4.0, 9.0 / 4.0)
     got = payoffs(np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex), table)
     assert abs(got.alice - 0.5) <= 1e-15 and abs(got.bob - 3.0) <= 1e-15
 

@@ -9,7 +9,8 @@ import unruhpd.verify
 from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
 from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
 from unruhpd.payoff import PayoffTable, play_batch
-from unruhpd.verify import SUITE_NAMES, WorstAt, r_grid, run_suite
+from unruhpd.unruh import R_MAX
+from unruhpd.verify import SUITE_NAMES, WorstAt, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -84,6 +85,10 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         run_suite("table2", grid=2)
     with pytest.raises(ValueError):
+        run_suite("commutators", grid=2)
+    with pytest.raises(ValueError):
+        run_suite("table2", grid=3.5)
+    with pytest.raises(ValueError):
         run_suite("table2", tol=0.0)
 
 
@@ -101,7 +106,7 @@ def test_worst_at_locates_the_largest_deviation():
     assert at.suite == "eq8"
     assert at.label in CLASSICAL_PROFILES
     assert at.player in ("alice", "bob")
-    assert at.r in r_grid(101).tolist()
+    assert at.r in np.linspace(0.0, R_MAX, 101).tolist()
     # Re-score that one point as the suite does: the deviation there is the maximum.
     rs = np.array([at.r])
     moves = [named_strategy_matrix(NAMED_STRATEGIES[label]) for label in at.label]
