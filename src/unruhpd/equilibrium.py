@@ -2,7 +2,8 @@
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
 an explicit payoff table; the continuous search scores an (alpha, theta) grid
-in one `play_batch` call and polishes the winner by coordinate descent.
+in one `play_batch` call and polishes the winner by coordinate descent on
+Python floats.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Strategy, TWO_PI, _move, named_strategy_matrix
-from .payoff import GameSetup, Payoffs, play, play_batch  # noqa: F401  (play kept bound: benchmarks/tracer.py wraps it)
+from .game import Strategy, TWO_PI, _move_entries, move_entries, named_strategy_matrix
+from .payoff import GameSetup, Payoffs, _play_entries, play_batch
+from .payoff import play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -172,9 +174,11 @@ def best_response(
 
     Grid scan over [0, 2*pi] x [0, pi] (inclusive endpoints), scored in one
     `play_batch` call, then coordinate descent from the best grid point with
-    step halving until the step drops below 1e-6, one move per `play_batch`
-    call. Deterministic: only strict improvements are accepted and grid ties
-    resolve to the lexicographically smallest (alpha, theta).
+    step halving until the step drops below 1e-6, each step scored on Python
+    floats as `play` scores a game. Grid and steps agree bit for bit with
+    per-game `play` calls. Deterministic: only strict improvements are
+    accepted and grid ties resolve to the lexicographically smallest
+    (alpha, theta).
     """
     for name, count in (("grid", grid), ("refine", refine)):
         if not isinstance(count, int):
@@ -185,22 +189,22 @@ def best_response(
         raise ValueError("refine must be >= 0")
     _check_player("responder", responder)
 
-    u_opponent = named_strategy_matrix(opponent)
     player = 0 if responder == "alice" else 1
 
-    def scores(moves: np.ndarray) -> np.ndarray:
-        pair = (moves, u_opponent) if player == 0 else (u_opponent, moves)
-        return play_batch(setup.gamma, setup.r, *pair, setup.table)[..., player]
+    def ordered(own, other):
+        return (own, other) if player == 0 else (other, own)
 
     alpha_step = TWO_PI / (grid - 1)
     theta_step = math.pi / (grid - 1)
     alphas = [min(i * alpha_step, TWO_PI) for i in range(grid)]
     thetas = [min(j * theta_step, math.pi) for j in range(grid)]
-    values = scores(_grid_moves(alphas, thetas))
+    moves = ordered(_grid_moves(alphas, thetas), named_strategy_matrix(opponent))
+    values = play_batch(setup.gamma, setup.r, *moves, setup.table)[..., player]
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
 
+    opponent_entries = move_entries(opponent)
     step_a, step_t = alpha_step, theta_step
     for _ in range(refine):
         if max(step_a, step_t) < REFINE_MIN_STEP:
@@ -209,7 +213,7 @@ def best_response(
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
-            value = float(scores(_move(alpha, theta)))
+            value = _play_entries(setup, *ordered(_move_entries(alpha, theta), opponent_entries))[player]
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True

@@ -86,26 +86,39 @@ def strategy_matrix(alpha: float, theta: float) -> np.ndarray:
 
 
 def _move(alpha: float, theta: float) -> np.ndarray:
-    phase = complex(math.cos(alpha), math.sin(alpha))
+    return _as_matrix(_move_entries(alpha, theta))
+
+
+def _move_entries(alpha: float, theta: float) -> tuple:
+    """Entries ((u00, u01), (u10, u11)) of the move, each a (real, imaginary) pair of floats."""
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [phase * c, 1j * s],
-            [1j * s, phase.conjugate() * c],
-        ],
-        dtype=complex,
-    )
+    re = math.cos(alpha) * c
+    im = math.sin(alpha) * c
+    return (((re, im), (0.0, s)), ((0.0, s), (re, -im)))
 
 
-def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
-    """Move matrix for a strategy; Q returns diag(i, -i) exactly.
+# diag(i, -i) as (real, imaginary) pairs: the parts of the complex literals 1j, 0.0 and -1j.
+_Q_ENTRIES = (((0.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (-0.0, -1.0)))
+
+
+def move_entries(strategy: Strategy) -> tuple:
+    """Entries of a strategy's move as `_move_entries` lays them out; Q gives diag(i, -i) exactly.
 
     A Strategy validated its angles when it was built, so they are not checked again.
     """
     if strategy.label == "Q":
-        return np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-    return _move(strategy.alpha, strategy.theta)
+        return _Q_ENTRIES
+    return _move_entries(strategy.alpha, strategy.theta)
+
+
+def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
+    """Move matrix for a strategy: the complex form of `move_entries`."""
+    return _as_matrix(move_entries(strategy))
+
+
+def _as_matrix(entries: tuple) -> np.ndarray:
+    return np.array(entries, dtype=float).view(complex)[..., 0]
 
 
 def entangler(gamma: float) -> np.ndarray:

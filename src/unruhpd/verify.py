@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -96,8 +97,8 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
     if not (isinstance(grid, int) and grid >= 3):
         raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tolerance must be positive and finite")
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
     rs = np.linspace(0.0, R_MAX, grid)
     if suite != "all":
         return _run(suite, rs, tol)

@@ -85,6 +85,22 @@ def test_batch_matches_single_plays(seed):
     assert np.max(np.abs(batch - single)) <= 1e-15
 
 
+MOVES = st.one_of(st.sampled_from(sorted(NAMED_STRATEGIES.values(), key=str)), st.builds(Strategy, ALPHAS, THETAS))
+
+
+@SEEDED
+@given(GAMMAS, RS, st.lists(MOVES, min_size=1, max_size=5), TABLES)
+def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
+    # `play` scores on Python floats, `play_batch` on arrays: the same real
+    # formula, rounded in the same order, so equal to the last bit.
+    setup = GameSetup(gamma, r, table)
+    moves = np.stack([named_strategy_matrix(s) for s in strategies])
+    batch = play_batch(setup.gamma, setup.r, moves[:, None], moves[None, :], table).tolist()
+    for i, alice in enumerate(strategies):
+        for j, bob in enumerate(strategies):
+            assert tuple(batch[i][j]) == play(setup, alice, bob)
+
+
 def test_batch_broadcasts_grids_against_move_stacks():
     params, u_alice, u_bob = random_games(3, 3)
     rs = np.linspace(0.0, math.pi / 4, 5)

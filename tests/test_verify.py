@@ -90,6 +90,8 @@ def test_argument_validation():
         run_suite("table2", grid=3.5)
     with pytest.raises(ValueError):
         run_suite("table2", tol=0.0)
+    with pytest.raises(ValueError):
+        run_suite("table2", tol="1e-12")
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-12])

@@ -34,5 +34,7 @@ verify
 equilibria --gamma pi/2 --r 0.3 --set C,D,Q,M
 sweep --gamma pi/2 --steps 2000
 fig2 --steps 2000
+play --gamma pi/3 --r pi/5 --alice M --bob Q
+play --gamma pi/2 --r 0.3 --alice 1.0,2.0 --bob 4.0,0.5 --json
 COMMANDS
 exit $status
