@@ -1,9 +1,10 @@
 """Solution concepts over finite strategy sets plus a continuous best response.
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
-an explicit payoff table; the continuous search scores an (alpha, theta) grid
-in one `play_batch` call and polishes the winner by coordinate descent on
-Python floats.
+an explicit payoff table, each entry scored by `play`. The continuous search
+scores an (alpha, theta) grid and then each step of a coordinate descent
+through `payoff._play_entries`, the function behind `play`: on arrays of move
+entries for the grid, on Python floats for the steps.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Strategy, TWO_PI, _move_entries, move_entries, named_strategy_matrix
-from .payoff import GameSetup, Payoffs, _play_entries, play_batch
-from .payoff import play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
+from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries
+from .payoff import GameSetup, Payoffs, _play_entries, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
 
+# The best reply's search: grid points per axis, descent rounds, and the step below which it stops.
+GRID_POINTS = 32
+REFINE_ROUNDS = 100
 REFINE_MIN_STEP = 1e-6
 
 
@@ -36,15 +39,9 @@ def validate_strategy_set(strategies: list[Strategy]) -> list[Strategy]:
 
 
 def payoff_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payoffs]]:
-    """Full |set| x |set| table; entry [i][j] plays strategies[i] vs strategies[j].
-
-    All n^2 games are scored in one `play_batch` call, element-wise, so each
-    entry equals `play` of that profile exactly.
-    """
+    """Full |set| x |set| table; entry [i][j] is `play` of strategies[i] vs strategies[j]."""
     strategies = validate_strategy_set(strategies)
-    moves = np.stack([named_strategy_matrix(s) for s in strategies])
-    scores = play_batch(setup.gamma, setup.r, moves[:, None], moves[None, :], setup.table)
-    return [[Payoffs(*pair) for pair in row] for row in scores.tolist()]
+    return [[play(setup, a, b) for b in strategies] for a in strategies]
 
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
@@ -163,30 +160,18 @@ def analyze(setup: GameSetup, strategies: list[Strategy]) -> EquilibriumReport:
     )
 
 
-def best_response(
-    setup: GameSetup,
-    opponent: Strategy,
-    responder: str,
-    grid: int = 32,
-    refine: int = 100,
-) -> tuple[Strategy, float]:
+def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple[Strategy, float]:
     """Argmax reply over the whole (alpha, theta) move space.
 
-    Grid scan over [0, 2*pi] x [0, pi] (inclusive endpoints), scored in one
-    `play_batch` call, then coordinate descent from the best grid point with
-    step halving until the step drops below 1e-6, each step scored on Python
-    floats as `play` scores a game. Grid and steps agree bit for bit with
-    per-game `play` calls. Deterministic: only strict improvements are
-    accepted and grid ties resolve to the lexicographically smallest
-    (alpha, theta).
+    Scans a GRID_POINTS x GRID_POINTS grid over [0, 2*pi] x [0, pi]
+    (inclusive endpoints) in one `payoff._play_entries` call on arrays of
+    move entries, then runs at most REFINE_ROUNDS rounds of coordinate
+    descent from the best grid point, halving the step until it drops below
+    REFINE_MIN_STEP; each step is one `_play_entries` call on Python floats.
+    Grid and steps agree bit for bit with per-game `play` calls.
+    Deterministic: only strict improvements are accepted and grid ties
+    resolve to the lexicographically smallest (alpha, theta).
     """
-    for name, count in (("grid", grid), ("refine", refine)):
-        if not isinstance(count, int):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if grid < 8:
-        raise ValueError("grid must be at least 8 points per axis")
-    if refine < 0:
-        raise ValueError("refine must be >= 0")
     _check_player("responder", responder)
 
     player = 0 if responder == "alice" else 1
@@ -194,19 +179,21 @@ def best_response(
     def ordered(own, other):
         return (own, other) if player == 0 else (other, own)
 
-    alpha_step = TWO_PI / (grid - 1)
-    theta_step = math.pi / (grid - 1)
-    alphas = [min(i * alpha_step, TWO_PI) for i in range(grid)]
-    thetas = [min(j * theta_step, math.pi) for j in range(grid)]
-    moves = ordered(_grid_moves(alphas, thetas), named_strategy_matrix(opponent))
-    values = play_batch(setup.gamma, setup.r, *moves, setup.table)[..., player]
+    alpha_step = TWO_PI / (GRID_POINTS - 1)
+    theta_step = math.pi / (GRID_POINTS - 1)
+    alphas = [min(i * alpha_step, TWO_PI) for i in range(GRID_POINTS)]
+    thetas = [min(j * theta_step, math.pi) for j in range(GRID_POINTS)]
+    # Per-axis cos and sin from `math`, as `_move_entries` takes them, so each grid point is its move's entries.
+    cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
+    cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
+    opponent_entries = move_entries(opponent)
+    values = _play_entries(setup, *ordered(_trig_move_entries(cos_a, sin_a, cos_t, sin_t), opponent_entries))[player]
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
 
-    opponent_entries = move_entries(opponent)
     step_a, step_t = alpha_step, theta_step
-    for _ in range(refine):
+    for _ in range(REFINE_ROUNDS):
         if max(step_a, step_t) < REFINE_MIN_STEP:
             break
         improved = False
@@ -222,18 +209,6 @@ def best_response(
             step_t /= 2.0
 
     return Strategy(best_alpha, best_theta), best_value
-
-
-def _grid_moves(alphas: list[float], thetas: list[float]) -> np.ndarray:
-    """Stack whose entry [i, j] is `_move(alphas[i], thetas[j])`: the same `math` values and products."""
-    cos_a, sin_a = (np.array([f(a) for a in alphas]) for f in (math.cos, math.sin))
-    cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
-    moves = np.zeros((len(alphas), len(thetas), 2, 2), dtype=complex)
-    moves.real[..., 0, 0] = moves.real[..., 1, 1] = cos_a[:, None] * cos_t
-    moves.imag[..., 0, 0] = sin_a[:, None] * cos_t
-    moves.imag[..., 1, 1] = -moves.imag[..., 0, 0]
-    moves.imag[..., 0, 1] = moves.imag[..., 1, 0] = sin_t
-    return moves
 
 
 def _check_square(table: list[list[Payoffs]]) -> int:

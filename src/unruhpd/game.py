@@ -51,9 +51,14 @@ def validate_strategy_params(alpha: float, theta: float) -> tuple[float, float]:
     )
 
 
+# Angles (alpha, theta) of the named moves. Q is the diagonal phase move
+# diag(i, -i); in the (alpha, theta) parametrization that matrix sits at (pi/2, 0).
+_NAMED_ANGLES = {"C": (0.0, 0.0), "D": (0.0, math.pi), "Q": (math.pi / 2.0, 0.0), "M": (math.pi / 2.0, math.pi / 2.0)}
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """A two-parameter local move; named moves carry a one-letter label."""
+    """A two-parameter local move; named moves carry their one-letter label and angles."""
 
     alpha: float
     theta: float
@@ -63,6 +68,9 @@ class Strategy:
         alpha, theta = validate_strategy_params(self.alpha, self.theta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
+        # The label picks the move that `move_entries` scores, so it must agree with the angles.
+        if self.label != "custom" and _NAMED_ANGLES.get(self.label) != (alpha, theta):
+            raise ValueError(f"strategy label {self.label!r} does not name the move at alpha={alpha}, theta={theta}")
 
     def __str__(self) -> str:
         if self.label != "custom":
@@ -70,32 +78,25 @@ class Strategy:
         return f"{self.alpha:.17g},{self.theta:.17g}"
 
 
-COOPERATE = Strategy(0.0, 0.0, "C")
-DEFECT = Strategy(0.0, math.pi, "D")
-# Q is the diagonal phase move diag(i, -i); in the (alpha, theta)
-# parametrization that matrix sits at (pi/2, 0).
-Q_MOVE = Strategy(math.pi / 2.0, 0.0, "Q")
-MIRACLE = Strategy(math.pi / 2.0, math.pi / 2.0, "M")
-
-NAMED_STRATEGIES = {"C": COOPERATE, "D": DEFECT, "Q": Q_MOVE, "M": MIRACLE}
+NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_ANGLES.items()}
+COOPERATE, DEFECT, Q_MOVE, MIRACLE = NAMED_STRATEGIES.values()
 
 
 def strategy_matrix(alpha: float, theta: float) -> np.ndarray:
     """Unitary move [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]."""
-    return _move(*validate_strategy_params(alpha, theta))
-
-
-def _move(alpha: float, theta: float) -> np.ndarray:
-    return _as_matrix(_move_entries(alpha, theta))
+    return _as_matrix(_move_entries(*validate_strategy_params(alpha, theta)))
 
 
 def _move_entries(alpha: float, theta: float) -> tuple:
     """Entries ((u00, u01), (u10, u11)) of the move, each a (real, imaginary) pair of floats."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    re = math.cos(alpha) * c
-    im = math.sin(alpha) * c
-    return (((re, im), (0.0, s)), ((0.0, s), (re, -im)))
+    return _trig_move_entries(math.cos(alpha), math.sin(alpha), math.cos(theta / 2.0), math.sin(theta / 2.0))
+
+
+def _trig_move_entries(cos_a, sin_a, cos_t, sin_t) -> tuple:
+    """`_move_entries` from cos and sin of alpha and of theta/2: floats, or arrays broadcast together."""
+    re = cos_a * cos_t
+    im = sin_a * cos_t
+    return (((re, im), (0.0, sin_t)), ((0.0, sin_t), (re, -im)))
 
 
 # diag(i, -i) as (real, imaginary) pairs: the parts of the complex literals 1j, 0.0 and -1j.

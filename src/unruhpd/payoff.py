@@ -53,7 +53,7 @@ class PayoffTable:
     """Classical payoff pairs (Alice, Bob) per joint outcome.
 
     Defaults are the usual Prisoner's Dilemma values: reward 3, sucker 0,
-    temptation 5, punishment 1. Every entry must be finite.
+    temptation 5, punishment 1. Every entry must be a pair of finite numbers.
     """
 
     cc: tuple[float, float] = (3.0, 3.0)
@@ -63,8 +63,12 @@ class PayoffTable:
 
     def __post_init__(self):
         for profile, pair in zip(PROFILE_ORDER, self.entries()):
-            if not all(math.isfinite(value) for value in pair):
-                raise ValueError(f"payoff entries must be finite, got {profile.lower()}={pair}")
+            try:
+                ok = len(pair) == 2 and math.isfinite(pair[0]) and math.isfinite(pair[1])
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"payoff entries must be pairs of finite numbers, got {profile.lower()}={pair!r}")
 
     @classmethod
     def from_scalars(cls, reward: float, sucker: float, temptation: float, punishment: float) -> "PayoffTable":

@@ -67,12 +67,26 @@ def test_near_edge_values_are_clamped_not_rejected():
     # Decimal-rounded endpoints like theta = 3.1415927 must be accepted.
     s = Strategy(0.0, 3.1415927)
     assert s.theta == math.pi
+    assert Strategy(0.0, 3.1415927, "D") == NAMED_STRATEGIES["D"]
     assert validate_gamma(1.5707964) == GAMMA_MAX
 
 
 def test_strategy_labels_and_custom_rendering():
     assert str(NAMED_STRATEGIES["C"]) == "C"
+    for label, strategy in NAMED_STRATEGIES.items():
+        assert Strategy(strategy.alpha, strategy.theta, label) == strategy
     assert str(Strategy(0.5, 1.25)) == "0.5,1.25"
+
+
+@pytest.mark.parametrize(
+    "alpha,theta,label",
+    [(0.0, 0.0, "Q"), (0.0, 0.0, "D"), (math.pi / 2, 0.0, "C"), (0.5, 1.25, "M"), (0.0, 0.0, "X"), (0.0, 0.0, "")],
+)
+def test_label_must_name_the_move_at_its_angles(alpha, theta, label):
+    # The label selects the scored matrix (Q scores as diag(i, -i)), so a
+    # label that disagrees with the angles would score some other move.
+    with pytest.raises(ValueError, match="does not name the move"):
+        Strategy(alpha, theta, label)
 
 
 def test_entangler_at_zero_is_exact_identity():

@@ -179,6 +179,8 @@ def test_custom_table_flows_through():
     table = PayoffTable.from_scalars(2.0, 1.0, 4.0, 0.0)
     got = play(GameSetup(gamma=0.0, r=0.0, table=table), C, C)
     assert abs(got.alice - 2.0) <= 1e-14 and abs(got.bob - 2.0) <= 1e-14
+    # Any pair of real numbers is an entry: ints, lists.
+    assert play(GameSetup(0.0, 0.0, PayoffTable(cc=(3, 3), cd=[0.0, 5.0])), C, C) == (3.0, 3.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -187,3 +189,10 @@ def test_payoff_table_rejects_non_finite_entries(bad):
         PayoffTable(cd=(0.0, bad))
     with pytest.raises(ValueError):
         PayoffTable.from_scalars(3.0, 0.0, bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (1.0,), (), 3.0, ("3", "3"), "33", (1j, 0.0), None])
+def test_payoff_table_rejects_entries_that_are_not_pairs_of_numbers(bad):
+    # Each of these used to be accepted, or to raise TypeError, at construction.
+    with pytest.raises(ValueError, match="pairs of finite numbers"):
+        PayoffTable(cc=bad)

@@ -32,6 +32,8 @@ done <<'COMMANDS'
 verify --grid 1001 --tol 1e-12
 verify
 equilibria --gamma pi/2 --r 0.3 --set C,D,Q,M
+equilibria --gamma 0 --r pi/4 --set C,D
+equilibria --gamma pi/3 --r 0.1 --set Q,M,C,D --payoffs 2.5,-1,7.25,0.5
 sweep --gamma pi/2 --steps 2000
 fig2 --steps 2000
 play --gamma pi/3 --r pi/5 --alice M --bob Q
