@@ -25,13 +25,13 @@ import sys
 import numpy as np
 
 from .equilibrium import analyze
-from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, named_strategy_matrix, validate_gamma
-from .payoff import PayoffTable, GameSetup, play, play_batch
+from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, move_entries, validate_gamma
+from .payoff import PayoffTable, GameSetup, play, play_entries
 from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
 
-# Grid points scored per engine call in sweep and fig2, so that memory stays
-# bounded however large --steps is.
+# Grid points built and scored per engine call in sweep and fig2, so that
+# memory stays bounded however large --steps is.
 GRID_BLOCK = 4096
 # CSV rows joined into one write: few writes, and no string as large as a block.
 ROWS_PER_WRITE = 256
@@ -246,17 +246,25 @@ def _write_csv(path: str, header: str, lines, lines_per_write: int) -> None:
             handle.write(chunk)
 
 
-def _grid_payoffs(gamma: float, r_values: np.ndarray, profiles: list[str], table: PayoffTable):
-    """Yield (r list, [[alice list, bob list] per profile]) along r_values, GRID_BLOCK points at a time.
+def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profiles: list[str], table: PayoffTable):
+    """Yield (r list, [[alice list, bob list] per profile]) along the r grid, GRID_BLOCK points at a time.
 
-    r_values must lie within EDGE_SLACK of [0, R_MAX]; each is clamped into
-    that range for scoring, as GameSetup does, and yielded as given.
+    The grid is `np.linspace(r_start, r_end, steps)`, built one block at a
+    time with the same arithmetic. Its points must lie within EDGE_SLACK of
+    [0, R_MAX]; each is clamped into that range for scoring, as GameSetup
+    does, and yielded as built.
     """
-    moves = [[named_strategy_matrix(NAMED_STRATEGIES[label]) for label in profile] for profile in profiles]
-    for start in range(0, len(r_values), GRID_BLOCK):
-        block = r_values[start : start + GRID_BLOCK]
+    moves = [[move_entries(NAMED_STRATEGIES[label]) for label in profile] for profile in profiles]
+    delta = r_end - r_start
+    step = delta / (steps - 1)
+    for lo in range(0, steps, GRID_BLOCK):
+        index = np.arange(lo, min(lo + GRID_BLOCK, steps), dtype=float)
+        # As np.linspace: i * step, or (i / (steps - 1)) * delta where the step underflows to 0.
+        block = (index * step if step != 0.0 else index / (steps - 1) * delta) + r_start
+        if lo + GRID_BLOCK >= steps:
+            block[-1] = r_end
         scored = np.clip(block, 0.0, R_MAX)
-        yield block.tolist(), [play_batch(gamma, scored, u_alice, u_bob, table).T.tolist() for u_alice, u_bob in moves]
+        yield block.tolist(), [[v.tolist() for v in play_entries(gamma, scored, *move, table)] for move in moves]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -271,10 +279,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The rows of one grid point, one per profile, filled by a single % call
     # from r (formatted once) and each profile's payoff pair.
     template = "".join(f"{fmt(args.gamma)},%s,{a},{b},%.17g,%.17g\n" for a, b in args.profiles)
-    r_values = np.linspace(args.r_start, args.r_end, args.steps)
 
     def lines():
-        for rs, columns in _grid_payoffs(gamma, r_values, args.profiles, table):
+        for rs, columns in _grid_payoffs(gamma, args.r_start, args.r_end, args.steps, args.profiles, table):
             r_text = list(map("%.17g".__mod__, rs))
             yield from map(template.__mod__, zip(*(c for alice, bob in columns for c in (r_text, alice, bob))))
 
@@ -293,7 +300,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     table = resolve_table(args)
     lines = (
         line
-        for rs, columns in _grid_payoffs(math.pi / 2.0, np.linspace(0.0, R_MAX, args.steps), FIG2_PROFILES, table)
+        for rs, columns in _grid_payoffs(math.pi / 2.0, 0.0, R_MAX, args.steps, FIG2_PROFILES, table)
         for line in map(FIG2_TEMPLATE.__mod__, zip(rs, *(alice for alice, _ in columns)))
     )
     _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", lines, ROWS_PER_WRITE)

@@ -3,8 +3,8 @@
 Nash, dominance and Pareto classification are exhaustive deviation checks on
 an explicit payoff table, each entry scored by `play`. The continuous search
 scores an (alpha, theta) grid and then each step of a coordinate descent
-through `payoff._play_entries`, the function behind `play`: on arrays of move
-entries for the grid, on Python floats for the steps.
+through `payoff.play_entries`, the engine entry behind `play`: on arrays of
+move entries for the grid, on Python floats for the steps.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries
-from .payoff import GameSetup, Payoffs, _play_entries, play
+from .payoff import GameSetup, Payoffs, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -164,10 +164,10 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     """Argmax reply over the whole (alpha, theta) move space.
 
     Scans a GRID_POINTS x GRID_POINTS grid over [0, 2*pi] x [0, pi]
-    (inclusive endpoints) in one `payoff._play_entries` call on arrays of
+    (inclusive endpoints) in one `payoff.play_entries` call on arrays of
     move entries, then runs at most REFINE_ROUNDS rounds of coordinate
     descent from the best grid point, halving the step until it drops below
-    REFINE_MIN_STEP; each step is one `_play_entries` call on Python floats.
+    REFINE_MIN_STEP; each step is one `play_entries` call on Python floats.
     Grid and steps agree bit for bit with per-game `play` calls.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
@@ -187,7 +187,8 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
     cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
     opponent_entries = move_entries(opponent)
-    values = _play_entries(setup, *ordered(_trig_move_entries(cos_a, sin_a, cos_t, sin_t), opponent_entries))[player]
+    grid = _trig_move_entries(cos_a, sin_a, cos_t, sin_t)
+    values = play_entries(setup.gamma, setup.r, *ordered(grid, opponent_entries), setup.table)[player]
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
@@ -200,7 +201,8 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
-            value = _play_entries(setup, *ordered(_move_entries(alpha, theta), opponent_entries))[player]
+            move = _move_entries(alpha, theta)
+            value = play_entries(setup.gamma, setup.r, *ordered(move, opponent_entries), setup.table)[player]
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True

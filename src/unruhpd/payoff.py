@@ -9,12 +9,14 @@ handled as a 2x2 block Phi[a, b] over (Alice, Bob) bits, on which UA x UB acts
 as UA Phi UB^T.
 
 The engine is one formula, `_probabilities`, written in real arithmetic on
-the real and imaginary parts of the move entries. `play` evaluates it on
-Python floats, with no numpy call; `outcome_probabilities` and `play_batch`
-evaluate the same text on whole arrays of games. Each real operation rounds
-once, in the same order on floats and on arrays, and the cos and sin of a
-Python-float gamma or r come from `math` in both, so a game scores bit for
-bit the same through `play` as in any batch at the same float gamma and r.
+the real and imaginary parts of the move entries, and one entry to it,
+`play_entries`, which takes the moves as `game.move_entries` lays them out.
+On Python floats it makes no numpy call; that is how `play` scores a game.
+On arrays, broadcast together, it scores whole grids of games in one call.
+Each real operation rounds once, in the same order on floats and on arrays,
+and the cos and sin of a Python-float gamma or r come from `math` in both, so
+a game scores bit for bit the same through `play` as in any batch at the same
+float gamma and r.
 
 `final_density` and `payoffs` score one game from its 4x4 density matrix.
 With `unruh.unruh_channel` (Rindler expansion, `unruh.partial_trace` of
@@ -53,7 +55,9 @@ class PayoffTable:
     """Classical payoff pairs (Alice, Bob) per joint outcome.
 
     Defaults are the usual Prisoner's Dilemma values: reward 3, sucker 0,
-    temptation 5, punishment 1. Every entry must be a pair of finite numbers.
+    temptation 5, punishment 1. Every entry must be a pair of finite numbers;
+    it is stored as a tuple of two Python floats, so tables hash, compare and
+    score as floats whatever sequence of numbers they were given.
     """
 
     cc: tuple[float, float] = (3.0, 3.0)
@@ -69,6 +73,8 @@ class PayoffTable:
                 ok = False
             if not ok:
                 raise ValueError(f"payoff entries must be pairs of finite numbers, got {profile.lower()}={pair!r}")
+            if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
+                object.__setattr__(self, profile.lower(), (float(pair[0]), float(pair[1])))
 
     @classmethod
     def from_scalars(cls, reward: float, sucker: float, temptation: float, punishment: float) -> "PayoffTable":
@@ -94,54 +100,30 @@ class GameSetup:
         object.__setattr__(self, "r", validate_r(self.r))
 
 
-def outcome_probabilities(gamma, r, u_alice: np.ndarray, u_bob: np.ndarray) -> np.ndarray:
-    """Probabilities of the outcomes CC, CD, DC, DD, shape (..., 4).
-
-    `gamma` and `r` are scalars or arrays, `u_alice` and `u_bob` 2x2 moves or
-    stacks of them, all broadcast against each other. Inputs are taken as
-    valid: gamma in [0, pi/2], r in [0, pi/4], unitary moves.
-    """
-    return np.stack(_outcomes(gamma, r, u_alice, u_bob), axis=-1)
-
-
-def play_batch(gamma, r, u_alice: np.ndarray, u_bob: np.ndarray, table: PayoffTable) -> np.ndarray:
-    """Expected (alice, bob) payoffs, shape (..., 2); arguments as in `outcome_probabilities`."""
-    return np.stack(_expected(_outcomes(gamma, r, u_alice, u_bob), table), axis=-1)
-
-
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
     """Expected payoffs for one strategy profile, scored on Python floats."""
-    return _play_entries(setup, move_entries(alice), move_entries(bob))
+    return play_entries(setup.gamma, setup.r, move_entries(alice), move_entries(bob), setup.table)
 
 
-def _play_entries(setup: GameSetup, alice: tuple, bob: tuple) -> Payoffs:
-    """`play` for two moves given by their entries, laid out as `game.move_entries` gives them."""
-    half = setup.gamma / 2.0
-    probs = _probabilities(alice, bob, math.cos(half), math.sin(half), math.cos(setup.r), math.sin(setup.r))
-    return Payoffs(*_expected(probs, setup.table))
+def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payoffs:
+    """Expected payoffs of two moves given by their entries, laid out as `game.move_entries` gives them.
 
-
-def _outcomes(gamma, r, u_alice: np.ndarray, u_bob: np.ndarray) -> tuple:
-    """`_probabilities` on views of the move stacks' entries."""
-    if not isinstance(gamma, (float, int)):
-        gamma = np.asarray(gamma, dtype=float)
-    cos_g, sin_g = _cos_sin(gamma / 2.0)
-    cos_r, sin_r = _cos_sin(r)
-    return _probabilities(_entries(u_alice), _entries(u_bob), cos_g, sin_g, cos_r, sin_r)
-
-
-def _cos_sin(angle) -> tuple:
-    """cos and sin of a Python float through `math`, the values `play` takes, on any host; of an array through numpy."""
-    if isinstance(angle, (float, int)):
-        return math.cos(angle), math.sin(angle)
-    angle = np.asarray(angle, dtype=float)
-    return np.cos(angle), np.sin(angle)
-
-
-def _entries(u: np.ndarray) -> tuple:
-    """Entries of a move stack laid out as `game.move_entries` gives them, as views of shape u.shape[:-2]."""
-    u = np.asarray(u, dtype=complex)
-    return tuple(tuple((u[..., i, k].real, u[..., i, k].imag) for k in (0, 1)) for i in (0, 1))
+    `gamma`, `r` and every entry are Python floats or arrays, all broadcast
+    together; each payoff is a float or an array of the broadcast shape.
+    Inputs are taken as valid: gamma in [0, pi/2], r in [0, pi/4], unitary moves.
+    """
+    # A Python-float angle takes its cos and sin from `math`, with no numpy call; an array angle from numpy.
+    if isinstance(gamma, (float, int)):
+        half = gamma / 2.0
+        cos_g, sin_g = math.cos(half), math.sin(half)
+    else:
+        half = np.asarray(gamma, dtype=float) / 2.0
+        cos_g, sin_g = np.cos(half), np.sin(half)
+    if isinstance(r, (float, int)):
+        cos_r, sin_r = math.cos(r), math.sin(r)
+    else:
+        cos_r, sin_r = np.cos(r), np.sin(r)
+    return Payoffs(*_expected(_probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r), table))
 
 
 def _probabilities(a, b, cos_g, sin_g, cos_r, sin_r) -> tuple:

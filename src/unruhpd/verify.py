@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_forms
-from .game import NAMED_STRATEGIES, Strategy, entangler, named_strategy_matrix
-from .payoff import PayoffTable, play_batch
+from .game import NAMED_STRATEGIES, Strategy, entangler, move_entries, named_strategy_matrix
+from .payoff import PayoffTable, play_entries
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
 
@@ -126,7 +126,7 @@ def _run(suite: str, rs: np.ndarray, tol: float) -> VerifyOutcome:
 
 def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
     """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
-    return play_batch(gamma, rs, named_strategy_matrix(alice), named_strategy_matrix(bob), DEFAULT_TABLE)
+    return np.stack(play_entries(gamma, rs, move_entries(alice), move_entries(bob), DEFAULT_TABLE), axis=-1)
 
 
 def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from unruhpd.cli import GRID_BLOCK, build_parser
-from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
-from unruhpd.payoff import PayoffTable, play_batch
+from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser
+from unruhpd.game import NAMED_STRATEGIES, move_entries
+from unruhpd.payoff import PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
 
 
@@ -373,13 +373,13 @@ def test_equilibria_pareto_front_keeps_profiles_tied_up_to_roundoff():
 
 
 def reference_rows(gamma, r_start, r_end, steps, profiles, table):
-    """Per-field '.17g' rows, r-major, from play_batch over the clamped r grid."""
+    """Per-field '.17g' rows, r-major, from play_entries over the clamped r grid."""
     rs = np.linspace(r_start, r_end, steps)
     scores = [
-        play_batch(gamma, np.clip(rs, 0.0, R_MAX), *(named_strategy_matrix(NAMED_STRATEGIES[m]) for m in profile), table)
+        play_entries(gamma, np.clip(rs, 0.0, R_MAX), *(move_entries(NAMED_STRATEGIES[m]) for m in profile), table)
         for profile in profiles
     ]
-    return rs.tolist(), [score.tolist() for score in scores]
+    return rs.tolist(), [np.stack(score, axis=-1).tolist() for score in scores]
 
 
 CLASSICAL = ["CC", "CD", "DC", "DD"]
@@ -429,3 +429,31 @@ def test_fig2_bytes_match_per_field_formatting(flags, steps, table):
     )
     assert result.returncode == 0
     assert result.stdout == ("\n".join(lines) + "\n").encode()
+
+
+GRID_CASES = [
+    (0.0, R_MAX, 2),
+    (0.0, R_MAX, GRID_BLOCK),
+    (-5e-7, 0.78539866, 2 * GRID_BLOCK + 1),
+    (0.1, 0.6, 11),
+    (0.3, 0.3, 5),
+    (0.0, 1e-320, 7),
+    # The step underflows to 0, so np.linspace scales i / (steps - 1) by the range instead.
+    (0.0, 5e-324, GRID_BLOCK + 3),
+]
+
+
+@pytest.mark.parametrize("r_start,r_end,steps", GRID_CASES)
+def test_grid_blocks_are_the_linspace_points(r_start, r_end, steps):
+    blocks = [rs for rs, _ in _grid_payoffs(math.pi / 2, r_start, r_end, steps, ["CC"], PayoffTable())]
+    assert [len(rs) for rs in blocks[:-1]] == [GRID_BLOCK] * (len(blocks) - 1)
+    got = np.array([r for rs in blocks for r in rs])
+    assert got.tobytes() == np.linspace(r_start, r_end, steps).tobytes()
+
+
+def test_first_block_of_a_huge_grid_needs_no_whole_grid():
+    # 10^13 points would take 80 TB as one array; the first block comes back on its own.
+    steps = 10**13
+    rs, [(alice, bob)] = next(_grid_payoffs(0.0, 0.0, R_MAX, steps, ["DD"], PayoffTable()))
+    assert rs == (np.arange(GRID_BLOCK, dtype=float) * (R_MAX / (steps - 1))).tolist()
+    assert len(alice) == len(bob) == GRID_BLOCK

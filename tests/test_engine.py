@@ -12,16 +12,8 @@ from linalg import basis_ket
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
-from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, named_strategy_matrix, strategy_matrix
-from unruhpd.payoff import (
-    GameSetup,
-    PayoffTable,
-    final_density,
-    outcome_probabilities,
-    payoffs,
-    play,
-    play_batch,
-)
+from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, strategy_matrix
+from unruhpd.payoff import GameSetup, PayoffTable, final_density, payoffs, play, play_entries
 from unruhpd.unruh import unruh_channel
 
 GAMMAS = st.floats(0.0, math.pi / 2)
@@ -51,33 +43,57 @@ def reference_payoffs(gamma, r, u_alice, u_bob, table):
 
 R_ARRAYS = st.lists(RS, min_size=1, max_size=64).map(np.array)
 
+# Each table pays one outcome to Alice and one to Bob, so its payoffs are those two probabilities exactly.
+INDICATOR_TABLES = (
+    PayoffTable(cc=(1.0, 0.0), cd=(0.0, 1.0), dc=(0.0, 0.0), dd=(0.0, 0.0)),
+    PayoffTable(cc=(0.0, 0.0), cd=(0.0, 0.0), dc=(1.0, 0.0), dd=(0.0, 1.0)),
+)
+
 
 def named(label):
-    return named_strategy_matrix(NAMED_STRATEGIES[label])
+    return move_entries(NAMED_STRATEGIES[label])
+
+
+def move(alpha, theta):
+    return move_entries(Strategy(alpha, theta))
+
+
+def stacked(moves):
+    """Entries of a stack of moves, nested as `move_entries` gives them, each an array over the stack axes.
+
+    `moves` is an array of shape (..., 2, 2, 2), or a list of entries, with the
+    (real, imaginary) pair last.
+    """
+    moves = np.asarray(moves, dtype=float)
+    return tuple(tuple((moves[..., i, k, 0], moves[..., i, k, 1]) for k in (0, 1)) for i in (0, 1))
+
+
+def outcome_probabilities(gamma, r, alice, bob):
+    """Probabilities of CC, CD, DC, DD, shape (..., 4), read through `play_entries` with the indicator tables."""
+    return np.stack([p for table in INDICATOR_TABLES for p in play_entries(gamma, r, alice, bob, table)], axis=-1)
 
 
 def random_games(seed, n):
-    """n seeded rows of (gamma, r, alpha_a, theta_a, alpha_b, theta_b) plus their move stacks."""
+    """n seeded rows of (gamma, r, alpha_a, theta_a, alpha_b, theta_b) plus the two move stacks `stacked` takes."""
     params = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 6)) * UPPER
-    u_alice = np.stack([strategy_matrix(a, t) for a, t in params[:, 2:4]])
-    u_bob = np.stack([strategy_matrix(a, t) for a, t in params[:, 4:6]])
-    return params, u_alice, u_bob
+    alice = np.array([move(a, t) for a, t in params[:, 2:4]])
+    bob = np.array([move(a, t) for a, t in params[:, 4:6]])
+    return params, alice, bob
 
 
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_engine_matches_density_matrix_reference(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    u_alice, u_bob = strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b)
-    got = play_batch(gamma, r, u_alice, u_bob, table)
-    want = reference_payoffs(gamma, r, u_alice, u_bob, table)
-    assert np.max(np.abs(got - want)) <= 1e-13
+    got = play_entries(gamma, r, move(alpha_a, theta_a), move(alpha_b, theta_b), table)
+    want = reference_payoffs(gamma, r, strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b), table)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_matches_single_plays(seed):
-    params, u_alice, u_bob = random_games(seed, 200)
+    params, alice, bob = random_games(seed, 200)
     table = PayoffTable.from_scalars(*np.random.default_rng([seed, 1]).normal(0.0, 3.0, 4))
-    batch = play_batch(params[:, 0], params[:, 1], u_alice, u_bob, table)
+    batch = np.stack(play_entries(params[:, 0], params[:, 1], stacked(alice), stacked(bob), table), axis=-1)
     single = np.array(
         [play(GameSetup(g, r, table), Strategy(aa, ta), Strategy(ab, tb)) for g, r, aa, ta, ab, tb in params]
     )
@@ -91,24 +107,24 @@ MOVES = st.one_of(st.sampled_from(sorted(NAMED_STRATEGIES.values(), key=str)), s
 @SEEDED
 @given(GAMMAS, RS, st.lists(MOVES, min_size=1, max_size=5), TABLES)
 def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
-    # `play` scores on Python floats, `play_batch` on arrays: the same real
-    # formula, rounded in the same order, so equal to the last bit.
+    # `play` scores on Python floats, `play_entries` here on arrays: the same
+    # real formula, rounded in the same order, so equal to the last bit.
     setup = GameSetup(gamma, r, table)
-    moves = np.stack([named_strategy_matrix(s) for s in strategies])
-    batch = play_batch(setup.gamma, setup.r, moves[:, None], moves[None, :], table).tolist()
+    moves = np.array([move_entries(s) for s in strategies])
+    batch = play_entries(setup.gamma, setup.r, stacked(moves[:, None]), stacked(moves[None, :]), table)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
-            assert tuple(batch[i][j]) == play(setup, alice, bob)
+            assert (batch.alice[i, j].item(), batch.bob[i, j].item()) == play(setup, alice, bob)
 
 
 def test_batch_broadcasts_grids_against_move_stacks():
-    params, u_alice, u_bob = random_games(3, 3)
+    params, alice, bob = random_games(3, 3)
     rs = np.linspace(0.0, math.pi / 4, 5)
-    got = outcome_probabilities(0.8, rs, u_alice[:, None], u_bob[0])
+    got = outcome_probabilities(0.8, rs, stacked(alice[:, None]), stacked(bob[0]))
     assert got.shape == (3, 5, 4)
     for i in range(3):
         for j, r in enumerate(rs):
-            assert np.array_equal(got[i, j], outcome_probabilities(0.8, r, u_alice[i], u_bob[0]))
+            assert np.array_equal(got[i, j], outcome_probabilities(0.8, r, stacked(alice[i]), stacked(bob[0])))
 
 
 @SEEDED
@@ -135,19 +151,19 @@ def test_kraus_form_equals_rindler_trace_out(r, parts):
 @SEEDED
 @given(R_ARRAYS, st.sampled_from(closed_forms.CLASSICAL_PROFILES))
 def test_engine_matches_classical_closed_forms_over_r_arrays(rs, profile):
-    u_alice, u_bob = named(profile[0]), named(profile[1])
+    alice, bob = named(profile[0]), named(profile[1])
     for gamma, form in ((0.0, closed_forms.unentangled_classical), (math.pi / 2, closed_forms.max_entangled_classical)):
-        engine = play_batch(gamma, rs, u_alice, u_bob, PayoffTable())
+        engine = np.stack(play_entries(gamma, rs, alice, bob, PayoffTable()), axis=-1)
         assert np.max(np.abs(engine - np.stack(form(rs, profile), axis=-1))) <= 1e-12
 
 
 @SEEDED
 @given(R_ARRAYS, ALPHAS, THETAS)
 def test_engine_matches_q_and_miracle_closed_forms_over_r_arrays(rs, alpha_b, theta_b):
-    q_engine = play_batch(math.pi / 2, rs, named("Q"), strategy_matrix(alpha_b, theta_b), PayoffTable())
+    q_engine = np.stack(play_entries(math.pi / 2, rs, named("Q"), move(alpha_b, theta_b), PayoffTable()), axis=-1)
     q_formula = np.stack(closed_forms.q_vs_arbitrary(rs, alpha_b, theta_b), axis=-1)
     assert np.max(np.abs(q_engine - q_formula)) <= 1e-12
-    m_engine = play_batch(math.pi / 2, rs, named("M"), strategy_matrix(0.0, theta_b), PayoffTable())
+    m_engine = np.stack(play_entries(math.pi / 2, rs, named("M"), move(0.0, theta_b), PayoffTable()), axis=-1)
     m_formula = np.stack(closed_forms.miracle_vs_classical(rs, theta_b), axis=-1)
     assert np.max(np.abs(m_engine - m_formula)) <= 1e-12
 
@@ -164,7 +180,7 @@ def test_post_channel_state_is_a_density_matrix(gamma, r):
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS)
 def test_probabilities_are_a_distribution(gamma, r, alpha_a, theta_a, alpha_b, theta_b):
-    p = outcome_probabilities(gamma, r, strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b))
+    p = outcome_probabilities(gamma, r, move(alpha_a, theta_a), move(alpha_b, theta_b))
     assert p.shape == (4,)
     assert np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) <= 1e-13
@@ -173,7 +189,7 @@ def test_probabilities_are_a_distribution(gamma, r, alpha_a, theta_a, alpha_b, t
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_payoffs_lie_within_the_table_range(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    got = play_batch(gamma, r, strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b), table)
+    got = np.array(play_entries(gamma, r, move(alpha_a, theta_a), move(alpha_b, theta_b), table))
     entries = np.array(table.entries())
     slack = 1e-13 * max(1.0, float(np.max(np.abs(entries))))
     assert np.all(got >= entries.min(axis=0) - slack)
@@ -186,7 +202,7 @@ def test_zero_acceleration_is_the_inertial_game(gamma, alpha_a, theta_a, alpha_b
     u_alice, u_bob = strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b)
     j = entangler(gamma)
     final = j.conj().T @ np.kron(u_alice, u_bob) @ j @ basis_ket(4, 0)
-    got = outcome_probabilities(gamma, 0.0, u_alice, u_bob)
+    got = outcome_probabilities(gamma, 0.0, move(alpha_a, theta_a), move(alpha_b, theta_b))
     assert np.max(np.abs(got - np.abs(final) ** 2)) <= 1e-14
 
 

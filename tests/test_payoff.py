@@ -196,3 +196,25 @@ def test_payoff_table_rejects_entries_that_are_not_pairs_of_numbers(bad):
     # Each of these used to be accepted, or to raise TypeError, at construction.
     with pytest.raises(ValueError, match="pairs of finite numbers"):
         PayoffTable(cc=bad)
+
+
+def test_payoff_table_pairs_are_tuples_of_floats():
+    table = PayoffTable(cc=(3, 3), cd=[0.0, 5.0], dc=np.array([5.0, 0.0]), dd=(np.float64(1.0), True))
+    assert table.entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
+    assert all(type(x) is float for pair in table.entries() for x in pair)
+    assert all(type(pair) is tuple for pair in table.entries())
+
+
+def test_setup_with_a_list_pair_is_hashable():
+    setup = GameSetup(0.1, 0.1, PayoffTable(cd=[0.0, 5.0]))
+    assert hash(setup) == hash(GameSetup(0.1, 0.1))
+
+
+def test_tables_with_array_pairs_compare():
+    assert PayoffTable(cc=np.array([3.0, 3.0])) == PayoffTable(cc=np.array([3.0, 3.0])) == PayoffTable()
+
+
+def test_play_with_an_array_pair_returns_floats():
+    got = play(GameSetup(0.3, 0.2, PayoffTable(cc=np.array([3.0, 3.0]))), C, D)
+    assert type(got.alice) is float and type(got.bob) is float
+    assert got == play(GameSetup(0.3, 0.2), C, D)

@@ -7,8 +7,8 @@ import pytest
 
 import unruhpd.verify
 from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
-from unruhpd.game import NAMED_STRATEGIES, named_strategy_matrix
-from unruhpd.payoff import PayoffTable, play_batch
+from unruhpd.game import NAMED_STRATEGIES, move_entries
+from unruhpd.payoff import Payoffs, PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
 from unruhpd.verify import SUITE_NAMES, WorstAt, run_suite
 
@@ -111,8 +111,8 @@ def test_worst_at_locates_the_largest_deviation():
     assert at.r in np.linspace(0.0, R_MAX, 101).tolist()
     # Re-score that one point as the suite does: the deviation there is the maximum.
     rs = np.array([at.r])
-    moves = [named_strategy_matrix(NAMED_STRATEGIES[label]) for label in at.label]
-    engine = play_batch(math.pi / 2, rs, *moves, PayoffTable())[0]
+    moves = [move_entries(NAMED_STRATEGIES[label]) for label in at.label]
+    engine = [values[0] for values in play_entries(math.pi / 2, rs, *moves, PayoffTable())]
     formula = max_entangled_classical(rs, at.label)
     column = ("alice", "bob").index(at.player)
     assert abs(engine[column] - formula[column][0]) == outcome.max_abs_error
@@ -137,9 +137,9 @@ def test_worst_at_is_set_by_every_suite():
 
 def test_non_finite_engine_values_fail_the_suite(monkeypatch):
     def nan_engine(*args, **kwargs):
-        return np.full_like(play_batch(*args, **kwargs), np.nan)
+        return Payoffs(*(np.full_like(v, np.nan) for v in play_entries(*args, **kwargs)))
 
-    monkeypatch.setattr(unruhpd.verify, "play_batch", nan_engine)
+    monkeypatch.setattr(unruhpd.verify, "play_entries", nan_engine)
     outcome = run_suite("table2")
     assert not outcome.passed
     assert math.isnan(outcome.max_abs_error)

@@ -36,6 +36,8 @@ equilibria --gamma 0 --r pi/4 --set C,D
 equilibria --gamma pi/3 --r 0.1 --set Q,M,C,D --payoffs 2.5,-1,7.25,0.5
 sweep --gamma pi/2 --steps 2000
 fig2 --steps 2000
+sweep --gamma pi/3 --steps 257 --profiles QM MQ QD --payoffs 2.5,-1,7.25,0.5
+fig2 --steps 4099
 play --gamma pi/3 --r pi/5 --alice M --bob Q
 play --gamma pi/2 --r 0.3 --alice 1.0,2.0 --bob 4.0,0.5 --json
 COMMANDS
