@@ -25,6 +25,8 @@ D1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
     value = float(value)
+    if 0.0 <= value <= upper:  # the common case; NaN fails it
+        return value
     if not math.isfinite(value) or value < -EDGE_SLACK or value > upper + EDGE_SLACK:
         raise ValueError(f"{name} must lie in {span}, got {value}")
     return min(max(value, 0.0), upper)
@@ -64,13 +66,14 @@ class Strategy:
     theta: float
     label: str = "custom"
 
-    def __post_init__(self):
-        alpha, theta = validate_strategy_params(self.alpha, self.theta)
+    def __init__(self, alpha: float, theta: float, label: str = "custom"):
+        alpha, theta = validate_strategy_params(alpha, theta)
+        # The label picks the move that `move_entries` scores, so it must agree with the angles.
+        if label != "custom" and _NAMED_ANGLES.get(label) != (alpha, theta):
+            raise ValueError(f"strategy label {label!r} does not name the move at alpha={alpha}, theta={theta}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
-        # The label picks the move that `move_entries` scores, so it must agree with the angles.
-        if self.label != "custom" and _NAMED_ANGLES.get(self.label) != (alpha, theta):
-            raise ValueError(f"strategy label {self.label!r} does not name the move at alpha={alpha}, theta={theta}")
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         if self.label != "custom":

@@ -8,9 +8,10 @@ sum_j |<k| J^dag (UA x UB)(I x K_j)|psi>|^2 with
 handled as a 2x2 block Phi[a, b] over (Alice, Bob) bits, on which UA x UB acts
 as UA Phi UB^T.
 
-The engine is one formula, `_probabilities`, written in real arithmetic on
-the real and imaginary parts of the move entries, and one entry to it,
-`play_entries`, which takes the moves as `game.move_entries` lays them out.
+The engine is one formula, `_probabilities`, written out per outcome, with no
+loop or list, in real arithmetic on the real and imaginary parts of the move
+entries, and one entry to it, `play_entries`, which takes the moves as
+`game.move_entries` lays them out.
 On Python floats it makes no numpy call; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Each real operation rounds once, in the same order on floats and on arrays,
@@ -29,7 +30,7 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,11 +94,12 @@ class PayoffTable:
 class GameSetup:
     gamma: float
     r: float
-    table: PayoffTable = field(default_factory=PayoffTable)
+    table: PayoffTable
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", validate_gamma(self.gamma))
-        object.__setattr__(self, "r", validate_r(self.r))
+    def __init__(self, gamma: float, r: float, table: PayoffTable = PayoffTable()):
+        object.__setattr__(self, "gamma", validate_gamma(gamma))
+        object.__setattr__(self, "r", validate_r(r))
+        object.__setattr__(self, "table", table)
 
 
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
@@ -130,43 +132,47 @@ def _probabilities(a, b, cos_g, sin_g, cos_r, sin_r) -> tuple:
     """Probabilities of CC, CD, DC, DD for Alice's move entries `a` and Bob's `b`.
 
     Moves are laid out as `game.move_entries` gives them. Every value is a
-    Python float or an array, all broadcast together. Only +, - and * are
-    used, on real numbers, in the same order for both, and each rounds once,
-    so a game scores bit for bit the same on floats as in any batch.
+    Python float or an array, all broadcast together. The formula is written
+    out per outcome: only +, - and * are used, on real numbers, in the same
+    order for both, and each rounds once, so a game scores bit for bit the
+    same on floats as in any batch.
     """
     # (I x K0)|psi> = cos(g/2) cos r |00> + i sin(g/2) |11> and
     # (I x K1)|psi> = cos(g/2) sin r |01>. After the moves their blocks over
-    # (Alice, Bob) bits are cos(g/2) cos r A0 B0^T + i sin(g/2) A1 B1^T and
-    # cos(g/2) sin r A0 B1^T, with Ak and Bk the k-th columns of the moves.
-    # Entries are listed in outcome order, as (real, imaginary) pairs.
+    # (Alice, Bob) bits are cos(g/2) cos r A0 B0^T + i sin(g/2) A1 B1^T (kept,
+    # k_ij) and cos(g/2) sin r A0 B1^T (lost, l_ij), with Ak and Bk the k-th
+    # columns of the moves. Entries x_ij (row i, column j) are (real, imaginary) pairs.
+    ((a00r, a00i), (a01r, a01i)), ((a10r, a10i), (a11r, a11i)) = a
+    ((b00r, b00i), (b01r, b01i)), ((b10r, b10i), (b11r, b11i)) = b
     c0 = cos_g * cos_r
     c1 = cos_g * sin_r
-    kept, lost = [], []
-    for (a0r, a0i), (a1r, a1i) in a:
-        for (b0r, b0i), (b1r, b1i) in b:
-            a1b1_r = a1r * b1r - a1i * b1i
-            a1b1_i = a1r * b1i + a1i * b1r
-            kept.append(
-                (
-                    c0 * (a0r * b0r - a0i * b0i) - sin_g * a1b1_i,
-                    c0 * (a0r * b0i + a0i * b0r) + sin_g * a1b1_r,
-                )
-            )
-            lost.append((c1 * (a0r * b1r - a0i * b1i), c1 * (a0r * b1i + a0i * b1r)))
+    k00r = c0 * (a00r * b00r - a00i * b00i) - sin_g * (a01r * b01i + a01i * b01r)
+    k00i = c0 * (a00r * b00i + a00i * b00r) + sin_g * (a01r * b01r - a01i * b01i)
+    k01r = c0 * (a00r * b10r - a00i * b10i) - sin_g * (a01r * b11i + a01i * b11r)
+    k01i = c0 * (a00r * b10i + a00i * b10r) + sin_g * (a01r * b11r - a01i * b11i)
+    k10r = c0 * (a10r * b00r - a10i * b00i) - sin_g * (a11r * b01i + a11i * b01r)
+    k10i = c0 * (a10r * b00i + a10i * b00r) + sin_g * (a11r * b01r - a11i * b01i)
+    k11r = c0 * (a10r * b10r - a10i * b10i) - sin_g * (a11r * b11i + a11i * b11r)
+    k11i = c0 * (a10r * b10i + a10i * b10r) + sin_g * (a11r * b11r - a11i * b11i)
+    l00r, l00i = c1 * (a00r * b01r - a00i * b01i), c1 * (a00r * b01i + a00i * b01r)
+    l01r, l01i = c1 * (a00r * b11r - a00i * b11i), c1 * (a00r * b11i + a00i * b11r)
+    l10r, l10i = c1 * (a10r * b01r - a10i * b01i), c1 * (a10r * b01i + a10i * b01r)
+    l11r, l11i = c1 * (a10r * b11r - a10i * b11i), c1 * (a10r * b11i + a10i * b11r)
     # J^dag = cos(g/2) I - i sin(g/2) D1 x D1. D1 x D1 maps outcome 3 - k to
     # outcome k, with sign + for CC and DD and - for CD and DC.
-    probs = []
-    for k, plus in enumerate((True, False, False, True)):
-        squares = []
-        for block in (kept, lost):
-            (mr, mi), (nr, ni) = block[k], block[3 - k]
-            if plus:
-                fr, fi = cos_g * mr + sin_g * ni, cos_g * mi - sin_g * nr
-            else:
-                fr, fi = cos_g * mr - sin_g * ni, cos_g * mi + sin_g * nr
-            squares.append(fr * fr + fi * fi)
-        probs.append(squares[0] + squares[1])
-    return tuple(probs)
+    kr, ki = cos_g * k00r + sin_g * k11i, cos_g * k00i - sin_g * k11r
+    lr, li = cos_g * l00r + sin_g * l11i, cos_g * l00i - sin_g * l11r
+    p_cc = kr * kr + ki * ki + (lr * lr + li * li)
+    kr, ki = cos_g * k01r - sin_g * k10i, cos_g * k01i + sin_g * k10r
+    lr, li = cos_g * l01r - sin_g * l10i, cos_g * l01i + sin_g * l10r
+    p_cd = kr * kr + ki * ki + (lr * lr + li * li)
+    kr, ki = cos_g * k10r - sin_g * k01i, cos_g * k10i + sin_g * k01r
+    lr, li = cos_g * l10r - sin_g * l01i, cos_g * l10i + sin_g * l01r
+    p_dc = kr * kr + ki * ki + (lr * lr + li * li)
+    kr, ki = cos_g * k11r + sin_g * k00i, cos_g * k11i - sin_g * k00r
+    lr, li = cos_g * l11r + sin_g * l00i, cos_g * l11i - sin_g * l00r
+    p_dd = kr * kr + ki * ki + (lr * lr + li * li)
+    return p_cc, p_cd, p_dc, p_dd
 
 
 def _expected(probs: tuple, table: PayoffTable) -> tuple:

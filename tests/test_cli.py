@@ -201,6 +201,16 @@ def test_verify_unachievable_tolerance_exits_one():
     assert "overall=fail" in result.stdout
 
 
+def test_verify_grid_too_large_for_memory_is_an_error_not_a_traceback():
+    # 1e17 grid points need 8e17 bytes, more than the virtual address space of
+    # any 64-bit host, so the allocation fails at once and touches no memory.
+    result = run_cli("verify", "--grid", "100000000000000000")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_equilibria_classical_report():
     result = run_cli("equilibria", "--gamma", "0", "--r", "0", "--set", "C,D")
     assert result.returncode == 0

@@ -13,7 +13,7 @@ import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
 from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, strategy_matrix
-from unruhpd.payoff import GameSetup, PayoffTable, final_density, payoffs, play, play_entries
+from unruhpd.payoff import GameSetup, PayoffTable, _probabilities, final_density, payoffs, play, play_entries
 from unruhpd.unruh import unruh_channel
 
 GAMMAS = st.floats(0.0, math.pi / 2)
@@ -115,6 +115,62 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
             assert (batch.alice[i, j].item(), batch.bob[i, j].item()) == play(setup, alice, bob)
+
+
+def nested_loop_probabilities(a, b, cos_g, sin_g, cos_r, sin_r):
+    """`payoff._probabilities` as loops over the outcomes, the reference its written-out text must equal bit for bit."""
+    c0 = cos_g * cos_r
+    c1 = cos_g * sin_r
+    kept, lost = [], []
+    for (a0r, a0i), (a1r, a1i) in a:
+        for (b0r, b0i), (b1r, b1i) in b:
+            a1b1_r = a1r * b1r - a1i * b1i
+            a1b1_i = a1r * b1i + a1i * b1r
+            kept.append(
+                (
+                    c0 * (a0r * b0r - a0i * b0i) - sin_g * a1b1_i,
+                    c0 * (a0r * b0i + a0i * b0r) + sin_g * a1b1_r,
+                )
+            )
+            lost.append((c1 * (a0r * b1r - a0i * b1i), c1 * (a0r * b1i + a0i * b1r)))
+    probs = []
+    for k, plus in enumerate((True, False, False, True)):
+        squares = []
+        for block in (kept, lost):
+            (mr, mi), (nr, ni) = block[k], block[3 - k]
+            if plus:
+                fr, fi = cos_g * mr + sin_g * ni, cos_g * mi - sin_g * nr
+            else:
+                fr, fi = cos_g * mr - sin_g * ni, cos_g * mi + sin_g * nr
+            squares.append(fr * fr + fi * fi)
+        probs.append(squares[0] + squares[1])
+    return tuple(probs)
+
+
+ANGLE_PAIRS = st.tuples(
+    st.one_of(st.sampled_from((0.0, math.pi / 2)), GAMMAS), st.one_of(st.sampled_from((0.0, math.pi / 4)), RS)
+)
+
+
+@SEEDED
+@given(st.lists(ANGLE_PAIRS, min_size=1, max_size=4), st.lists(MOVES, min_size=1, max_size=5))
+def test_probabilities_equal_the_nested_loop_reference(angles, strategies):
+    # Same operations on the same operands in the same order: equal to the
+    # last bit on floats (Q's -0.0 entry included) and on broadcast arrays.
+    moves = [move_entries(s) for s in strategies]
+    for gamma, r in angles:
+        trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
+        for a in moves:
+            for b in moves:
+                assert _probabilities(a, b, *trig) == nested_loop_probabilities(a, b, *trig)
+    half = np.array([gamma for gamma, _ in angles])[:, None, None] / 2.0
+    rs = np.array([r for _, r in angles])[:, None, None]
+    trig = (np.cos(half), np.sin(half), np.cos(rs), np.sin(rs))
+    stack = np.array(moves)
+    a, b = stacked(stack[:, None]), stacked(stack[None, :])
+    for got, want in zip(_probabilities(a, b, *trig), nested_loop_probabilities(a, b, *trig), strict=True):
+        assert got.shape == (len(angles), len(moves), len(moves))
+        assert np.array_equal(got, want)
 
 
 def test_batch_broadcasts_grids_against_move_stacks():

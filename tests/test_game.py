@@ -1,6 +1,8 @@
 """Strategy space, named moves, entangling operator, initial state."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from linalg import basis_ket, is_unitary, matrix_exp
 from unruhpd.game import (
     D1,
+    EDGE_SLACK,
     GAMMA_MAX,
     NAMED_STRATEGIES,
     TWO_PI,
     Strategy,
+    clamp_to_domain,
     entangler,
     initial_state,
     named_strategy_matrix,
@@ -61,6 +65,8 @@ def test_strategy_domain_errors():
         strategy_matrix(0.0, math.pi + 0.2)
     with pytest.raises(ValueError):
         Strategy(TWO_PI + 0.5, 0.0)
+    with pytest.raises(ValueError, match="strategy alpha must lie in"):
+        dataclasses.replace(Strategy(1.0, 2.0), alpha=99.0)
 
 
 def test_near_edge_values_are_clamped_not_rejected():
@@ -69,6 +75,34 @@ def test_near_edge_values_are_clamped_not_rejected():
     assert s.theta == math.pi
     assert Strategy(0.0, 3.1415927, "D") == NAMED_STRATEGIES["D"]
     assert validate_gamma(1.5707964) == GAMMA_MAX
+
+
+@pytest.mark.parametrize("upper", [GAMMA_MAX, math.pi / 4, TWO_PI, math.pi])
+def test_clamp_to_domain_equals_the_clamp_expression(upper):
+    # In-domain values return at once; each must be what the clamp gives, -0.0 included.
+    values = (0.0, -0.0, upper, math.nextafter(upper, math.inf), -EDGE_SLACK, upper + EDGE_SLACK)
+    for value in values + (int(upper), np.float64(upper / 3.0), "0.25"):
+        got = clamp_to_domain(value, upper, "x", "[0, u]")
+        want = min(max(float(value), 0.0), upper)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    below, above = math.nextafter(-EDGE_SLACK, -math.inf), math.nextafter(upper + EDGE_SLACK, math.inf)
+    for bad in (below, above, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"x must lie in [0, u], got {bad}")):
+            clamp_to_domain(bad, upper, "x", "[0, u]")
+
+
+def test_strategy_keeps_dataclass_behaviour():
+    strategy = Strategy(1.0, 2.0)
+    assert strategy == Strategy(alpha=1.0, theta=2.0, label="custom") == Strategy(1.0, theta=2.0)
+    assert strategy.label == "custom"
+    assert hash(strategy) == hash(Strategy(1.0, 2.0))
+    assert strategy != Strategy(1.0, 2.5) and Strategy(0.0, math.pi, "D") != Strategy(0.0, math.pi)
+    assert repr(strategy) == "Strategy(alpha=1.0, theta=2.0, label='custom')"
+    assert repr(NAMED_STRATEGIES["D"]) == "Strategy(alpha=0.0, theta=3.141592653589793, label='D')"
+    assert dataclasses.replace(strategy, theta=0.5) == Strategy(1.0, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strategy.alpha = 0.5
 
 
 def test_strategy_labels_and_custom_rendering():
@@ -85,7 +119,8 @@ def test_strategy_labels_and_custom_rendering():
 def test_label_must_name_the_move_at_its_angles(alpha, theta, label):
     # The label selects the scored matrix (Q scores as diag(i, -i)), so a
     # label that disagrees with the angles would score some other move.
-    with pytest.raises(ValueError, match="does not name the move"):
+    message = f"strategy label {label!r} does not name the move at alpha={float(alpha)}, theta={float(theta)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         Strategy(alpha, theta, label)
 
 

@@ -1,5 +1,6 @@
 """Full game pipeline against the analytic oracles and direct scoring checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,25 @@ def test_setup_validation():
         GameSetup(gamma=2.0, r=0.0)
     with pytest.raises(ValueError):
         GameSetup(gamma=0.0, r=1.0)
+    with pytest.raises(ValueError, match="entanglement gamma must lie in"):
+        dataclasses.replace(GameSetup(0.3, 0.2), gamma=99.0)
+    with pytest.raises(ValueError, match="entanglement gamma must lie in"):
+        GameSetup(gamma=2.0, r=1.0)
+
+
+def test_setup_keeps_dataclass_behaviour():
+    setup = GameSetup(0.3, 0.2)
+    assert setup == GameSetup(gamma=0.3, r=0.2, table=PayoffTable()) == GameSetup(0.3, r=0.2)
+    assert setup.table == PayoffTable()
+    assert hash(setup) == hash(GameSetup(0.3, 0.2))
+    assert setup != GameSetup(0.3, 0.2, PayoffTable.from_scalars(2.0, 0.0, 5.0, 1.0))
+    assert repr(setup) == (
+        "GameSetup(gamma=0.3, r=0.2, table=PayoffTable(cc=(3.0, 3.0), cd=(0.0, 5.0), dc=(5.0, 0.0), dd=(1.0, 1.0)))"
+    )
+    assert GameSetup(1.5707964, 0.1).gamma == math.pi / 2
+    assert dataclasses.replace(setup, r=0.5) == GameSetup(0.3, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.r = 0.5
 
 
 def test_final_density_identity_case():

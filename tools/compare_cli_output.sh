@@ -40,5 +40,7 @@ sweep --gamma pi/3 --steps 257 --profiles QM MQ QD --payoffs 2.5,-1,7.25,0.5
 fig2 --steps 4099
 play --gamma pi/3 --r pi/5 --alice M --bob Q
 play --gamma pi/2 --r 0.3 --alice 1.0,2.0 --bob 4.0,0.5 --json
+play --gamma 1.5707965 --r 0.7853985 --alice 6.2831855,3.1415928 --bob Q
+play --gamma 0 --r=-5e-7 --alice Q --bob M --json
 COMMANDS
 exit $status
