@@ -351,10 +351,9 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
             print(f"dominant_{player}={labels[index]}:{kind}")
     pareto_text = ",".join(f"({labels[i]},{labels[j]})" for i, j in report.pareto)
     print(f"pareto={pareto_text}")
-    for j, reply in report.best_responses_alice.items():
-        print(f"best_response_alice[{labels[j]}]={labels[reply]}")
-    for i, reply in report.best_responses_bob.items():
-        print(f"best_response_bob[{labels[i]}]={labels[reply]}")
+    for player, replies in (("alice", report.best_responses_alice), ("bob", report.best_responses_bob)):
+        for opp, reply in replies.items():
+            print(f"best_response_{player}[{labels[opp]}]={labels[reply]}")
     return 0
 
 

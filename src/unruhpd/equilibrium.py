@@ -1,10 +1,12 @@
 """Solution concepts over finite strategy sets plus a continuous best response.
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
-an explicit payoff table, each entry scored by `play`. The continuous search
-scores an (alpha, theta) grid and then each step of a coordinate descent
-through `payoff.play_entries`, the engine entry behind `play`: on arrays of
-move entries for the grid, on Python floats for the steps.
+an explicit payoff table, each entry scored by `play`. Nash, dominance and
+within-set best replies read it through one player view, `_own_payoffs`, and
+Nash and those replies share one tolerant reply rule, `_replies`. The
+continuous search scores an (alpha, theta) grid and then each step of a
+coordinate descent through `payoff.play_entries`, the engine entry behind
+`play`: on arrays of move entries for the grid, on Python floats for the steps.
 """
 
 from __future__ import annotations
@@ -46,15 +48,9 @@ def payoff_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payo
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
     """Index pairs where no unilateral deviation gains more than the tolerance."""
-    n = _check_square(table)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            alice_ok = all(table[k][j].alice <= table[i][j].alice + DEVIATION_TOL for k in range(n))
-            bob_ok = all(table[i][k].bob <= table[i][j].bob + DEVIATION_TOL for k in range(n))
-            if alice_ok and bob_ok:
-                out.append((i, j))
-    return out
+    alice, bob = (_own_payoffs(table, player) for player in Payoffs._fields)
+    n = len(alice)
+    return [(i, j) for i in range(n) for j in range(n) if i in _replies(alice, j) and j in _replies(bob, i)]
 
 
 def find_dominant(table: list[list[Payoffs]], player: str) -> tuple[int, str] | None:
@@ -64,32 +60,12 @@ def find_dominant(table: list[list[Payoffs]], player: str) -> tuple[int, str] | 
     opponent move, (index, "weak") when never worse and somewhere better,
     None otherwise.
     """
-    n = _check_square(table)
-    _check_player("player", player)
-
-    def against(own: int, opp: int) -> float:
-        if player == "alice":
-            return table[own][opp].alice
-        return table[opp][own].bob
-
-    for cand in range(n):
-        strict = True
-        weak = True
-        somewhere_better = n == 1
-        for alt in range(n):
-            if alt == cand:
-                continue
-            for opp in range(n):
-                gap = against(cand, opp) - against(alt, opp)
-                if gap <= DEVIATION_TOL:
-                    strict = False
-                if gap < -DEVIATION_TOL:
-                    weak = False
-                if gap > DEVIATION_TOL:
-                    somewhere_better = True
-        if strict:
+    own = _own_payoffs(table, player)
+    for cand, row in enumerate(own):
+        gaps = [mine - theirs for alt, other in enumerate(own) if alt != cand for mine, theirs in zip(row, other)]
+        if not any(gap <= DEVIATION_TOL for gap in gaps):
             return cand, "strict"
-        if weak and somewhere_better:
+        if not any(gap < -DEVIATION_TOL for gap in gaps) and any(gap > DEVIATION_TOL for gap in gaps):
             return cand, "weak"
     return None
 
@@ -121,17 +97,8 @@ def set_best_responses(table: list[list[Payoffs]], responder: str) -> dict[int, 
     Scores within DEVIATION_TOL of the maximum count as tied and the lowest
     index wins, so roundoff noise cannot flip the reported reply.
     """
-    n = _check_square(table)
-    _check_player("responder", responder)
-    out: dict[int, int] = {}
-    for opp in range(n):
-        if responder == "alice":
-            scores = [table[i][opp].alice for i in range(n)]
-        else:
-            scores = [table[opp][j].bob for j in range(n)]
-        top = max(scores)
-        out[opp] = next(i for i in range(n) if scores[i] >= top - DEVIATION_TOL)
-    return out
+    own = _own_payoffs(table, responder, "responder")
+    return {opp: _replies(own, opp)[0] for opp in range(len(own))}
 
 
 @dataclass
@@ -172,9 +139,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
-    _check_player("responder", responder)
-
-    player = 0 if responder == "alice" else 1
+    player = _check_player("responder", responder)
 
     def ordered(own, other):
         return (own, other) if player == 0 else (other, own)
@@ -213,6 +178,24 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     return Strategy(best_alpha, best_theta), best_value
 
 
+def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:
+    """One player's view of the table: entry [own][opp] is their payoff for move own against move opp.
+
+    Alice owns the table's rows and Bob its columns; no other code reads that orientation.
+    """
+    _check_square(table)
+    index = _check_player(name, player)
+    rows = table if index == 0 else list(zip(*table))
+    return [[cell[index] for cell in row] for row in rows]
+
+
+def _replies(own: list[list[float]], opp: int) -> list[int]:
+    """Own moves scoring within DEVIATION_TOL of the best reply to `opp`, lowest index first."""
+    scores = [row[opp] for row in own]
+    top = max(scores)
+    return [k for k, v in enumerate(scores) if top <= v + DEVIATION_TOL]
+
+
 def _check_square(table: list[list[Payoffs]]) -> int:
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
@@ -220,6 +203,8 @@ def _check_square(table: list[list[Payoffs]]) -> int:
     return n
 
 
-def _check_player(name: str, player: str) -> None:
-    if player not in ("alice", "bob"):
-        raise ValueError(f"{name} must be 'alice' or 'bob', got {player!r}")
+def _check_player(name: str, player: str) -> int:
+    """The player's index in `Payoffs`, whose field order names the players."""
+    if player not in Payoffs._fields:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, Payoffs._fields))}, got {player!r}")
+    return Payoffs._fields.index(player)

@@ -90,6 +90,10 @@ class PayoffTable:
         return (self.cc, self.cd, self.dc, self.dd)
 
 
+# The class itself, bound at import: benchmarks/tracer.py rebinds the name `PayoffTable` here to a wrapper function.
+_PAYOFF_TABLE_TYPE = PayoffTable
+
+
 @dataclass(frozen=True)
 class GameSetup:
     gamma: float
@@ -99,6 +103,8 @@ class GameSetup:
     def __init__(self, gamma: float, r: float, table: PayoffTable = PayoffTable()):
         object.__setattr__(self, "gamma", validate_gamma(gamma))
         object.__setattr__(self, "r", validate_r(r))
+        if not isinstance(table, _PAYOFF_TABLE_TYPE):
+            raise ValueError(f"table must be a PayoffTable, got {table!r}")
         object.__setattr__(self, "table", table)
 
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import closed_forms
 from .game import NAMED_STRATEGIES, Strategy, entangler, move_entries, named_strategy_matrix
-from .payoff import PayoffTable, play_entries
+from .payoff import Payoffs, PayoffTable, play_entries
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
 
@@ -28,7 +28,7 @@ DEFAULT_GRID = 9
 DEFAULT_TOL = 1e-12
 
 DEFAULT_TABLE = PayoffTable()
-PLAYERS = ("alice", "bob")
+PLAYERS = Payoffs._fields
 
 NOTE_Q_LABEL = (
     "quantum move Q: the published label U(0, pi/2) does not generate the "
@@ -95,7 +95,7 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
     """Run one named suite, or every suite aggregated under 'all'; arguments are checked here only."""
     if suite not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    if not (isinstance(grid, int) and grid >= 3):
+    if not (isinstance(grid, Integral) and grid >= 3):
         raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")

@@ -7,7 +7,10 @@ import pytest
 
 from unruhpd.closed_forms import miracle_vs_classical
 from unruhpd.equilibrium import (
+    DEVIATION_TOL,
     REFINE_MIN_STEP,
+    _check_player,
+    _check_square,
     analyze,
     best_response,
     find_dominant,
@@ -121,6 +124,17 @@ def test_strict_dominance_for_both_implies_nash_membership():
         bob = find_dominant(table, "bob")
         if alice and bob and alice[1] == "strict" and bob[1] == "strict":
             assert (alice[0], bob[0]) in find_nash(table)
+
+
+def test_weak_dominance_and_one_move_sets():
+    # At gamma = pi/4, r = 0, C is never worse than M and strictly better against C.
+    report = analyze(GameSetup(math.pi / 4, 0.0), [M, C])
+    assert report.dominant_alice == report.dominant_bob == (1, "weak")
+    assert report.nash == [(0, 0), (1, 1)]
+    # A lone move has no alternative to beat, so it counts as strictly dominant.
+    report = analyze(GameSetup(math.pi / 4, 0.0), [M])
+    assert report.dominant_alice == report.dominant_bob == (0, "strict")
+    assert report.nash == [(0, 0)]
 
 
 def test_pareto_front_classical():
@@ -289,3 +303,102 @@ def test_find_dominant_rejects_unknown_player():
 def test_square_table_required():
     with pytest.raises(ValueError):
         find_nash([[], []])
+
+
+def reference_find_nash(table):
+    """`find_nash` before the player view: its own index bookkeeping and tolerance test per player."""
+    n = _check_square(table)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            alice_ok = all(table[k][j].alice <= table[i][j].alice + DEVIATION_TOL for k in range(n))
+            bob_ok = all(table[i][k].bob <= table[i][j].bob + DEVIATION_TOL for k in range(n))
+            if alice_ok and bob_ok:
+                out.append((i, j))
+    return out
+
+
+def reference_find_dominant(table, player):
+    """`find_dominant` before the player view."""
+    n = _check_square(table)
+    _check_player("player", player)
+
+    def against(own: int, opp: int) -> float:
+        if player == "alice":
+            return table[own][opp].alice
+        return table[opp][own].bob
+
+    for cand in range(n):
+        strict = True
+        weak = True
+        somewhere_better = n == 1
+        for alt in range(n):
+            if alt == cand:
+                continue
+            for opp in range(n):
+                gap = against(cand, opp) - against(alt, opp)
+                if gap <= DEVIATION_TOL:
+                    strict = False
+                if gap < -DEVIATION_TOL:
+                    weak = False
+                if gap > DEVIATION_TOL:
+                    somewhere_better = True
+        if strict:
+            return cand, "strict"
+        if weak and somewhere_better:
+            return cand, "weak"
+    return None
+
+
+def reference_set_best_responses(table, responder):
+    """`set_best_responses` before the player view."""
+    n = _check_square(table)
+    _check_player("responder", responder)
+    out: dict[int, int] = {}
+    for opp in range(n):
+        if responder == "alice":
+            scores = [table[i][opp].alice for i in range(n)]
+        else:
+            scores = [table[opp][j].bob for j in range(n)]
+        top = max(scores)
+        out[opp] = next(i for i in range(n) if scores[i] >= top - DEVIATION_TOL)
+    return out
+
+
+# Per base, entries DEVIATION_TOL / 2, DEVIATION_TOL and 2 * DEVIATION_TOL apart (exactly so at base 0),
+# drawn from few enough values that ties and near-ties at the tolerance are common.
+TIE_OFFSETS = (0.0, DEVIATION_TOL / 2, DEVIATION_TOL, 2 * DEVIATION_TOL)
+TIE_VALUES = [base + offset for base in (0.0, 1.0, 3.0) for offset in TIE_OFFSETS]
+
+
+def seeded_tables(count, seed):
+    """`count` square tables of sizes 1 to 4: tie-heavy, uniform, and entry by entry mixed."""
+    rng = np.random.default_rng(seed)
+
+    def tie():
+        return TIE_VALUES[rng.integers(len(TIE_VALUES))]
+
+    def uniform():
+        return float(rng.uniform(-5.0, 5.0))
+
+    def mixed():
+        return tie() if rng.random() < 0.5 else uniform()
+
+    for k in range(count):
+        n = k % 4 + 1
+        draw = (tie, uniform, mixed)[k // 4 % 3]
+        yield [[Payoffs(draw(), draw()) for _ in range(n)] for _ in range(n)]
+
+
+def test_solution_concepts_equal_the_former_per_player_code():
+    tables = list(seeded_tables(12_000, 10))
+    weak = 0
+    for table in tables:
+        assert find_nash(table) == reference_find_nash(table)
+        for player in ("alice", "bob"):
+            dominant = find_dominant(table, player)
+            assert dominant == reference_find_dominant(table, player)
+            assert set_best_responses(table, player) == reference_set_best_responses(table, player)
+            weak += dominant is not None and dominant[1] == "weak"
+    # The tie-heavy tables reach every branch, weak dominance included.
+    assert weak > 100

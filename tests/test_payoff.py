@@ -47,6 +47,10 @@ def test_setup_validation():
         dataclasses.replace(GameSetup(0.3, 0.2), gamma=99.0)
     with pytest.raises(ValueError, match="entanglement gamma must lie in"):
         GameSetup(gamma=2.0, r=1.0)
+    with pytest.raises(ValueError, match="table must be a PayoffTable"):
+        GameSetup(0.1, 0.1, None)
+    with pytest.raises(ValueError, match="table must be a PayoffTable"):
+        GameSetup(0.1, 0.1, ((3, 3),) * 4)
 
 
 def test_setup_keeps_dataclass_behaviour():

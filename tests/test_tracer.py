@@ -4,6 +4,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from unruhpd import payoff
+from unruhpd.game import NAMED_STRATEGIES
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
 
@@ -30,3 +33,15 @@ def test_every_call_site_resolves_and_install_is_undone():
         t.uninstall()
     for (module_name, attr), original in originals.items():
         assert getattr(importlib.import_module(module_name), attr) is original
+
+
+def test_game_setup_and_play_work_while_installed():
+    # The tracer rebinds `payoff.PayoffTable` to a wrapper function; `GameSetup` must still accept a real table.
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        setup = payoff.GameSetup(0.3, 0.2, payoff.PayoffTable())
+        got = payoff.play(setup, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])
+    finally:
+        t.uninstall()
+    assert got == payoff.play(payoff.GameSetup(0.3, 0.2), NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])

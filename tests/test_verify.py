@@ -88,10 +88,16 @@ def test_argument_validation():
         run_suite("commutators", grid=2)
     with pytest.raises(ValueError):
         run_suite("table2", grid=3.5)
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        run_suite("table2", grid="9")
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        run_suite("table2", grid=np.int64(2))
     with pytest.raises(ValueError):
         run_suite("table2", tol=0.0)
     with pytest.raises(ValueError):
         run_suite("table2", tol="1e-12")
+    # Any integral type counts as an integer grid, numpy's too.
+    assert run_suite("table2", grid=np.int64(5)) == run_suite("table2", grid=5)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-12])

@@ -34,6 +34,9 @@ verify
 equilibria --gamma pi/2 --r 0.3 --set C,D,Q,M
 equilibria --gamma 0 --r pi/4 --set C,D
 equilibria --gamma pi/3 --r 0.1 --set Q,M,C,D --payoffs 2.5,-1,7.25,0.5
+equilibria --gamma pi/4 --r 0 --set M,C
+equilibria --gamma pi/2 --r 0.3 --set M
+equilibria --gamma 0 --r pi/4 --set C,D,Q
 sweep --gamma pi/2 --steps 2000
 fig2 --steps 2000
 sweep --gamma pi/3 --steps 257 --profiles QM MQ QD --payoffs 2.5,-1,7.25,0.5
