@@ -24,35 +24,19 @@ from .equilibrium import (
     payoff_table,
     set_best_responses,
 )
-from .game import (
-    COOPERATE,
-    DEFECT,
-    GAMMA_MAX,
-    MIRACLE,
-    NAMED_STRATEGIES,
-    Q_MOVE,
-    Strategy,
-    entangler,
-    initial_state,
-    named_strategy_matrix,
-    strategy_matrix,
-)
-from .payoff import GameSetup, Payoffs, PayoffTable, final_density, payoffs, play
-from .unruh import R_MAX, expand_bob_mode, r_from_acceleration, unruh_channel
+from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, entangler, named_strategy_matrix
+from .payoff import GameSetup, Payoffs, PayoffTable, play
+from .unruh import R_MAX, r_from_acceleration
 from .verify import SUITE_NAMES, VerifyOutcome, run_suite
 
 __all__ = [
     "CLASSICAL_PROFILES",
-    "COOPERATE",
-    "DEFECT",
     "EquilibriumReport",
     "GAMMA_MAX",
     "GameSetup",
-    "MIRACLE",
     "NAMED_STRATEGIES",
     "Payoffs",
     "PayoffTable",
-    "Q_MOVE",
     "R_MAX",
     "Strategy",
     "SUITE_NAMES",
@@ -60,25 +44,19 @@ __all__ = [
     "analyze",
     "best_response",
     "entangler",
-    "expand_bob_mode",
-    "final_density",
     "find_dominant",
     "find_nash",
-    "initial_state",
     "max_entangled_classical",
     "miracle_vs_classical",
     "named_strategy_matrix",
     "pareto_front",
     "payoff_table",
-    "payoffs",
     "play",
     "q_vs_arbitrary",
     "r_from_acceleration",
     "run_suite",
     "set_best_responses",
-    "strategy_matrix",
     "unentangled_classical",
-    "unruh_channel",
 ]
 
 __version__ = "0.1.0"

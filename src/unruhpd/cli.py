@@ -75,7 +75,10 @@ def parse_strategy(token: str) -> Strategy:
         raise argparse.ArgumentTypeError(
             f"strategy must be one of {'|'.join(NAMED_STRATEGIES)} or 'alpha,theta', got {token!r}"
         )
-    return Strategy(parse_angle(parts[0]), parse_angle(parts[1]))
+    try:
+        return Strategy(parse_angle(parts[0]), parse_angle(parts[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_profile(token: str) -> str:

@@ -46,13 +46,6 @@ def validate_gamma(gamma: float) -> float:
     return clamp_to_domain(gamma, GAMMA_MAX, "entanglement gamma", "[0, pi/2]")
 
 
-def validate_strategy_params(alpha: float, theta: float) -> tuple[float, float]:
-    return (
-        clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]"),
-        clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]"),
-    )
-
-
 # Angles (alpha, theta) of the named moves. Q is the diagonal phase move
 # diag(i, -i); in the (alpha, theta) parametrization that matrix sits at (pi/2, 0).
 _NAMED_ANGLES = {"C": (0.0, 0.0), "D": (0.0, math.pi), "Q": (math.pi / 2.0, 0.0), "M": (math.pi / 2.0, math.pi / 2.0)}
@@ -67,7 +60,8 @@ class Strategy:
     label: str = "custom"
 
     def __init__(self, alpha: float, theta: float, label: str = "custom"):
-        alpha, theta = validate_strategy_params(alpha, theta)
+        alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
+        theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
         # The label picks the move that `move_entries` scores, so it must agree with the angles.
         if label != "custom" and _NAMED_ANGLES.get(label) != (alpha, theta):
             raise ValueError(f"strategy label {label!r} does not name the move at alpha={alpha}, theta={theta}")
@@ -82,12 +76,6 @@ class Strategy:
 
 
 NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_ANGLES.items()}
-COOPERATE, DEFECT, Q_MOVE, MIRACLE = NAMED_STRATEGIES.values()
-
-
-def strategy_matrix(alpha: float, theta: float) -> np.ndarray:
-    """Unitary move [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]."""
-    return _as_matrix(_move_entries(*validate_strategy_params(alpha, theta)))
 
 
 def _move_entries(alpha: float, theta: float) -> tuple:
@@ -117,12 +105,12 @@ def move_entries(strategy: Strategy) -> tuple:
 
 
 def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
-    """Move matrix for a strategy: the complex form of `move_entries`."""
-    return _as_matrix(move_entries(strategy))
+    """Move matrix for a strategy: the complex form of `move_entries`.
 
-
-def _as_matrix(entries: tuple) -> np.ndarray:
-    return np.array(entries, dtype=float).view(complex)[..., 0]
+    A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]];
+    Q is diag(i, -i).
+    """
+    return np.array(move_entries(strategy), dtype=float).view(complex)[..., 0]
 
 
 def entangler(gamma: float) -> np.ndarray:

@@ -30,6 +30,7 @@ table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,10 @@ UNITARITY_TOL = 1e-9
 
 PROFILE_ORDER = ("CC", "CD", "DC", "DD")
 
+# Largest |entry| of a payoff table. The outcome probabilities sum to 1 plus a
+# few ulps, so a four-term expected payoff of entries this size stays finite.
+PAYOFF_ENTRY_MAX = sys.float_info.max / 4.0
+
 
 class Payoffs(NamedTuple):
     alice: float
@@ -56,9 +61,10 @@ class PayoffTable:
     """Classical payoff pairs (Alice, Bob) per joint outcome.
 
     Defaults are the usual Prisoner's Dilemma values: reward 3, sucker 0,
-    temptation 5, punishment 1. Every entry must be a pair of finite numbers;
-    it is stored as a tuple of two Python floats, so tables hash, compare and
-    score as floats whatever sequence of numbers they were given.
+    temptation 5, punishment 1. Every entry must be a pair of finite numbers of
+    magnitude at most `PAYOFF_ENTRY_MAX`; it is stored as a tuple of two Python
+    floats, so tables hash, compare and score as floats whatever sequence of
+    numbers they were given.
     """
 
     cc: tuple[float, float] = (3.0, 3.0)
@@ -68,12 +74,15 @@ class PayoffTable:
 
     def __post_init__(self):
         for profile, pair in zip(PROFILE_ORDER, self.entries()):
-            try:
-                ok = len(pair) == 2 and math.isfinite(pair[0]) and math.isfinite(pair[1])
-            except TypeError:
+            try:  # NaN fails the comparison; math.fabs refuses complex numbers, strings and None
+                ok = len(pair) == 2 and math.fabs(pair[0]) <= PAYOFF_ENTRY_MAX and math.fabs(pair[1]) <= PAYOFF_ENTRY_MAX
+            except (TypeError, OverflowError):
                 ok = False
             if not ok:
-                raise ValueError(f"payoff entries must be pairs of finite numbers, got {profile.lower()}={pair!r}")
+                raise ValueError(
+                    "payoff entries must be pairs of finite numbers of magnitude at most "
+                    f"{PAYOFF_ENTRY_MAX!r}, got {profile.lower()}={pair!r}"
+                )
             if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
                 object.__setattr__(self, profile.lower(), (float(pair[0]), float(pair[1])))
 

@@ -92,31 +92,16 @@ class VerifyOutcome:
 
 
 def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> VerifyOutcome:
-    """Run one named suite, or every suite aggregated under 'all'; arguments are checked here only."""
-    if suite not in SUITE_NAMES + ("all",):
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
+    """Run one suite of `SUITE_NAMES`; arguments are checked here only."""
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     if not (isinstance(grid, Integral) and grid >= 3):
         raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
-    rs = np.linspace(0.0, R_MAX, grid)
-    if suite != "all":
-        return _run(suite, rs, tol)
-    outcomes = [_run(name, rs, tol) for name in SUITE_NAMES]
-    worst = max(outcomes, key=lambda o: o.max_abs_error)
-    return VerifyOutcome(
-        suite="all",
-        points_checked=sum(o.points_checked for o in outcomes),
-        max_abs_error=worst.max_abs_error,
-        discrepancy_notes=[note for o in outcomes for note in o.discrepancy_notes],
-        passed=all(o.passed for o in outcomes),
-        worst_at=worst.worst_at,
-    )
-
-
-def _run(suite: str, rs: np.ndarray, tol: float) -> VerifyOutcome:
     if suite == "commutators":
         return _suite_commutators(tol)
+    rs = np.linspace(0.0, R_MAX, grid)
     build, notes = PAYOFF_SUITES[suite]
     checks, failures = build(rs)
     worst, at = _worst(suite, rs, checks)

@@ -296,12 +296,25 @@ def test_sweep_and_fig2_stdout_matches_file_bytes(tmp_path):
         assert to_stdout.stdout == out.read_bytes()
 
 
+FLOAT_MAX_TABLE = ",".join([repr(sys.float_info.max)] * 4)
+# A game whose expected payoffs overflowed to inf when every entry was the float maximum.
+OVERFLOW_GAME = (
+    "--gamma", "0.442485415707535", "--r", "0.5895272792426347",
+    "--alice", "3.8833572991210827,0.7865899118780634", "--bob", "5.713206487480548,3.085946394758231",
+)
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--payoffs", "nan,0,inf,1"),
         ("equilibria", "--gamma", "0", "--r", "0", "--payoffs", "3,0,5,nan"),
         ("sweep", "--gamma", "0", "--steps", "2", "--payoffs", "3,-inf,5,1"),
+        # Finite entries whose expected payoff would overflow to inf.
+        ("play", *OVERFLOW_GAME, "--json", "--payoffs", FLOAT_MAX_TABLE),
+        ("sweep", "--gamma", "0", "--steps", "2", "--payoffs", FLOAT_MAX_TABLE),
+        ("fig2", "--steps", "2", "--payoffs", FLOAT_MAX_TABLE),
+        ("equilibria", "--gamma", "0", "--r", "0", "--payoffs", FLOAT_MAX_TABLE),
     ],
 )
 def test_non_finite_payoffs_are_usage_errors(args):
@@ -313,11 +326,13 @@ def test_non_finite_payoffs_are_usage_errors(args):
 
 def test_config_file_non_finite_payoff_is_usage_error(tmp_path):
     config = tmp_path / "table.cfg"
-    config.write_text("cd = nan, 5\n")
-    result = run_cli("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--config", str(config))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
+    for line in ("cd = nan, 5\n", f"dd = {sys.float_info.max!r}, 1\n"):
+        config.write_text(line)
+        result = run_cli("play", *OVERFLOW_GAME, "--config", str(config))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "pairs of finite numbers" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
@@ -364,6 +379,22 @@ def test_zero_pi_denominator_is_a_usage_error(args):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "zero denominator" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--alice", "99,0", "strategy alpha must lie in [0, 2*pi], got 99.0"),
+        ("--bob", "0,nan", "strategy theta must lie in [0, pi], got nan"),
+    ],
+)
+def test_out_of_domain_custom_move_keeps_its_message(flag, value, message):
+    moves = {"--alice": "C", "--bob": "C", flag: value}
+    result = run_cli("play", "--gamma", "0", "--r", "0", *(x for item in moves.items() for x in item))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"argument {flag}: {message}" in result.stderr
     assert "Traceback" not in result.stderr
 
 

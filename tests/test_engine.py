@@ -12,7 +12,7 @@ from linalg import basis_ket
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
-from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, strategy_matrix
+from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, named_strategy_matrix
 from unruhpd.payoff import GameSetup, PayoffTable, _probabilities, final_density, payoffs, play, play_entries
 from unruhpd.unruh import unruh_channel
 
@@ -85,7 +85,9 @@ def random_games(seed, n):
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_engine_matches_density_matrix_reference(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
     got = play_entries(gamma, r, move(alpha_a, theta_a), move(alpha_b, theta_b), table)
-    want = reference_payoffs(gamma, r, strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b), table)
+    u_alice = named_strategy_matrix(Strategy(alpha_a, theta_a))
+    u_bob = named_strategy_matrix(Strategy(alpha_b, theta_b))
+    want = reference_payoffs(gamma, r, u_alice, u_bob, table)
     assert np.max(np.abs(np.array(got) - want)) <= 1e-13
 
 
@@ -255,7 +257,8 @@ def test_payoffs_lie_within_the_table_range(gamma, r, alpha_a, theta_a, alpha_b,
 @SEEDED
 @given(GAMMAS, ALPHAS, THETAS, ALPHAS, THETAS)
 def test_zero_acceleration_is_the_inertial_game(gamma, alpha_a, theta_a, alpha_b, theta_b):
-    u_alice, u_bob = strategy_matrix(alpha_a, theta_a), strategy_matrix(alpha_b, theta_b)
+    u_alice = named_strategy_matrix(Strategy(alpha_a, theta_a))
+    u_bob = named_strategy_matrix(Strategy(alpha_b, theta_b))
     j = entangler(gamma)
     final = j.conj().T @ np.kron(u_alice, u_bob) @ j @ basis_ket(4, 0)
     got = outcome_probabilities(gamma, 0.0, move(alpha_a, theta_a), move(alpha_b, theta_b))

@@ -159,6 +159,12 @@ def test_pareto_front_treats_roundoff_as_a_tie():
     assert pareto_front(table) == [(0, 0), (0, 1)]
 
 
+def test_pareto_front_drops_a_profile_improved_for_one_player_only():
+    # (0, 1) ties (0, 0) for Alice and beats it for Bob, so (0, 0) is dominated.
+    table = [[Payoffs(1.0, 1.0), Payoffs(1.0, 2.0)], [Payoffs(0.0, 0.0), Payoffs(0.0, 0.0)]]
+    assert pareto_front(table) == [(0, 1)]
+
+
 def test_pareto_front_singleton():
     table = payoff_table(classical_setup(), [C])
     assert pareto_front(table) == [(0, 0)]

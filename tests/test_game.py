@@ -19,23 +19,22 @@ from unruhpd.game import (
     entangler,
     initial_state,
     named_strategy_matrix,
-    strategy_matrix,
     validate_gamma,
 )
 
 
 def test_cooperate_matrix_is_identity():
-    assert np.array_equal(strategy_matrix(0.0, 0.0), np.eye(2))
+    assert np.array_equal(named_strategy_matrix(Strategy(0.0, 0.0)), np.eye(2))
 
 
 def test_defect_matrix_is_i_times_bit_flip():
     want = np.array([[0.0, 1j], [1j, 0.0]])
-    assert np.abs(strategy_matrix(0.0, math.pi) - want).max() <= 1e-12
+    assert np.abs(named_strategy_matrix(Strategy(0.0, math.pi)) - want).max() <= 1e-12
 
 
 def test_miracle_matrix():
     want = (1j / math.sqrt(2)) * np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert np.abs(strategy_matrix(math.pi / 2, math.pi / 2) - want).max() <= 1e-12
+    assert np.abs(named_strategy_matrix(Strategy(math.pi / 2, math.pi / 2)) - want).max() <= 1e-12
 
 
 def test_named_matrices():
@@ -47,22 +46,22 @@ def test_named_matrices():
 
 def test_q_label_matrix_sits_at_alpha_half_pi():
     # The diagonal phase move equals the parametrized move at (pi/2, 0).
-    assert np.abs(np.diag([1j, -1j]) - strategy_matrix(math.pi / 2, 0.0)).max() <= 1e-12
+    assert np.abs(np.diag([1j, -1j]) - named_strategy_matrix(Strategy(math.pi / 2, 0.0))).max() <= 1e-12
 
 
 def test_unitarity_on_dense_parameter_grid():
     for alpha in np.linspace(0.0, TWO_PI, 50):
         for theta in np.linspace(0.0, math.pi, 50):
-            u = strategy_matrix(float(alpha), float(theta))
+            u = named_strategy_matrix(Strategy(float(alpha), float(theta)))
             assert is_unitary(u, tol=1e-12)
             assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
 
 def test_strategy_domain_errors():
     with pytest.raises(ValueError):
-        strategy_matrix(-0.5, 0.0)
+        Strategy(-0.5, 0.0)
     with pytest.raises(ValueError):
-        strategy_matrix(0.0, math.pi + 0.2)
+        Strategy(0.0, math.pi + 0.2)
     with pytest.raises(ValueError):
         Strategy(TWO_PI + 0.5, 0.0)
     with pytest.raises(ValueError, match="strategy alpha must lie in"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from unruhpd.closed_forms import (
     unentangled_classical,
 )
 from unruhpd.game import NAMED_STRATEGIES, Strategy, named_strategy_matrix
-from unruhpd.payoff import GameSetup, PayoffTable, final_density, payoffs, play
+from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, PayoffTable, final_density, payoffs, play
 
 RNG = np.random.default_rng(20240813)
 
@@ -102,11 +103,12 @@ def test_final_density_rejects_non_unitary_moves():
 
 
 def test_final_density_preserves_trace_and_hermiticity():
-    from unruhpd.game import initial_state, strategy_matrix
+    from unruhpd.game import initial_state
     from unruhpd.unruh import unruh_channel
 
     rho = unruh_channel(initial_state(0.9), 0.4)
-    out = final_density(rho, strategy_matrix(1.0, 2.0), strategy_matrix(4.0, 0.5), 0.9)
+    u_alice, u_bob = named_strategy_matrix(Strategy(1.0, 2.0)), named_strategy_matrix(Strategy(4.0, 0.5))
+    out = final_density(rho, u_alice, u_bob, 0.9)
     assert abs(np.trace(out) - 1.0) <= 1e-12
     assert np.abs(out - out.conj().T).max() <= 1e-13
 
@@ -205,11 +207,21 @@ def test_custom_table_flows_through():
     assert abs(got.alice - 2.0) <= 1e-14 and abs(got.bob - 2.0) <= 1e-14
     # Any pair of real numbers is an entry: ints, lists.
     assert play(GameSetup(0.0, 0.0, PayoffTable(cc=(3, 3), cd=[0.0, 5.0])), C, C) == (3.0, 3.0)
+    # Entries near the largest accepted magnitude still give finite expected payoffs.
+    moves = [Strategy(3.8833572991210827, 0.7865899118780634), Strategy(5.713206487480548, 3.085946394758231)]
+    rng = np.random.default_rng(7)
+    moves += [Strategy(a, t) for a, t in rng.uniform(0.0, 1.0, (50, 2)) * (2 * math.pi, math.pi)]
+    for big in (4.4e307, PAYOFF_ENTRY_MAX, -PAYOFF_ENTRY_MAX):
+        setup = GameSetup(0.442485415707535, 0.5895272792426347, PayoffTable.from_scalars(big, big, big, big))
+        for alice, bob in zip(moves, moves[::-1]):
+            assert all(math.isfinite(x) and abs(x) <= abs(big) * (1 + 1e-15) for x in play(setup, alice, bob))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, pytest.param(10**400, id="int-1e400")]
+)
 def test_payoff_table_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairs of finite numbers"):
         PayoffTable(cd=(0.0, bad))
     with pytest.raises(ValueError):
         PayoffTable.from_scalars(3.0, 0.0, bad, 1.0)
@@ -227,6 +239,8 @@ def test_payoff_table_pairs_are_tuples_of_floats():
     assert table.entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
     assert all(type(x) is float for pair in table.entries() for x in pair)
     assert all(type(pair) is tuple for pair in table.entries())
+    # The bound applies to the value, not to arithmetic in the entry's own type: float32 near its maximum is fine.
+    assert PayoffTable(cc=(np.float32(3e38), 0.0)).cc == (float(np.float32(3e38)), 0.0)
 
 
 def test_setup_with_a_list_pair_is_hashable():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import unruhpd.verify
+from unruhpd import closed_forms
 from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
 from unruhpd.game import NAMED_STRATEGIES, move_entries
 from unruhpd.payoff import Payoffs, PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
-from unruhpd.verify import SUITE_NAMES, WorstAt, run_suite
+from unruhpd.verify import DEFAULT_TOL, NOTE_EQ13_ORDERING, SUITE_NAMES, WorstAt, _worst, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -30,18 +31,6 @@ def test_grid_sizes_scale_point_counts():
     assert run_suite("eq11", grid=9).points_checked == 63
     assert run_suite("eq13", grid=9).points_checked == 18
     assert run_suite("commutators").points_checked == 4
-
-
-def test_all_aggregates_every_suite():
-    combined = run_suite("all")
-    parts = [run_suite(name) for name in SUITE_NAMES]
-    assert combined.suite == "all"
-    assert combined.passed
-    assert combined.points_checked == sum(p.points_checked for p in parts)
-    assert combined.max_abs_error == max(p.max_abs_error for p in parts)
-    for part in parts:
-        for note in part.discrepancy_notes:
-            assert note in combined.discrepancy_notes
 
 
 def test_quoted_value_misprint_note_present():
@@ -80,8 +69,10 @@ def test_unachievable_tolerance_fails_cleanly():
 
 
 def test_argument_validation():
-    with pytest.raises(ValueError):
-        run_suite("bogus")
+    # "all" is the CLI's word for every suite; run_suite runs one.
+    for name in ("bogus", "all"):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite(name)
     with pytest.raises(ValueError):
         run_suite("table2", grid=2)
     with pytest.raises(ValueError):
@@ -102,10 +93,9 @@ def test_argument_validation():
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-12])
 def test_non_finite_or_negative_tolerance_is_rejected(tol):
-    with pytest.raises(ValueError):
-        run_suite("table2", tol=tol)
-    with pytest.raises(ValueError):
-        run_suite("all", tol=tol)
+    for name in SUITE_NAMES:
+        with pytest.raises(ValueError):
+            run_suite(name, tol=tol)
 
 
 def test_worst_at_locates_the_largest_deviation():
@@ -122,14 +112,6 @@ def test_worst_at_locates_the_largest_deviation():
     formula = max_entangled_classical(rs, at.label)
     column = ("alice", "bob").index(at.player)
     assert abs(engine[column] - formula[column][0]) == outcome.max_abs_error
-
-
-def test_worst_at_of_all_is_the_worst_suite():
-    combined = run_suite("all")
-    parts = [run_suite(name) for name in SUITE_NAMES]
-    worst = max(parts, key=lambda p: p.max_abs_error)
-    assert combined.worst_at == worst.worst_at
-    assert combined.worst_at.suite == worst.suite
 
 
 def test_worst_at_is_set_by_every_suite():
@@ -150,3 +132,26 @@ def test_non_finite_engine_values_fail_the_suite(monkeypatch):
     assert not outcome.passed
     assert math.isnan(outcome.max_abs_error)
     assert outcome.worst_at.label == "CC"
+
+
+def test_a_nan_deviation_after_a_finite_one_is_the_worst():
+    rs = np.array([0.0, 0.5])
+    finite = ("finite", ("alice",), np.array([[1.0], [2.0]]), np.zeros((2, 1)))
+    nan = ("nan", ("bob",), np.array([[0.0], [np.nan]]), np.zeros((2, 1)))
+    worst, at = _worst("table2", rs, [finite, nan])
+    assert math.isnan(worst)
+    assert at == WorstAt("table2", "nan", 0.5, "bob")
+
+
+def test_a_failure_note_fails_a_suite_without_any_deviation(monkeypatch):
+    # Swapping the players in the engine and in the closed form alike leaves every
+    # deviation as it was, but puts the miracle player above the classical reply.
+    def swapped(fn):
+        return lambda *args, **kwargs: tuple(fn(*args, **kwargs))[::-1]
+
+    monkeypatch.setattr(unruhpd.verify, "play_entries", swapped(play_entries))
+    monkeypatch.setattr(closed_forms, "miracle_vs_classical", swapped(closed_forms.miracle_vs_classical))
+    outcome = run_suite("eq13")
+    assert outcome.max_abs_error <= DEFAULT_TOL
+    assert not outcome.passed
+    assert NOTE_EQ13_ORDERING in outcome.discrepancy_notes

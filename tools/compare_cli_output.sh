@@ -45,5 +45,9 @@ play --gamma pi/3 --r pi/5 --alice M --bob Q
 play --gamma pi/2 --r 0.3 --alice 1.0,2.0 --bob 4.0,0.5 --json
 play --gamma 1.5707965 --r 0.7853985 --alice 6.2831855,3.1415928 --bob Q
 play --gamma 0 --r=-5e-7 --alice Q --bob M --json
+verify --suite eq13 --grid 3
+verify --suite commutators
+verify --suite table2 --tol 1e-17
+play --gamma 0 --r 0 --alice 99,0 --bob C
 COMMANDS
 exit $status
