@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibrium import analyze
 from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, move_entries, validate_gamma
-from .payoff import PayoffTable, GameSetup, play, play_entries
+from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, play, play_entries
 from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
 
@@ -91,15 +91,15 @@ def parse_profile(token: str) -> str:
 def parse_payoffs(token: str) -> PayoffTable:
     parts = token.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"--payoffs wants R,S,T,P, got {token!r}")
+        raise argparse.ArgumentTypeError(f"expected R,S,T,P, got {token!r}")
     try:
         reward, sucker, temptation, punishment = (float(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--payoffs wants four numbers, got {token!r}") from None
+        raise argparse.ArgumentTypeError(f"expected four numbers, got {token!r}") from None
     try:
         return PayoffTable.from_scalars(reward, sucker, temptation, punishment)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--payoffs: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def load_config_table(path: str, base: PayoffTable) -> PayoffTable:
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profiles",
         type=parse_profile,
         nargs="+",
-        default=["CC", "CD", "DC", "DD"],
+        default=list(PROFILE_ORDER),
         help="profiles to tabulate, e.g. CC CD DC DD",
     )
     p_sweep.add_argument("--out", default="-", help="output CSV path, '-' for stdout")

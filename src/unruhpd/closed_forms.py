@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .payoff import Payoffs
+from .payoff import PROFILE_ORDER, Payoffs
 from .unruh import validate_r, validate_r_array
 
-CLASSICAL_PROFILES = ("CC", "CD", "DC", "DD")
+CLASSICAL_PROFILES = PROFILE_ORDER
 
 
 def _domain(r):

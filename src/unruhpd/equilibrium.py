@@ -6,7 +6,7 @@ within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search scores an (alpha, theta) grid and then each step of a
 coordinate descent through `payoff.play_entries`, the engine entry behind
-`play`: on arrays of move entries for the grid, on Python floats for the steps.
+`play`: on arrays of move coordinates for the grid, on Python floats for the steps.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
 
     Scans a GRID_POINTS x GRID_POINTS grid over [0, 2*pi] x [0, pi]
     (inclusive endpoints) in one `payoff.play_entries` call on arrays of
-    move entries, then runs at most REFINE_ROUNDS rounds of coordinate
+    move coordinates, then runs at most REFINE_ROUNDS rounds of coordinate
     descent from the best grid point, halving the step until it drops below
     REFINE_MIN_STEP; each step is one `play_entries` call on Python floats.
     Grid and steps agree bit for bit with per-game `play` calls.
@@ -148,7 +148,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     theta_step = math.pi / (GRID_POINTS - 1)
     alphas = [min(i * alpha_step, TWO_PI) for i in range(GRID_POINTS)]
     thetas = [min(j * theta_step, math.pi) for j in range(GRID_POINTS)]
-    # Per-axis cos and sin from `math`, as `_move_entries` takes them, so each grid point is its move's entries.
+    # Per-axis cos and sin from `math`, as `_move_entries` takes them: each grid point is its move to the bit.
     cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
     cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
     opponent_entries = move_entries(opponent)

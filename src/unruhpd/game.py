@@ -79,23 +79,20 @@ NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_
 
 
 def _move_entries(alpha: float, theta: float) -> tuple:
-    """Entries ((u00, u01), (u10, u11)) of the move, each a (real, imaginary) pair of floats."""
+    """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z."""
     return _trig_move_entries(math.cos(alpha), math.sin(alpha), math.cos(theta / 2.0), math.sin(theta / 2.0))
 
 
 def _trig_move_entries(cos_a, sin_a, cos_t, sin_t) -> tuple:
     """`_move_entries` from cos and sin of alpha and of theta/2: floats, or arrays broadcast together."""
-    re = cos_a * cos_t
-    im = sin_a * cos_t
-    return (((re, im), (0.0, sin_t)), ((0.0, sin_t), (re, -im)))
+    return (cos_a * cos_t, sin_t, sin_a * cos_t)
 
 
-# diag(i, -i) as (real, imaginary) pairs: the parts of the complex literals 1j, 0.0 and -1j.
-_Q_ENTRIES = (((0.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (-0.0, -1.0)))
+_Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z
 
 
 def move_entries(strategy: Strategy) -> tuple:
-    """Entries of a strategy's move as `_move_entries` lays them out; Q gives diag(i, -i) exactly.
+    """Coordinates of a strategy's move as `_move_entries` gives them; Q gives diag(i, -i) exactly.
 
     A Strategy validated its angles when it was built, so they are not checked again.
     """
@@ -105,12 +102,12 @@ def move_entries(strategy: Strategy) -> tuple:
 
 
 def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
-    """Move matrix for a strategy: the complex form of `move_entries`.
+    """Move matrix [[q0 + i q3, i q1], [i q1, q0 - i q3]] of a strategy's `move_entries`.
 
-    A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]];
-    Q is diag(i, -i).
+    A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]; Q is diag(i, -i).
     """
-    return np.array(move_entries(strategy), dtype=float).view(complex)[..., 0]
+    q0, q1, q3 = move_entries(strategy)
+    return np.array([[complex(q0, q3), complex(0.0, q1)], [complex(0.0, q1), complex(q0, -q3)]])
 
 
 def entangler(gamma: float) -> np.ndarray:

@@ -9,9 +9,9 @@ handled as a 2x2 block Phi[a, b] over (Alice, Bob) bits, on which UA x UB acts
 as UA Phi UB^T.
 
 The engine is one formula, `_probabilities`, written out per outcome, with no
-loop or list, in real arithmetic on the real and imaginary parts of the move
-entries, and one entry to it, `play_entries`, which takes the moves as
-`game.move_entries` lays them out.
+loop or list, in real arithmetic on each move's three real coordinates
+(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z, and one entry to it,
+`play_entries`, which takes the moves as `game.move_entries` gives them.
 On Python floats it makes no numpy call; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Each real operation rounds once, in the same order on floats and on arrays,
@@ -123,9 +123,9 @@ def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
 
 
 def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payoffs:
-    """Expected payoffs of two moves given by their entries, laid out as `game.move_entries` gives them.
+    """Expected payoffs of two moves given by their coordinates, as `game.move_entries` gives them.
 
-    `gamma`, `r` and every entry are Python floats or arrays, all broadcast
+    `gamma`, `r` and every coordinate are Python floats or arrays, all broadcast
     together; each payoff is a float or an array of the broadcast shape.
     Inputs are taken as valid: gamma in [0, pi/2], r in [0, pi/4], unitary moves.
     """
@@ -144,9 +144,9 @@ def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payo
 
 
 def _probabilities(a, b, cos_g, sin_g, cos_r, sin_r) -> tuple:
-    """Probabilities of CC, CD, DC, DD for Alice's move entries `a` and Bob's `b`.
+    """Probabilities of CC, CD, DC, DD for Alice's move coordinates `a` and Bob's `b`.
 
-    Moves are laid out as `game.move_entries` gives them. Every value is a
+    Moves are given as `game.move_entries` gives them. Every value is a
     Python float or an array, all broadcast together. The formula is written
     out per outcome: only +, - and * are used, on real numbers, in the same
     order for both, and each rounds once, so a game scores bit for bit the
@@ -156,33 +156,34 @@ def _probabilities(a, b, cos_g, sin_g, cos_r, sin_r) -> tuple:
     # (I x K1)|psi> = cos(g/2) sin r |01>. After the moves their blocks over
     # (Alice, Bob) bits are cos(g/2) cos r A0 B0^T + i sin(g/2) A1 B1^T (kept,
     # k_ij) and cos(g/2) sin r A0 B1^T (lost, l_ij), with Ak and Bk the k-th
-    # columns of the moves. Entries x_ij (row i, column j) are (real, imaginary) pairs.
-    ((a00r, a00i), (a01r, a01i)), ((a10r, a10i), (a11r, a11i)) = a
-    ((b00r, b00i), (b01r, b01i)), ((b10r, b10i), (b11r, b11i)) = b
-    c0 = cos_g * cos_r
-    c1 = cos_g * sin_r
-    k00r = c0 * (a00r * b00r - a00i * b00i) - sin_g * (a01r * b01i + a01i * b01r)
-    k00i = c0 * (a00r * b00i + a00i * b00r) + sin_g * (a01r * b01r - a01i * b01i)
-    k01r = c0 * (a00r * b10r - a00i * b10i) - sin_g * (a01r * b11i + a01i * b11r)
-    k01i = c0 * (a00r * b10i + a00i * b10r) + sin_g * (a01r * b11r - a01i * b11i)
-    k10r = c0 * (a10r * b00r - a10i * b00i) - sin_g * (a11r * b01i + a11i * b01r)
-    k10i = c0 * (a10r * b00i + a10i * b00r) + sin_g * (a11r * b01r - a11i * b01i)
-    k11r = c0 * (a10r * b10r - a10i * b10i) - sin_g * (a11r * b11i + a11i * b11r)
-    k11i = c0 * (a10r * b10i + a10i * b10r) + sin_g * (a11r * b11r - a11i * b11i)
-    l00r, l00i = c1 * (a00r * b01r - a00i * b01i), c1 * (a00r * b01i + a00i * b01r)
-    l01r, l01i = c1 * (a00r * b11r - a00i * b11i), c1 * (a00r * b11i + a00i * b11r)
-    l10r, l10i = c1 * (a10r * b01r - a10i * b01i), c1 * (a10r * b01i + a10i * b01r)
-    l11r, l11i = c1 * (a10r * b11r - a10i * b11i), c1 * (a10r * b11i + a10i * b11r)
+    # columns of the moves [[q0 + i q3, i q1], [i q1, q0 - i q3]]. Each term is
+    # the complex product with its zero parts dropped, which changes at most
+    # the sign of a zero (squared away below), and its negations moved outward.
+    a0, a1, a3 = a
+    b0, b1, b3 = b
+    a0b0, a0b1, a0b3 = a0 * b0, a0 * b1, a0 * b3
+    a1b0, a1b1, a1b3 = a1 * b0, a1 * b1, a1 * b3
+    a3b0, a3b1, a3b3 = a3 * b0, a3 * b1, a3 * b3
+    c0, c1 = cos_g * cos_r, cos_g * sin_r
+    s, t = a0b0 - a3b3, a0b3 + a3b0  # (a0 + i a3)(b0 + i b3) = s + i t, shared by k00 and k11
+    k00r, k00i = c0 * s, c0 * t - sin_g * a1b1
+    k01r, k01i = -c0 * a3b1 - sin_g * a1b0, c0 * a0b1 + sin_g * a1b3
+    k10r, k10i = -c0 * a1b3 - sin_g * a0b1, c0 * a1b0 + sin_g * a3b1
+    k11r, k11i = sin_g * t - c0 * a1b1, sin_g * s
+    l00r, l00i = -c1 * a3b1, c1 * a0b1
+    l01r, l01i = c1 * (a0b0 + a3b3), c1 * (a3b0 - a0b3)
+    l10r = -c1 * a1b1  # l10 is real
+    l11r, l11i = c1 * a1b3, c1 * a1b0
     # J^dag = cos(g/2) I - i sin(g/2) D1 x D1. D1 x D1 maps outcome 3 - k to
     # outcome k, with sign + for CC and DD and - for CD and DC.
     kr, ki = cos_g * k00r + sin_g * k11i, cos_g * k00i - sin_g * k11r
     lr, li = cos_g * l00r + sin_g * l11i, cos_g * l00i - sin_g * l11r
     p_cc = kr * kr + ki * ki + (lr * lr + li * li)
     kr, ki = cos_g * k01r - sin_g * k10i, cos_g * k01i + sin_g * k10r
-    lr, li = cos_g * l01r - sin_g * l10i, cos_g * l01i + sin_g * l10r
+    lr, li = cos_g * l01r, cos_g * l01i + sin_g * l10r
     p_cd = kr * kr + ki * ki + (lr * lr + li * li)
     kr, ki = cos_g * k10r - sin_g * k01i, cos_g * k10i + sin_g * k01r
-    lr, li = cos_g * l10r - sin_g * l01i, cos_g * l10i + sin_g * l01r
+    lr, li = cos_g * l10r - sin_g * l01i, sin_g * l01r
     p_dc = kr * kr + ki * ki + (lr * lr + li * li)
     kr, ki = cos_g * k11r + sin_g * k00i, cos_g * k11i - sin_g * k00r
     lr, li = cos_g * l11r + sin_g * l00i, cos_g * l11i - sin_g * l00r

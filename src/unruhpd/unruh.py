@@ -43,8 +43,8 @@ def validate_r_array(r) -> np.ndarray:
 def r_from_acceleration(omega: float, a: float, c: float) -> float:
     """Acceleration parameter from mode frequency, proper acceleration and c.
 
-    r = arccos((e^{-2 pi omega c / a} + 1)^{-1/2}); r -> 0 as a -> 0 and
-    r -> pi/4 as a -> infinity, never reaching pi/4 for finite a.
+    r = arccos((e^{-2 pi omega c / a} + 1)^{-1/2}); r -> 0 as a -> 0 and r -> pi/4
+    as a -> infinity. In floating point r is exactly R_MAX from about a = 1.03e16 omega c.
     """
     for name, value in (("omega", omega), ("a", a), ("c", c)):
         if not (math.isfinite(value) and value > 0.0):

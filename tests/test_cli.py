@@ -315,6 +315,9 @@ OVERFLOW_GAME = (
         ("sweep", "--gamma", "0", "--steps", "2", "--payoffs", FLOAT_MAX_TABLE),
         ("fig2", "--steps", "2", "--payoffs", FLOAT_MAX_TABLE),
         ("equilibria", "--gamma", "0", "--r", "0", "--payoffs", FLOAT_MAX_TABLE),
+        # Malformed lists take the same exit and name the flag once too.
+        ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--payoffs", "3,0,5"),
+        ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--payoffs", "3,0,five,1"),
     ],
 )
 def test_non_finite_payoffs_are_usage_errors(args):
@@ -322,6 +325,9 @@ def test_non_finite_payoffs_are_usage_errors(args):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+    # argparse names the flag; the message it prefixes does not name it again.
+    assert result.stderr.count("argument --payoffs: ") == 1
+    assert "--payoffs: --payoffs" not in result.stderr
 
 
 def test_config_file_non_finite_payoff_is_usage_error(tmp_path):

@@ -59,13 +59,12 @@ def move(alpha, theta):
 
 
 def stacked(moves):
-    """Entries of a stack of moves, nested as `move_entries` gives them, each an array over the stack axes.
+    """Coordinates of a stack of moves, as `move_entries` gives them, each an array over the stack axes.
 
-    `moves` is an array of shape (..., 2, 2, 2), or a list of entries, with the
-    (real, imaginary) pair last.
+    `moves` is an array of shape (..., 3), or a list of coordinate triples.
     """
     moves = np.asarray(moves, dtype=float)
-    return tuple(tuple((moves[..., i, k, 0], moves[..., i, k, 1]) for k in (0, 1)) for i in (0, 1))
+    return tuple(moves[..., k] for k in range(3))
 
 
 def outcome_probabilities(gamma, r, alice, bob):
@@ -119,8 +118,17 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
             assert (batch.alice[i, j].item(), batch.bob[i, j].item()) == play(setup, alice, bob)
 
 
+def expanded(q):
+    """The entries ((u00, u01), (u10, u11)) of the move with coordinates `q`, each a (real, imaginary) pair."""
+    q0, q1, q3 = q
+    return (((q0, q3), (0.0, q1)), ((0.0, q1), (q0, -q3)))
+
+
 def nested_loop_probabilities(a, b, cos_g, sin_g, cos_r, sin_r):
-    """`payoff._probabilities` as loops over the outcomes, the reference its written-out text must equal bit for bit."""
+    """The general complex kernel as loops over the outcomes, on `expanded` move entries.
+
+    `payoff._probabilities` is this with the entries' zero parts dropped, and must equal it bit for bit.
+    """
     c0 = cos_g * cos_r
     c1 = cos_g * sin_r
     kept, lost = [], []
@@ -157,20 +165,22 @@ ANGLE_PAIRS = st.tuples(
 @SEEDED
 @given(st.lists(ANGLE_PAIRS, min_size=1, max_size=4), st.lists(MOVES, min_size=1, max_size=5))
 def test_probabilities_equal_the_nested_loop_reference(angles, strategies):
-    # Same operations on the same operands in the same order: equal to the
-    # last bit on floats (Q's -0.0 entry included) and on broadcast arrays.
+    # Same operations on the same operands in the same order, less the terms
+    # with a zero factor, which change at most the sign of a zero before it is
+    # squared: equal to the last bit on floats and on broadcast arrays.
     moves = [move_entries(s) for s in strategies]
     for gamma, r in angles:
         trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
         for a in moves:
             for b in moves:
-                assert _probabilities(a, b, *trig) == nested_loop_probabilities(a, b, *trig)
+                assert _probabilities(a, b, *trig) == nested_loop_probabilities(expanded(a), expanded(b), *trig)
     half = np.array([gamma for gamma, _ in angles])[:, None, None] / 2.0
     rs = np.array([r for _, r in angles])[:, None, None]
     trig = (np.cos(half), np.sin(half), np.cos(rs), np.sin(rs))
     stack = np.array(moves)
     a, b = stacked(stack[:, None]), stacked(stack[None, :])
-    for got, want in zip(_probabilities(a, b, *trig), nested_loop_probabilities(a, b, *trig), strict=True):
+    reference = nested_loop_probabilities(expanded(a), expanded(b), *trig)
+    for got, want in zip(_probabilities(a, b, *trig), reference, strict=True):
         assert got.shape == (len(angles), len(moves), len(moves))
         assert np.array_equal(got, want)
 

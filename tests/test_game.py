@@ -18,6 +18,7 @@ from unruhpd.game import (
     clamp_to_domain,
     entangler,
     initial_state,
+    move_entries,
     named_strategy_matrix,
     validate_gamma,
 )
@@ -47,6 +48,19 @@ def test_named_matrices():
 def test_q_label_matrix_sits_at_alpha_half_pi():
     # The diagonal phase move equals the parametrized move at (pi/2, 0).
     assert np.abs(np.diag([1j, -1j]) - named_strategy_matrix(Strategy(math.pi / 2, 0.0))).max() <= 1e-12
+
+
+def test_move_coordinates_are_the_matrix_and_a_unit_vector():
+    # The engine takes a move as (q0, q1, q3) with U = q0 I + i q1 X + i q3 Z.
+    assert move_entries(NAMED_STRATEGIES["Q"]) == (0.0, 0.0, 1.0)
+    assert move_entries(NAMED_STRATEGIES["C"]) == (1.0, 0.0, 0.0)
+    eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    rng = np.random.default_rng(2024)
+    custom = [Strategy(a, t) for a, t in rng.uniform(0.0, 1.0, (200, 2)) * (TWO_PI, math.pi)]
+    for s in [*NAMED_STRATEGIES.values(), *custom]:
+        q0, q1, q3 = move_entries(s)
+        assert np.array_equal(named_strategy_matrix(s), q0 * eye + 1j * q1 * x + 1j * q3 * z)
+        assert abs(q0**2 + q1**2 + q3**2 - 1.0) <= 4e-16
 
 
 def test_unitarity_on_dense_parameter_grid():

@@ -7,6 +7,7 @@ import pytest
 
 from linalg import basis_ket
 from unruhpd.game import initial_state
+from unruhpd.payoff import GameSetup
 from unruhpd.unruh import (
     R_MAX,
     expand_bob_mode,
@@ -39,6 +40,11 @@ def test_r_limits():
     assert r_from_acceleration(omega=1.0, a=1e-6, c=1.0) == 0.0
     assert abs(r_from_acceleration(omega=1.0, a=1e12, c=1.0) - R_MAX) <= 1e-8
     assert r_from_acceleration(omega=1.0, a=1.0, c=1.0) < R_MAX
+    # In floating point the limit is reached at a finite acceleration, and it is a valid r.
+    assert r_from_acceleration(omega=1.0, a=1e16, c=1.0) < R_MAX
+    at_limit = r_from_acceleration(omega=1.0, a=1e17, c=1.0)
+    assert at_limit == R_MAX
+    assert GameSetup(0.0, at_limit).r == R_MAX
 
 
 def test_r_closed_form_point():

@@ -49,5 +49,8 @@ verify --suite eq13 --grid 3
 verify --suite commutators
 verify --suite table2 --tol 1e-17
 play --gamma 0 --r 0 --alice 99,0 --bob C
+sweep --gamma 0 --steps 33 --profiles QQ QC MQ DQ --payoffs -0,-1,-2,-3
+play --gamma 0 --r 0 --alice Q --bob Q --payoffs -0,-1,-2,-3 --json
+equilibria --gamma pi/4 --r pi/8 --set Q,M,C,D --payoffs -0,-1,-2,-3
 COMMANDS
 exit $status
