@@ -22,8 +22,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from .equilibrium import analyze
 from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, move_entries, validate_gamma
 from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, play, play_entries
@@ -257,6 +255,7 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
     [0, R_MAX]; each is clamped into that range for scoring, as GameSetup
     does, and yielded as built.
     """
+    import numpy as np
     moves = [[move_entries(NAMED_STRATEGIES[label]) for label in profile] for profile in profiles]
     delta = r_end - r_start
     step = delta / (steps - 1)

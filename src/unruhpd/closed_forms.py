@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .payoff import PROFILE_ORDER, Payoffs
 from .unruh import validate_r, validate_r_array
 
@@ -25,6 +23,7 @@ def _domain(r):
     """r validated and clamped into [0, pi/4], with the module that evaluates the formulas on it."""
     if isinstance(r, (float, int)):
         return validate_r(r), math
+    import numpy as np
     return validate_r_array(r), np
 
 

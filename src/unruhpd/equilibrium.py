@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries
 from .payoff import GameSetup, Payoffs, play, play_entries
 
@@ -139,6 +137,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
+    import numpy as np
     player = _check_player("responder", responder)
 
     def ordered(own, other):

@@ -4,14 +4,13 @@ The game starts from |00> shared by Alice (most significant qubit) and Bob.
 An entangling unitary J(gamma) = cos(gamma/2) I + i sin(gamma/2) (D1 x D1)
 prepares cos(gamma/2)|00> + i sin(gamma/2)|11>; each player then applies a
 local move U(alpha, theta), and J is undone before measurement.
+Strategies and move coordinates are Python floats: on them it makes no numpy call and loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 GAMMA_MAX = math.pi / 2.0
@@ -20,11 +19,22 @@ GAMMA_MAX = math.pi / 2.0
 EDGE_SLACK = 1e-6
 
 # Generator of the entangling operation.
-D1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+D1 = ((0j, 1 + 0j), (-1 + 0j, 0j))
+
+
+def is_finite(value) -> bool:
+    """`math.isfinite`, but False for a value that is no real number or that overflows a float."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must lie in {span}, got {value!r}") from None
     if 0.0 <= value <= upper:  # the common case; NaN fails it
         return value
     if not math.isfinite(value) or value < -EDGE_SLACK or value > upper + EDGE_SLACK:
@@ -34,6 +44,7 @@ def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
 
 def clamp_array_to_domain(values, upper: float, name: str, span: str) -> np.ndarray:
     """`clamp_to_domain` for a whole array: one check of every element, then one clip."""
+    import numpy as np
     values = np.asarray(values, dtype=float)
     # NaN fails both comparisons, so it is rejected with the infinities.
     outside = ~((values >= -EDGE_SLACK) & (values <= upper + EDGE_SLACK))
@@ -106,18 +117,21 @@ def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
 
     A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]; Q is diag(i, -i).
     """
+    import numpy as np
     q0, q1, q3 = move_entries(strategy)
     return np.array([[complex(q0, q3), complex(0.0, q1)], [complex(0.0, q1), complex(q0, -q3)]])
 
 
 def entangler(gamma: float) -> np.ndarray:
     """Closed form of exp[i gamma/2 (D1 x D1)], a 4x4 unitary."""
+    import numpy as np
     gamma = validate_gamma(gamma)
     return math.cos(gamma / 2.0) * np.eye(4, dtype=complex) + 1j * math.sin(gamma / 2.0) * np.kron(D1, D1)
 
 
 def initial_state(gamma: float) -> np.ndarray:
     """Entangled start cos(gamma/2)|00> + i sin(gamma/2)|11> as a dim-4 vector."""
+    import numpy as np
     gamma = validate_gamma(gamma)
     psi = np.zeros(4, dtype=complex)
     psi[0] = math.cos(gamma / 2.0)

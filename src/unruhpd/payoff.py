@@ -12,7 +12,7 @@ The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
 (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z, and one entry to it,
 `play_entries`, which takes the moves as `game.move_entries` gives them.
-On Python floats it makes no numpy call; that is how `play` scores a game.
+On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Each real operation rounds once, in the same order on floats and on arrays,
 and the cos and sin of a Python-float gamma or r come from `math` in both, so
@@ -33,8 +33,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .game import Strategy, entangler, move_entries, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -134,11 +132,13 @@ def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payo
         half = gamma / 2.0
         cos_g, sin_g = math.cos(half), math.sin(half)
     else:
+        import numpy as np
         half = np.asarray(gamma, dtype=float) / 2.0
         cos_g, sin_g = np.cos(half), np.sin(half)
     if isinstance(r, (float, int)):
         cos_r, sin_r = math.cos(r), math.sin(r)
     else:
+        import numpy as np
         cos_r, sin_r = np.cos(r), np.sin(r)
     return Payoffs(*_expected(_probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r), table))
 
@@ -203,6 +203,7 @@ def _expected(probs: tuple, table: PayoffTable) -> tuple:
 
 def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the joint move and undo the entangler: J^dag (uA x uB) rho (.)^dag J."""
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
@@ -218,6 +219,7 @@ def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma
 
 def payoffs(rho_final: np.ndarray, table: PayoffTable) -> Payoffs:
     """Diagonal-weighted expectation of the classical payoff table."""
+    import numpy as np
     rho_final = np.asarray(rho_final, dtype=complex)
     if rho_final.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho_final.shape}")

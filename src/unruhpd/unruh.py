@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .game import clamp_array_to_domain, clamp_to_domain
+from .game import clamp_array_to_domain, clamp_to_domain, is_finite
 
 R_MAX = math.pi / 4.0
 
@@ -47,13 +45,14 @@ def r_from_acceleration(omega: float, a: float, c: float) -> float:
     as a -> infinity. In floating point r is exactly R_MAX from about a = 1.03e16 omega c.
     """
     for name, value in (("omega", omega), ("a", a), ("c", c)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (is_finite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     cos_r = (math.exp(-2.0 * math.pi * omega * c / a) + 1.0) ** -0.5
     return math.acos(min(cos_r, 1.0))
 
 
 def _check_normalized(state: np.ndarray) -> np.ndarray:
+    import numpy as np
     state = np.asarray(state, dtype=complex).reshape(-1)
     norm_sq = float(np.real(np.vdot(state, state)))
     if abs(norm_sq - 1.0) > NORM_TOL:
@@ -66,6 +65,7 @@ def expand_bob_mode(state: np.ndarray, r: float) -> np.ndarray:
 
     Ordering is A x I x II with region II least significant.
     """
+    import numpy as np
     r = validate_r(r)
     state = _check_normalized(state)
     if state.shape != (4,):
@@ -86,6 +86,7 @@ def partial_trace(rho: np.ndarray, dims: list[int], which: int) -> np.ndarray:
     product must equal the side of the square matrix `rho`, whose entries
     must be finite.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
@@ -111,5 +112,5 @@ def unruh_channel(state: np.ndarray, r: float) -> np.ndarray:
     Hermitian, positive semidefinite; the identity map at r = 0.
     """
     expanded = expand_bob_mode(state, r)
-    rho = np.outer(expanded, expanded.conj())
+    rho = expanded[:, None] * expanded.conj()  # the outer product, as np.outer forms it
     return partial_trace(rho, [2, 2, 2], which=2)

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
 
-import numpy as np
-
 from . import closed_forms
-from .game import NAMED_STRATEGIES, Strategy, entangler, move_entries, named_strategy_matrix
+from .game import NAMED_STRATEGIES, Strategy, entangler, is_finite, move_entries, named_strategy_matrix
 from .payoff import Payoffs, PayoffTable, play_entries
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
@@ -97,10 +95,11 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     if not (isinstance(grid, Integral) and grid >= 3):
         raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
+    if not (isinstance(tol, Real) and is_finite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
     if suite == "commutators":
         return _suite_commutators(tol)
+    import numpy as np
     rs = np.linspace(0.0, R_MAX, grid)
     build, notes = PAYOFF_SUITES[suite]
     checks, failures = build(rs)
@@ -111,11 +110,13 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
 
 def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
     """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
+    import numpy as np
     return np.stack(play_entries(gamma, rs, move_entries(alice), move_entries(bob), DEFAULT_TABLE), axis=-1)
 
 
 def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:
     """One profile's engine payoffs against the closed form `form(rs, *args)`, both (len(rs), 2)."""
+    import numpy as np
     return label, PLAYERS, _engine(gamma, rs, alice, bob), np.stack(form(rs, *args), axis=-1)
 
 
@@ -126,6 +127,7 @@ def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
     (len(rs), len(players)). The first of equal deviations is kept; a NaN
     deviation counts as the largest, so it cannot pass.
     """
+    import numpy as np
     worst, at = 0.0, None
     for label, players, engine, expected in checks:
         deviation = np.abs(engine - expected)
@@ -162,7 +164,7 @@ def _eq13_checks(rs: np.ndarray) -> tuple[list, list[str]]:
         _check("M" + reply, math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply], form, theta)
         for reply, theta in (("C", 0.0), ("D", math.pi))
     ]
-    ordered = all(np.all(engine[:, 0] < engine[:, 1]) for _, _, engine, _ in checks)
+    ordered = all((engine[:, 0] < engine[:, 1]).all() for _, _, engine, _ in checks)
     return checks, [] if ordered else [NOTE_EQ13_ORDERING]
 
 
@@ -185,6 +187,7 @@ PAYOFF_SUITES = {
 
 
 def _suite_commutators(tol: float) -> VerifyOutcome:
+    import numpy as np
     j = entangler(math.pi / 2.0)
     norms: dict[str, float] = {}
     for a in ("C", "D"):

@@ -52,5 +52,8 @@ play --gamma 0 --r 0 --alice 99,0 --bob C
 sweep --gamma 0 --steps 33 --profiles QQ QC MQ DQ --payoffs -0,-1,-2,-3
 play --gamma 0 --r 0 --alice Q --bob Q --payoffs -0,-1,-2,-3 --json
 equilibria --gamma pi/4 --r pi/8 --set Q,M,C,D --payoffs -0,-1,-2,-3
+sweep --gamma pi/4 --r-start 0.1 --r-end pi/8 --steps 5
+verify --suite eq8 --grid 5
+verify --suite eq11 --grid 17
 COMMANDS
 exit $status
