@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries
+from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries, safe_repr
 from .payoff import GameSetup, Payoffs, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -205,5 +205,5 @@ def _check_square(table: list[list[Payoffs]]) -> int:
 def _check_player(name: str, player: str) -> int:
     """The player's index in `Payoffs`, whose field order names the players."""
     if player not in Payoffs._fields:
-        raise ValueError(f"{name} must be {' or '.join(map(repr, Payoffs._fields))}, got {player!r}")
+        raise ValueError(f"{name} must be {' or '.join(map(repr, Payoffs._fields))}, got {safe_repr(player)}")
     return Payoffs._fields.index(player)

@@ -23,18 +23,26 @@ D1 = ((0j, 1 + 0j), (-1 + 0j, 0j))
 
 
 def is_finite(value) -> bool:
-    """`math.isfinite`, but False for a value that is no real number or that overflows a float."""
+    """`math.isfinite`, but False for a value that is no real number, that overflows a float or that is a signaling NaN."""
     try:
         return math.isfinite(value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return False
+
+
+def safe_repr(value) -> str:
+    """`repr(value)` for an error message, or its type's name where repr raises (an int of more than 4300 digits)."""
+    try:
+        return repr(value)
+    except Exception:  # any repr may raise; the message it goes into must not
+        return f"<unprintable {type(value).__name__}>"
 
 
 def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must lie in {span}, got {value!r}") from None
+        raise ValueError(f"{name} must lie in {span}, got {safe_repr(value)}") from None
     if 0.0 <= value <= upper:  # the common case; NaN fails it
         return value
     if not math.isfinite(value) or value < -EDGE_SLACK or value > upper + EDGE_SLACK:
@@ -74,11 +82,14 @@ class Strategy:
         alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
         theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
         # The label picks the move that `move_entries` scores, so it must agree with the angles.
-        if label != "custom" and _NAMED_ANGLES.get(label) != (alpha, theta):
-            raise ValueError(f"strategy label {label!r} does not name the move at alpha={alpha}, theta={theta}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "label", label)
+        if label != "custom" and not (isinstance(label, str) and _NAMED_ANGLES.get(label) == (alpha, theta)):
+            raise ValueError(f"strategy label {safe_repr(label)} does not name the move at alpha={alpha}, theta={theta}")
+        # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
+        # frozen `__setattr__`, though on CPython 3.11 a written dict makes each later field read slower.
+        fields = self.__dict__
+        fields["alpha"] = alpha
+        fields["theta"] = theta
+        fields["label"] = label
 
     def __str__(self) -> str:
         if self.label != "custom":

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .game import Strategy, entangler, move_entries, validate_gamma
+from .game import Strategy, entangler, move_entries, safe_repr, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -70,19 +70,20 @@ class PayoffTable:
     dc: tuple[float, float] = (5.0, 0.0)
     dd: tuple[float, float] = (1.0, 1.0)
 
-    def __post_init__(self):
-        for profile, pair in zip(PROFILE_ORDER, self.entries()):
-            try:  # NaN fails the comparison; math.fabs refuses complex numbers, strings and None
-                ok = len(pair) == 2 and math.fabs(pair[0]) <= PAYOFF_ENTRY_MAX and math.fabs(pair[1]) <= PAYOFF_ENTRY_MAX
-            except (TypeError, OverflowError):
-                ok = False
-            if not ok:
-                raise ValueError(
-                    "payoff entries must be pairs of finite numbers of magnitude at most "
-                    f"{PAYOFF_ENTRY_MAX!r}, got {profile.lower()}={pair!r}"
-                )
-            if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
-                object.__setattr__(self, profile.lower(), (float(pair[0]), float(pair[1])))
+    def __init__(
+        self,
+        cc: tuple[float, float] = (3.0, 3.0),
+        cd: tuple[float, float] = (0.0, 5.0),
+        dc: tuple[float, float] = (5.0, 0.0),
+        dd: tuple[float, float] = (1.0, 1.0),
+    ):
+        # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
+        # frozen `__setattr__`, though on CPython 3.11 a written dict makes each later field read slower.
+        fields = self.__dict__
+        fields["cc"] = _payoff_pair("cc", cc)
+        fields["cd"] = _payoff_pair("cd", cd)
+        fields["dc"] = _payoff_pair("dc", dc)
+        fields["dd"] = _payoff_pair("dd", dd)
 
     @classmethod
     def from_scalars(cls, reward: float, sucker: float, temptation: float, punishment: float) -> "PayoffTable":
@@ -97,6 +98,27 @@ class PayoffTable:
         return (self.cc, self.cd, self.dc, self.dd)
 
 
+def _payoff_pair(profile: str, pair) -> tuple[float, float]:
+    """`pair` as a tuple of two Python floats, or ValueError if it is not two numbers within ±PAYOFF_ENTRY_MAX."""
+    if type(pair) is tuple and len(pair) == 2:  # already two Python floats, as stored: kept as it is
+        alice, bob = pair
+        if type(alice) is float and type(bob) is float:
+            if -PAYOFF_ENTRY_MAX <= alice <= PAYOFF_ENTRY_MAX and -PAYOFF_ENTRY_MAX <= bob <= PAYOFF_ENTRY_MAX:
+                return pair
+    # NaN fails the comparison; math.fabs refuses complex numbers, strings, None and a signaling NaN;
+    # a mapping has no pair[0].
+    try:
+        ok = len(pair) == 2 and math.fabs(pair[0]) <= PAYOFF_ENTRY_MAX and math.fabs(pair[1]) <= PAYOFF_ENTRY_MAX
+    except (TypeError, ValueError, OverflowError, LookupError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            "payoff entries must be pairs of finite numbers of magnitude at most "
+            f"{PAYOFF_ENTRY_MAX!r}, got {profile}={safe_repr(pair)}"
+        )
+    return (float(pair[0]), float(pair[1]))
+
+
 # The class itself, bound at import: benchmarks/tracer.py rebinds the name `PayoffTable` here to a wrapper function.
 _PAYOFF_TABLE_TYPE = PayoffTable
 
@@ -108,11 +130,12 @@ class GameSetup:
     table: PayoffTable
 
     def __init__(self, gamma: float, r: float, table: PayoffTable = PayoffTable()):
-        object.__setattr__(self, "gamma", validate_gamma(gamma))
-        object.__setattr__(self, "r", validate_r(r))
+        fields = self.__dict__
+        fields["gamma"] = validate_gamma(gamma)
+        fields["r"] = validate_r(r)
         if not isinstance(table, _PAYOFF_TABLE_TYPE):
-            raise ValueError(f"table must be a PayoffTable, got {table!r}")
-        object.__setattr__(self, "table", table)
+            raise ValueError(f"table must be a PayoffTable, got {safe_repr(table)}")
+        fields["table"] = table
 
 
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .game import clamp_array_to_domain, clamp_to_domain, is_finite
+from .game import clamp_array_to_domain, clamp_to_domain, is_finite, safe_repr
 
 R_MAX = math.pi / 4.0
 
@@ -46,7 +46,9 @@ def r_from_acceleration(omega: float, a: float, c: float) -> float:
     """
     for name, value in (("omega", omega), ("a", a), ("c", c)):
         if not (is_finite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise ValueError(f"{name} must be positive and finite, got {safe_repr(value)}")
+    # As Python floats: a numpy float32 would compute, and overflow, in its own precision, and a Decimal not at all.
+    omega, a, c = float(omega), float(a), float(c)
     cos_r = (math.exp(-2.0 * math.pi * omega * c / a) + 1.0) ** -0.5
     return math.acos(min(cos_r, 1.0))
 

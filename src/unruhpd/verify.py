@@ -15,7 +15,7 @@ from numbers import Integral, Real
 from typing import NamedTuple
 
 from . import closed_forms
-from .game import NAMED_STRATEGIES, Strategy, entangler, is_finite, move_entries, named_strategy_matrix
+from .game import NAMED_STRATEGIES, Strategy, entangler, is_finite, move_entries, named_strategy_matrix, safe_repr
 from .payoff import Payoffs, PayoffTable, play_entries
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
@@ -92,11 +92,11 @@ class VerifyOutcome:
 def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> VerifyOutcome:
     """Run one suite of `SUITE_NAMES`; arguments are checked here only."""
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+        raise ValueError(f"unknown suite {safe_repr(suite)}; choose from {SUITE_NAMES}")
     if not (isinstance(grid, Integral) and grid >= 3):
-        raise ValueError(f"grid must be an integer of at least 3 points, got {grid!r}")
+        raise ValueError(f"grid must be an integer of at least 3 points, got {safe_repr(grid)}")
     if not (isinstance(tol, Real) and is_finite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+        raise ValueError(f"tolerance must be a positive finite number, got {safe_repr(tol)}")
     if suite == "commutators":
         return _suite_commutators(tol)
     import numpy as np

@@ -1,14 +1,22 @@
 """The package root: one public name per capability, its input checks, and what it imports."""
 
+import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hostile
 import unruhpd
+from hostile import HUGE_INT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -60,8 +68,32 @@ BAD_API_CALLS = [
     ("Strategy(10**400, 0.0)", lambda: unruhpd.Strategy(10**400, 0.0), "strategy alpha must lie in"),
     ("run_suite tol 10**400", lambda: unruhpd.run_suite("eq8", 3, 10**400), "tolerance must be"),
     ("r_from_acceleration 10**400", lambda: unruhpd.r_from_acceleration(10**400, 1.0, 1.0), "omega must be"),
-    ("r_from_acceleration '1'", lambda: unruhpd.r_from_acceleration("1", 1.0, 1.0), "omega must be"),
+    # Quoted: unquoted, the string "1" read "got 1", the text of an accepted number.
+    (
+        "r_from_acceleration '1'",
+        lambda: unruhpd.r_from_acceleration("1", 1.0, 1.0),
+        re.escape("omega must be positive and finite, got '1'"),
+    ),
     ("r_from_acceleration None", lambda: unruhpd.r_from_acceleration(1.0, 1.0, None), "c must be"),
+    # An int of more than 4300 digits has no repr; each message used to be Python's int-to-str limit instead.
+    ("Strategy(10**5000, 0.0)", lambda: unruhpd.Strategy(HUGE_INT, 0.0), "^strategy alpha must lie in"),
+    ("GameSetup(10**5000, 0.1)", lambda: unruhpd.GameSetup(HUGE_INT, 0.1), "^entanglement gamma must lie in"),
+    ("PayoffTable(cc=(10**5000, 1.0))", lambda: unruhpd.PayoffTable(cc=(HUGE_INT, 1.0)), "^payoff entries must be pairs"),
+    ("run_suite tol 10**5000", lambda: unruhpd.run_suite("eq8", 3, HUGE_INT), "^tolerance must be"),
+    ("r_from_acceleration 10**5000", lambda: unruhpd.r_from_acceleration(HUGE_INT, 1, 1), "^omega must be"),
+    ("run_suite suite 10**5000", lambda: unruhpd.run_suite(HUGE_INT), "^unknown suite"),
+    ("GameSetup table 10**5000", lambda: unruhpd.GameSetup(0.1, 0.1, HUGE_INT), "^table must be a PayoffTable"),
+    ("Strategy label 10**5000", lambda: unruhpd.Strategy(0.0, 0.0, HUGE_INT), "^strategy label"),
+    (
+        "best_response responder 10**5000",
+        lambda: unruhpd.best_response(unruhpd.GameSetup(0.1, 0.1), unruhpd.NAMED_STRATEGIES["C"], HUGE_INT),
+        "^responder must be",
+    ),
+    # Found by the input-contract property below; each raised TypeError, KeyError or a ValueError of float().
+    ("Strategy label []", lambda: unruhpd.Strategy(0.0, 0.0, []), "^strategy label"),
+    ("PayoffTable(cc={1: 2, 3: 4})", lambda: unruhpd.PayoffTable(cc={1: 2.0, 3: 4.0}), "^payoff entries must be pairs"),
+    ("PayoffTable sNaN", lambda: unruhpd.PayoffTable(cc=(Decimal("sNaN"), 1.0)), "^payoff entries must be pairs"),
+    ("r_from_acceleration sNaN", lambda: unruhpd.r_from_acceleration(Decimal("sNaN"), 1, 1), "^omega must be"),
 ]
 
 
@@ -115,3 +147,67 @@ def test_one_game_paths_leave_numpy_unloaded():
     result = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("ok\n")
+
+
+def assert_finite_floats(value):
+    """Every number in a result is an int or a finite Python float, however deep it sits."""
+    if isinstance(value, float):
+        assert type(value) is float and math.isfinite(value), repr(value)
+    elif isinstance(value, (str, int, type(None))):
+        pass
+    elif dataclasses.is_dataclass(value):
+        assert_finite_floats(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    elif isinstance(value, dict):
+        assert_finite_floats(tuple(value.items()))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            assert_finite_floats(item)
+    else:
+        raise AssertionError(f"unexpected {type(value).__name__} in a result")
+
+
+def finite_or_value_error(call, *args):
+    """`call(*args)` with its result checked, or None when it raised ValueError."""
+    try:
+        result = call(*args)
+    except ValueError:
+        return None
+    assert_finite_floats(result)
+    return result
+
+
+number = st.sampled_from(hostile.NUMBERS)
+# A valid value half of the time, so that the calls behind the constructors are reached too.
+angle = st.one_of(number, st.floats(0.0, math.pi / 4))
+positive = st.one_of(number, st.floats(1e-300, 1e300))
+floats = st.sampled_from(hostile.FLOATS)
+pair = st.one_of(st.sampled_from(hostile.PAIR_SHAPES), st.tuples(floats, floats))
+move = st.tuples(angle, angle, st.one_of(st.just("custom"), st.sampled_from(hostile.LABELS)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    angle, angle, st.lists(pair, max_size=4), move, move, st.sampled_from(hostile.PLAYERS),
+    st.sampled_from(hostile.SUITES), st.sampled_from(hostile.GRIDS), positive, st.tuples(positive, positive, positive),
+)
+def test_every_api_call_raises_value_error_or_returns_finite_floats(
+    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration
+):
+    """The input contract of the Python API: hostile values into every entry point give a ValueError or finite floats."""
+    table = finite_or_value_error(unruhpd.PayoffTable, *pairs)
+    setup = finite_or_value_error(unruhpd.GameSetup, gamma, r, *([] if table is None else [table]))
+    # A refused move is replaced by a named one, so that the game calls still run.
+    moves = [finite_or_value_error(unruhpd.Strategy, *m) or unruhpd.NAMED_STRATEGIES[k] for m, k in zip((alice, bob), "MQ")]
+    if setup is not None:
+        finite_or_value_error(unruhpd.play, setup, *moves)
+        finite_or_value_error(unruhpd.analyze, setup, moves)
+        finite_or_value_error(unruhpd.best_response, setup, moves[1], player)
+    finite_or_value_error(unruhpd.r_from_acceleration, *acceleration)
+    finite_or_value_error(unruhpd.run_suite, suite, grid, tol)
+
+
+def test_r_from_acceleration_computes_in_python_floats():
+    # Found by the property above: a float32 argument overflowed in float32, and a Decimal raised TypeError.
+    big = np.float32(3e38)
+    assert unruhpd.r_from_acceleration(0.3, 0.3, big) == unruhpd.r_from_acceleration(0.3, 0.3, float(big))
+    assert unruhpd.r_from_acceleration(Decimal("0.25"), 1, 1) == unruhpd.r_from_acceleration(0.25, 1.0, 1.0)

@@ -55,5 +55,7 @@ equilibria --gamma pi/4 --r pi/8 --set Q,M,C,D --payoffs -0,-1,-2,-3
 sweep --gamma pi/4 --r-start 0.1 --r-end pi/8 --steps 5
 verify --suite eq8 --grid 5
 verify --suite eq11 --grid 17
+play --gamma pi/4 --r 0.2 --alice 1,2 --bob D --config /dev/null
+equilibria --gamma pi/3 --r 0.1 --set C,D,Q --payoffs 2.5,-1,7.25,0.5 --config /dev/null
 COMMANDS
 exit $status
