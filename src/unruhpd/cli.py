@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -156,6 +157,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; `main` builds one on its first call and reuses it.
+
+    The parser holds no state that a parse changes: no default is mutable and
+    no subcommand binds its `cmd_*` function, which `main` looks up when it runs.
+    """
     parser = _Parser(
         prog="unruhpd",
         description="Quantum prisoner's dilemma with one uniformly accelerated player.",
@@ -169,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_play.add_argument("--bob", type=parse_strategy, required=True, help="C|D|Q|M or 'alpha,theta'")
     p_play.add_argument("--json", action="store_true", help="emit a JSON object instead of key=value lines")
     add_table_flags(p_play)
-    p_play.set_defaults(func=cmd_play)
 
     p_sweep = sub.add_parser("sweep", help="tabulate payoffs over an acceleration range")
     p_sweep.add_argument("--gamma", type=parse_angle, required=True)
@@ -180,24 +185,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--profiles",
         type=parse_profile,
         nargs="+",
-        default=list(PROFILE_ORDER),
+        default=PROFILE_ORDER,
         help="profiles to tabulate, e.g. CC CD DC DD",
     )
     p_sweep.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     add_table_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig2 = sub.add_parser("fig2", help="payoff curves at maximal entanglement")
     p_fig2.add_argument("--steps", type=int, required=True, help="number of grid points, at least 2")
     p_fig2.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     add_table_flags(p_fig2)
-    p_fig2.set_defaults(func=cmd_fig2)
 
     p_verify = sub.add_parser("verify", help="replay the closed-form cross-check suites")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID, help="acceleration grid points, at least 3")
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help="maximum tolerated deviation")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_eq = sub.add_parser("equilibria", help="analyze a finite strategy set")
     p_eq.add_argument("--gamma", type=parse_angle, required=True)
@@ -209,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of named moves, e.g. C,D,Q,M",
     )
     add_table_flags(p_eq)
-    p_eq.set_defaults(func=cmd_equilibria)
 
     return parser
 
@@ -359,11 +360,17 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     return 0
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
+    # Subcommand NAME runs the module's `cmd_NAME`, looked up on each call: a rebound one (a test double, a tracer's
+    # wrapper) is the one run, which a function bound into the shared parser would not be.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .game import TWO_PI, clamp_to_domain, safe_repr
 from .payoff import PROFILE_ORDER, Payoffs
 from .unruh import validate_r, validate_r_array
 
@@ -62,9 +63,12 @@ def max_entangled_classical(r, profile: str) -> Payoffs:
 def q_vs_arbitrary(r, alpha_b: float, theta_b: float) -> Payoffs:
     """Payoffs when Alice plays diag(i, -i) against Bob's U(alpha_b, theta_b).
 
-    gamma = pi/2; theta_b = 0 or pi recovers Bob's classical moves.
+    gamma = pi/2; theta_b = 0 or pi recovers Bob's classical moves. The angles
+    are checked as a Strategy's are: alpha_b in [0, 2*pi], theta_b in [0, pi].
     """
     r, m = _domain(r)
+    alpha_b = clamp_to_domain(alpha_b, TWO_PI, "alpha_b", "[0, 2*pi]")
+    theta_b = clamp_to_domain(theta_b, math.pi, "theta_b", "[0, pi]")
     cos_r = m.cos(r)
     cos_t = math.cos(theta_b)
     cos_2a = math.cos(2.0 * alpha_b)
@@ -78,8 +82,10 @@ def miracle_vs_classical(r, theta_b: float) -> Payoffs:
     """Payoffs when Alice plays the miracle move U(pi/2, pi/2), gamma = pi/2.
 
     Bob plays U(0, theta_b); theta_b = 0 or pi are his classical moves.
+    theta_b is checked as a Strategy's theta is, in [0, pi].
     """
     r, m = _domain(r)
+    theta_b = clamp_to_domain(theta_b, math.pi, "theta_b", "[0, pi]")
     cos_r = m.cos(r)
     cos_sq = cos_r**2
     sin_t = math.sin(theta_b)
@@ -89,7 +95,7 @@ def miracle_vs_classical(r, theta_b: float) -> Payoffs:
 
 
 def _lookup(forms: dict, profile: str) -> tuple:
-    try:
+    # Only a string is looked up: hashing another value may raise.
+    if isinstance(profile, str) and profile in forms:
         return forms[profile]
-    except KeyError:
-        raise ValueError(f"profile must be one of {CLASSICAL_PROFILES}, got {profile!r}") from None
+    raise ValueError(f"profile must be one of {CLASSICAL_PROFILES}, got {safe_repr(profile)}")

@@ -151,8 +151,10 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
     cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
     opponent_entries = move_entries(opponent)
+    # Read once, not on every descent step: a field read of a built GameSetup goes through its instance dict.
+    gamma, r, table = setup.gamma, setup.r, setup.table
     grid = _trig_move_entries(cos_a, sin_a, cos_t, sin_t)
-    values = play_entries(setup.gamma, setup.r, *ordered(grid, opponent_entries), setup.table)[player]
+    values = play_entries(gamma, r, *ordered(grid, opponent_entries), table)[player]
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
@@ -166,7 +168,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
             move = _move_entries(alpha, theta)
-            value = play_entries(setup.gamma, setup.r, *ordered(move, opponent_entries), setup.table)[player]
+            value = play_entries(gamma, r, *ordered(move, opponent_entries), table)[player]
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True

@@ -47,6 +47,8 @@ PROFILE_ORDER = ("CC", "CD", "DC", "DD")
 # Largest |entry| of a payoff table. The outcome probabilities sum to 1 plus a
 # few ulps, so a four-term expected payoff of entries this size stays finite.
 PAYOFF_ENTRY_MAX = sys.float_info.max / 4.0
+# The fixed start of `_payoff_pair`'s rejection message, formatted once: the repr of that bound is most of its cost.
+_PAYOFF_PAIR_REJECTED = f"payoff entries must be pairs of finite numbers of magnitude at most {PAYOFF_ENTRY_MAX!r}, got "
 
 
 class Payoffs(NamedTuple):
@@ -112,10 +114,7 @@ def _payoff_pair(profile: str, pair) -> tuple[float, float]:
     except (TypeError, ValueError, OverflowError, LookupError):
         ok = False
     if not ok:
-        raise ValueError(
-            "payoff entries must be pairs of finite numbers of magnitude at most "
-            f"{PAYOFF_ENTRY_MAX!r}, got {profile}={safe_repr(pair)}"
-        )
+        raise ValueError(f"{_PAYOFF_PAIR_REJECTED}{profile}={safe_repr(pair)}")
     return (float(pair[0]), float(pair[1]))
 
 

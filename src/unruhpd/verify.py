@@ -10,6 +10,7 @@ discrepancy notes rather than silently corrected or failed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -23,6 +24,8 @@ from .unruh import R_MAX
 SUITE_NAMES = ("table2", "eq8", "eq11", "eq13", "commutators")
 
 DEFAULT_GRID = 9
+# Above this many float64 values no numpy array fits: its size in bytes must fit a signed machine word.
+MAX_GRID = sys.maxsize // 8
 DEFAULT_TOL = 1e-12
 
 DEFAULT_TABLE = PayoffTable()
@@ -93,8 +96,8 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
     """Run one suite of `SUITE_NAMES`; arguments are checked here only."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {safe_repr(suite)}; choose from {SUITE_NAMES}")
-    if not (isinstance(grid, Integral) and grid >= 3):
-        raise ValueError(f"grid must be an integer of at least 3 points, got {safe_repr(grid)}")
+    if not (isinstance(grid, Integral) and 3 <= grid <= MAX_GRID):
+        raise ValueError(f"grid must be an integer of at least 3 and at most {MAX_GRID} points, got {safe_repr(grid)}")
     if not (isinstance(tol, Real) and is_finite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {safe_repr(tol)}")
     if suite == "commutators":

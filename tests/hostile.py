@@ -52,4 +52,7 @@ PLAYERS = ["alice", "bob", "Alice", "", None, [], 0, HUGE_INT]
 
 SUITES = ["table2", "eq8", "eq11", "eq13", "commutators", "all", "", None, [], HUGE_INT]
 
-GRIDS = [3, 4, 5, np.int64(4), 2, 0, -1, True, 3.0, "5", None, [], HUGE_INT]
+# Past numpy's array-size limit: 2**61 and 2**63 - 1 float64 values do not fit one array.
+GRIDS = [3, 4, 5, np.int64(4), 2, 0, -1, True, 3.0, "5", None, [], HUGE_INT, 2**61, 2**63 - 1]
+
+PROFILES = ["CC", "CD", "DC", "DD", np.str_("DD"), "QQ", "cc", "C", "", None, [], {}, ("C", "C"), 3, HUGE_INT]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hostile
 import unruhpd
+import unruhpd.verify
 from hostile import HUGE_INT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -94,6 +95,11 @@ BAD_API_CALLS = [
     ("PayoffTable(cc={1: 2, 3: 4})", lambda: unruhpd.PayoffTable(cc={1: 2.0, 3: 4.0}), "^payoff entries must be pairs"),
     ("PayoffTable sNaN", lambda: unruhpd.PayoffTable(cc=(Decimal("sNaN"), 1.0)), "^payoff entries must be pairs"),
     ("r_from_acceleration sNaN", lambda: unruhpd.r_from_acceleration(Decimal("sNaN"), 1, 1), "^omega must be"),
+    # Past numpy's array-size limit the grid used to reach numpy: its ValueErrors, or an IndexError at 2**63 - 1.
+    ("run_suite grid MAX_GRID + 1", lambda: unruhpd.run_suite("eq8", unruhpd.verify.MAX_GRID + 1), "^grid must be"),
+    ("run_suite grid 2**61", lambda: unruhpd.run_suite("eq8", 2**61), "^grid must be"),
+    ("run_suite grid 2**63 - 1", lambda: unruhpd.run_suite("eq8", 2**63 - 1), "^grid must be"),
+    ("run_suite grid 10**5000", lambda: unruhpd.run_suite("eq8", HUGE_INT), "^grid must be"),
 ]
 
 
@@ -189,9 +195,10 @@ move = st.tuples(angle, angle, st.one_of(st.just("custom"), st.sampled_from(host
 @given(
     angle, angle, st.lists(pair, max_size=4), move, move, st.sampled_from(hostile.PLAYERS),
     st.sampled_from(hostile.SUITES), st.sampled_from(hostile.GRIDS), positive, st.tuples(positive, positive, positive),
+    st.sampled_from(hostile.PROFILES),
 )
 def test_every_api_call_raises_value_error_or_returns_finite_floats(
-    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration
+    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile
 ):
     """The input contract of the Python API: hostile values into every entry point give a ValueError or finite floats."""
     table = finite_or_value_error(unruhpd.PayoffTable, *pairs)
@@ -202,6 +209,11 @@ def test_every_api_call_raises_value_error_or_returns_finite_floats(
         finite_or_value_error(unruhpd.play, setup, *moves)
         finite_or_value_error(unruhpd.analyze, setup, moves)
         finite_or_value_error(unruhpd.best_response, setup, moves[1], player)
+        # The closed forms take the validated r, and Bob's hostile angles as his move.
+        finite_or_value_error(unruhpd.unentangled_classical, setup.r, profile)
+        finite_or_value_error(unruhpd.max_entangled_classical, setup.r, profile)
+        finite_or_value_error(unruhpd.q_vs_arbitrary, setup.r, *bob[:2])
+        finite_or_value_error(unruhpd.miracle_vs_classical, setup.r, bob[1])
     finite_or_value_error(unruhpd.r_from_acceleration, *acceleration)
     finite_or_value_error(unruhpd.run_suite, suite, grid, tol)
 

@@ -1,0 +1,87 @@
+"""`cli.main` called many times in one interpreter: one shared parser, and each call as if in a fresh process."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from unruhpd import cli
+from unruhpd.payoff import PROFILE_ORDER
+
+ROOT = Path(__file__).resolve().parents[1]
+# The commands `tools/compare_cli_output.sh` compares between two source trees.
+COMMANDS = [line.split() for line in (ROOT / "tools" / "cli_commands.txt").read_text().splitlines() if line.strip()]
+
+
+def run_in_process(argv):
+    """stdout bytes and exit code of `cli.main(argv)`; an argparse error exits through SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue().encode(), code
+
+
+def run_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "unruhpd", *argv], capture_output=True, env=env, stdin=subprocess.DEVNULL, timeout=120
+    )
+    return result.stdout, result.returncode
+
+
+def test_command_list_is_read():
+    assert len(COMMANDS) >= 28
+    assert {argv[0] for argv in COMMANDS} == {"play", "sweep", "fig2", "verify", "equilibria"}
+
+
+def test_every_command_in_one_interpreter_matches_a_fresh_process():
+    fresh = [run_fresh(argv) for argv in COMMANDS]
+    for order in (range(len(COMMANDS)), reversed(range(len(COMMANDS)))):
+        for k in order:
+            assert run_in_process(COMMANDS[k]) == fresh[k], " ".join(COMMANDS[k])
+
+
+def test_main_runs_the_cmd_function_bound_when_it_is_called(monkeypatch):
+    assert run_in_process(["verify", "--suite", "commutators"])[1] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 7)
+    assert cli.main(["verify", "--suite", "eq8"]) == 7
+    assert seen == ["eq8"]
+
+
+def test_a_call_that_mutates_its_profiles_leaves_the_next_default_alone(monkeypatch):
+    seen = []
+
+    def cmd_sweep(args):
+        seen.append(list(args.profiles))
+        if hasattr(args.profiles, "append"):  # a mutable default would be the shared parser's own object
+            args.profiles.append("QQ")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_sweep", cmd_sweep)
+    for _ in range(2):
+        assert cli.main(["sweep", "--gamma", "0", "--steps", "2"]) == 0
+    assert seen == [list(PROFILE_ORDER)] * 2
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch):
+    run_in_process(["verify", "--suite", "commutators"])
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
+    assert run_in_process(["verify", "--suite", "commutators"])[1] == 0
+
+
+def test_build_parser_returns_a_new_parser_on_every_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_matches_a_fresh_process(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal's width, read when it is printed
+    assert run_in_process(argv) == run_fresh(argv)

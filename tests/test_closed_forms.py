@@ -115,6 +115,39 @@ def test_unknown_profile_rejected():
         max_entangled_classical(0.1, "XX")
 
 
+@pytest.mark.parametrize("profile", [[], {}, ["C", "C"], None, 3, pytest.param(10**5000, id="10**5000")])
+@pytest.mark.parametrize("form", [unentangled_classical, max_entangled_classical])
+def test_profile_that_is_no_string_is_a_value_error(form, profile):
+    # An unhashable profile raised TypeError, and an int of more than 4300 digits Python's int-to-str limit.
+    with pytest.raises(ValueError, match="^profile must be one of"):
+        form(0.1, profile)
+
+
+ANGLE_CASES = {
+    "q_vs_arbitrary theta_b nan": (lambda: q_vs_arbitrary(0.1, 0.0, math.nan), "^theta_b must lie in"),  # was (nan, nan)
+    "q_vs_arbitrary alpha_b 'a'": (lambda: q_vs_arbitrary(0.1, "a", 0.0), "^alpha_b must lie in"),  # was TypeError
+    "q_vs_arbitrary alpha_b 2pi+1e-3": (lambda: q_vs_arbitrary(0.1, 2.0 * math.pi + 1e-3, 0.0), "^alpha_b must lie in"),
+    "q_vs_arbitrary theta_b -1e-3": (lambda: q_vs_arbitrary(0.1, 0.0, -1e-3), "^theta_b must lie in"),
+    "q_vs_arbitrary alpha_b 10**5000": (lambda: q_vs_arbitrary(0.1, 10**5000, 0.0), "^alpha_b must lie in"),
+    # Was ValueError "math domain error".
+    "miracle_vs_classical theta_b inf": (lambda: miracle_vs_classical(0.1, math.inf), "^theta_b must lie in"),
+    "miracle_vs_classical theta_b pi+1e-3": (lambda: miracle_vs_classical(0.1, math.pi + 1e-3), "^theta_b must lie in"),
+    "miracle_vs_classical theta_b None": (lambda: miracle_vs_classical(0.1, None), "^theta_b must lie in"),
+}
+
+
+@pytest.mark.parametrize("call,message", ANGLE_CASES.values(), ids=ANGLE_CASES.keys())
+def test_move_angles_are_checked_as_a_strategys_are(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_move_angles_within_edge_slack_are_clamped_as_a_strategys_are():
+    edge = q_vs_arbitrary(0.3, 2.0 * math.pi, 0.0)
+    assert q_vs_arbitrary(0.3, 2.0 * math.pi + 0.5 * EDGE_SLACK, -0.5 * EDGE_SLACK) == edge
+    assert miracle_vs_classical(0.3, math.pi + 0.5 * EDGE_SLACK) == miracle_vs_classical(0.3, math.pi)
+
+
 FAMILIES = [
     (unentangled_classical, (profile,)) for profile in CLASSICAL_PROFILES
 ] + [(max_entangled_classical, (profile,)) for profile in CLASSICAL_PROFILES] + [
