@@ -2,30 +2,42 @@
 
 These are direct transcriptions of the published analytic payoff formulas
 for this game, used only to cross-check the simulation pipeline. Each takes
-the acceleration parameter r and returns an (alice, bob) pair: floats for a
-scalar r, arrays shaped like r for an array. The formula text is the same
-for both; it is evaluated through `math` for a scalar, which keeps one-off
-calls cheap, and through `numpy` for an array, which validates the whole
-array once and then works element-wise.
+the acceleration parameter r and returns an (alice, bob) pair: Python floats
+for a scalar r, float arrays shaped like r for an array, which is a list, a
+tuple or a numpy array of one or more dimensions. The formula text is the
+same for both; it is evaluated through `math`, loading no numpy, for a
+scalar, and through `numpy` for an array, which is checked once as a whole.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from .game import TWO_PI, clamp_to_domain, safe_repr
+from .game import EDGE_SLACK, TWO_PI, clamp_to_domain, safe_repr
 from .payoff import PROFILE_ORDER, Payoffs
-from .unruh import validate_r, validate_r_array
+from .unruh import R_MAX, validate_r
 
 CLASSICAL_PROFILES = PROFILE_ORDER
 
 
 def _domain(r):
-    """r validated and clamped into [0, pi/4], with the module that evaluates the formulas on it."""
-    if isinstance(r, (float, int)):
+    """r checked and clamped as `validate_r` checks a scalar r, with the module that evaluates the formulas on it."""
+    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())  # no ndarray exists before numpy is loaded
+    if not (isinstance(r, (list, tuple)) or (isinstance(r, ndarray) and r.ndim)):
         return validate_r(r), math
     import numpy as np
-    return validate_r_array(r), np
+    try:
+        values = np.asarray(r)
+    except ValueError:  # a ragged nesting: `validate_r` refuses it as a whole, as it refuses any list
+        validate_r(r)
+        raise
+    if values.dtype.kind not in "biuf":  # strings, objects or complex numbers: each element of r as a scalar r
+        values = np.array([validate_r(value) for value in np.asarray(r, dtype=object).flat]).reshape(values.shape)
+    outside = ~((values >= -EDGE_SLACK) & (values <= R_MAX + EDGE_SLACK))  # NaN fails both comparisons
+    if outside.any():
+        validate_r(values[outside].flat[0])  # refuses the first element outside, with its message
+    return np.clip(values, 0.0, R_MAX, dtype=float), np
 
 
 def unentangled_classical(r, profile: str) -> Payoffs:

@@ -11,10 +11,11 @@ coordinate descent through `payoff.play_entries`, the engine entry behind
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, _trig_move_entries, move_entries, safe_repr
+from .game import Strategy, TWO_PI, _move_entries, move_entries, safe_repr
 from .payoff import GameSetup, Payoffs, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -128,12 +129,12 @@ def analyze(setup: GameSetup, strategies: list[Strategy]) -> EquilibriumReport:
 def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple[Strategy, float]:
     """Argmax reply over the whole (alpha, theta) move space.
 
-    Scans a GRID_POINTS x GRID_POINTS grid over [0, 2*pi] x [0, pi]
-    (inclusive endpoints) in one `payoff.play_entries` call on arrays of
+    Scans the GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
+    (inclusive endpoints) in one `payoff.play_entries` call on its arrays of
     move coordinates, then runs at most REFINE_ROUNDS rounds of coordinate
     descent from the best grid point, halving the step until it drops below
     REFINE_MIN_STEP; each step is one `play_entries` call on Python floats.
-    Grid and steps agree bit for bit with per-game `play` calls.
+    Every move is `game._move_entries` of its angles, so grid and steps agree bit for bit with `play`.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
@@ -143,23 +144,16 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     def ordered(own, other):
         return (own, other) if player == 0 else (other, own)
 
-    alpha_step = TWO_PI / (GRID_POINTS - 1)
-    theta_step = math.pi / (GRID_POINTS - 1)
-    alphas = [min(i * alpha_step, TWO_PI) for i in range(GRID_POINTS)]
-    thetas = [min(j * theta_step, math.pi) for j in range(GRID_POINTS)]
-    # Per-axis cos and sin from `math`, as `_move_entries` takes them: each grid point is its move to the bit.
-    cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
-    cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
+    alphas, thetas, grid = _search_grid()
     opponent_entries = move_entries(opponent)
     # Read once, not on every descent step: a field read of a built GameSetup goes through its instance dict.
     gamma, r, table = setup.gamma, setup.r, setup.table
-    grid = _trig_move_entries(cos_a, sin_a, cos_t, sin_t)
     values = play_entries(gamma, r, *ordered(grid, opponent_entries), table)[player]
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
 
-    step_a, step_t = alpha_step, theta_step
+    step_a, step_t = alphas[1], thetas[1]  # the grid's spacing
     for _ in range(REFINE_ROUNDS):
         if max(step_a, step_t) < REFINE_MIN_STEP:
             break
@@ -177,6 +171,17 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
             step_t /= 2.0
 
     return Strategy(best_alpha, best_theta), best_value
+
+
+@functools.cache
+def _search_grid() -> tuple:
+    """The best reply's grid, built once, read-only: alphas, thetas, and (q0, q1, q3) arrays of each `_move_entries`."""
+    import numpy as np
+    alphas = tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
+    thetas = tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
+    entries = np.array([[_move_entries(alpha, theta) for theta in thetas] for alpha in alphas])
+    entries.setflags(write=False)
+    return alphas, thetas, tuple(np.moveaxis(entries, -1, 0))
 
 
 def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:

@@ -50,17 +50,6 @@ def clamp_to_domain(value: float, upper: float, name: str, span: str) -> float:
     return min(max(value, 0.0), upper)
 
 
-def clamp_array_to_domain(values, upper: float, name: str, span: str) -> np.ndarray:
-    """`clamp_to_domain` for a whole array: one check of every element, then one clip."""
-    import numpy as np
-    values = np.asarray(values, dtype=float)
-    # NaN fails both comparisons, so it is rejected with the infinities.
-    outside = ~((values >= -EDGE_SLACK) & (values <= upper + EDGE_SLACK))
-    if outside.any():
-        raise ValueError(f"{name} must lie in {span}, got {values[outside].flat[0]}")
-    return np.clip(values, 0.0, upper)
-
-
 def validate_gamma(gamma: float) -> float:
     return clamp_to_domain(gamma, GAMMA_MAX, "entanglement gamma", "[0, pi/2]")
 
@@ -102,12 +91,8 @@ NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_
 
 def _move_entries(alpha: float, theta: float) -> tuple:
     """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z."""
-    return _trig_move_entries(math.cos(alpha), math.sin(alpha), math.cos(theta / 2.0), math.sin(theta / 2.0))
-
-
-def _trig_move_entries(cos_a, sin_a, cos_t, sin_t) -> tuple:
-    """`_move_entries` from cos and sin of alpha and of theta/2: floats, or arrays broadcast together."""
-    return (cos_a * cos_t, sin_t, sin_a * cos_t)
+    cos_t = math.cos(theta / 2.0)
+    return (math.cos(alpha) * cos_t, math.sin(theta / 2.0), math.sin(alpha) * cos_t)
 
 
 _Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z

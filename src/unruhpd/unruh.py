@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .game import clamp_array_to_domain, clamp_to_domain, is_finite, safe_repr
+from .game import clamp_to_domain, is_finite, safe_repr
 
 R_MAX = math.pi / 4.0
 
@@ -32,10 +32,6 @@ NORM_TOL = 1e-12
 
 def validate_r(r: float) -> float:
     return clamp_to_domain(r, R_MAX, "acceleration parameter r", "[0, pi/4]")
-
-
-def validate_r_array(r) -> np.ndarray:
-    return clamp_array_to_domain(r, R_MAX, "acceleration parameter r", "[0, pi/4]")
 
 
 def r_from_acceleration(omega: float, a: float, c: float) -> float:

@@ -24,8 +24,8 @@ from .unruh import R_MAX
 SUITE_NAMES = ("table2", "eq8", "eq11", "eq13", "commutators")
 
 DEFAULT_GRID = 9
-# Above this many float64 values no numpy array fits: its size in bytes must fit a signed machine word.
-MAX_GRID = sys.maxsize // 8
+# The largest r grid np.linspace takes: numpy 2.4 refuses the top 64 up to sys.maxsize // 8 as "array is too big".
+MAX_GRID = sys.maxsize // 8 - 64
 DEFAULT_TOL = 1e-12
 
 DEFAULT_TABLE = PayoffTable()

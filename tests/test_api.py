@@ -136,6 +136,10 @@ setup = unruhpd.GameSetup(1.0, 0.5, unruhpd.PayoffTable.from_scalars(3, 0, 5, 1)
 unruhpd.play(setup, unruhpd.NAMED_STRATEGIES["M"], unruhpd.Strategy(1.0, 2.0))
 unruhpd.analyze(setup, list(unruhpd.NAMED_STRATEGIES.values()))
 unloaded("play, analyze and PayoffTable.from_scalars")
+from fractions import Fraction
+unruhpd.max_entangled_classical(Fraction(1, 3), "CD")
+unruhpd.q_vs_arbitrary("0.5", 1.0, 2.0)
+unloaded("closed forms on a Fraction and a string r")
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "sweep.csv")
     assert cli.main(["sweep", "--gamma", "pi/2", "--steps", "3", "--out", path]) == 0
@@ -182,6 +186,31 @@ def finite_or_value_error(call, *args):
     return result
 
 
+def shaped(x, kind):
+    """x as the r of a closed form: itself, in a list, or in an array (of objects where numpy makes no other)."""
+    if kind == "scalar":
+        return x
+    if kind == "list":
+        return [x, 0.5]
+    try:
+        return np.array([x, 0.5])
+    except ValueError:  # x is a list or a tuple: no rectangular array holds it with 0.5
+        return np.array([x, 0.5], dtype=object)
+
+
+def closed_form_or_value_error(form, r, *args):
+    """A closed form on r: finite Python floats for a scalar, finite float arrays shaped like an array r, or None."""
+    if not (isinstance(r, (list, tuple)) or (isinstance(r, np.ndarray) and r.ndim)):
+        return finite_or_value_error(form, r, *args)
+    try:
+        result = form(r, *args)
+    except ValueError:
+        return None
+    for values in result:
+        assert values.dtype == np.float64 and values.shape == np.shape(r) and np.isfinite(values).all(), (r, result)
+    return result
+
+
 number = st.sampled_from(hostile.NUMBERS)
 # A valid value half of the time, so that the calls behind the constructors are reached too.
 angle = st.one_of(number, st.floats(0.0, math.pi / 4))
@@ -195,10 +224,10 @@ move = st.tuples(angle, angle, st.one_of(st.just("custom"), st.sampled_from(host
 @given(
     angle, angle, st.lists(pair, max_size=4), move, move, st.sampled_from(hostile.PLAYERS),
     st.sampled_from(hostile.SUITES), st.sampled_from(hostile.GRIDS), positive, st.tuples(positive, positive, positive),
-    st.sampled_from(hostile.PROFILES),
+    st.sampled_from(hostile.PROFILES), angle, st.sampled_from(["scalar", "list", "array"]),
 )
 def test_every_api_call_raises_value_error_or_returns_finite_floats(
-    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile
+    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile, form_r, form_r_kind
 ):
     """The input contract of the Python API: hostile values into every entry point give a ValueError or finite floats."""
     table = finite_or_value_error(unruhpd.PayoffTable, *pairs)
@@ -209,11 +238,12 @@ def test_every_api_call_raises_value_error_or_returns_finite_floats(
         finite_or_value_error(unruhpd.play, setup, *moves)
         finite_or_value_error(unruhpd.analyze, setup, moves)
         finite_or_value_error(unruhpd.best_response, setup, moves[1], player)
-        # The closed forms take the validated r, and Bob's hostile angles as his move.
-        finite_or_value_error(unruhpd.unentangled_classical, setup.r, profile)
-        finite_or_value_error(unruhpd.max_entangled_classical, setup.r, profile)
-        finite_or_value_error(unruhpd.q_vs_arbitrary, setup.r, *bob[:2])
-        finite_or_value_error(unruhpd.miracle_vs_classical, setup.r, bob[1])
+    # The closed forms take a hostile r, alone or in a list or an array, and Bob's hostile angles as his move.
+    form_r = shaped(form_r, form_r_kind)
+    closed_form_or_value_error(unruhpd.unentangled_classical, form_r, profile)
+    closed_form_or_value_error(unruhpd.max_entangled_classical, form_r, profile)
+    closed_form_or_value_error(unruhpd.q_vs_arbitrary, form_r, *bob[:2])
+    closed_form_or_value_error(unruhpd.miracle_vs_classical, form_r, bob[1])
     finite_or_value_error(unruhpd.r_from_acceleration, *acceleration)
     finite_or_value_error(unruhpd.run_suite, suite, grid, tol)
 

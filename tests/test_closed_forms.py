@@ -1,14 +1,22 @@
 """Frozen spot values for the analytic payoff formulas."""
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hostile
 from unruhpd.game import EDGE_SLACK
+from unruhpd.unruh import R_MAX, validate_r
 
 from unruhpd.closed_forms import (
     CLASSICAL_PROFILES,
+    _domain,
     max_entangled_classical,
     miracle_vs_classical,
     q_vs_arbitrary,
@@ -185,3 +193,101 @@ def test_array_within_edge_slack_is_clamped():
     got = unentangled_classical(rs, "CC")
     want = [unentangled_classical(0.0, "CC"), unentangled_classical(math.pi / 4, "CC")]
     assert np.array_equal(np.stack(got, axis=-1), np.array(want))
+
+
+ONE_PER_FORM = [FAMILIES[0], FAMILIES[4], FAMILIES[8], FAMILIES[-2]]
+
+
+def refusal(r) -> str:
+    """The exact message `validate_r` refuses r with."""
+    with pytest.raises(ValueError) as caught:
+        validate_r(r)
+    return f"^{re.escape(str(caught.value))}$"
+
+
+# A scalar r that is no Python float or int, and the float it stands for, or None where it is refused. Each went to
+# numpy's array branch: the first two raised TypeError and OverflowError, and the others returned numpy floats.
+ODD_SCALAR_R = {
+    "1j": (1j, None),
+    "Fraction(10**5000, 3)": (Fraction(10**5000, 3), None),
+    "np.float32(0.5)": (np.float32(0.5), 0.5),
+    "'0.5'": ("0.5", 0.5),
+    "Fraction(1, 3)": (Fraction(1, 3), 1 / 3),
+    "Decimal('0.25')": (Decimal("0.25"), 0.25),
+    "0-d array": (np.array(0.25), 0.25),
+}
+
+
+@pytest.mark.parametrize("form,args", ONE_PER_FORM)
+@pytest.mark.parametrize("r,as_float", ODD_SCALAR_R.values(), ids=ODD_SCALAR_R.keys())
+def test_an_odd_scalar_r_is_checked_by_validate_r_and_gives_python_floats(form, args, r, as_float):
+    if as_float is None:
+        with pytest.raises(ValueError, match=refusal(r)):
+            form(r, *args)
+        return
+    got = form(r, *args)
+    assert got == form(as_float, *args)
+    assert [type(value) for value in got] == [float, float]
+
+
+# Elements an array r may hold that `validate_r` refuses; each must refuse the array with that element's message.
+BAD_ELEMENTS = {
+    "nan": math.nan, "inf": math.inf, "-1e-3": -1e-3, "R_MAX + 2 EDGE_SLACK": R_MAX + 2 * EDGE_SLACK, "None": None,
+    "'x'": "x", "1j": 1j, "10**5000": 10**5000, "Decimal('sNaN')": Decimal("sNaN"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ELEMENTS.values(), ids=BAD_ELEMENTS.keys())
+def test_an_array_is_refused_with_the_message_of_its_first_refused_element(bad):
+    for r in ([0.1, bad, math.nan], (0.2, bad), np.array([0.1, bad, math.nan], dtype=object)):
+        with pytest.raises(ValueError, match=refusal(bad)):
+            unentangled_classical(r, "CC")
+
+
+@pytest.mark.parametrize("r", [[[0.1], [0.2, 0.3]], [0.1, [0.2, 0.3]], np.array([0.5 + 0j, 0.1]), np.array([b"x"])])
+def test_a_ragged_complex_or_bytes_array_is_a_value_error(r):
+    # A ragged list raised numpy's own ValueError, and a complex array lost its imaginary part with a ComplexWarning.
+    with pytest.raises(ValueError, match="^acceleration parameter r must lie in"):
+        max_entangled_classical(r, "CD")
+
+
+ACCEPTED_ARRAYS = [[0.1, 0.7], (0.1, 0.7), ["0.1", "0.7"], np.array(["0.1", "0.7"]), [Fraction(1, 10), 0.7]]
+
+
+@pytest.mark.parametrize("r", ACCEPTED_ARRAYS)
+def test_a_list_tuple_or_array_of_accepted_scalars_gives_arrays_of_their_floats(r):
+    got = max_entangled_classical(r, "CD")
+    want = max_entangled_classical(np.array([0.1, 0.7]), "CD")
+    assert got.alice.dtype == got.bob.dtype == np.float64
+    assert np.array_equal(np.stack(got), np.stack(want))
+
+
+def test_a_float32_array_is_scored_in_float64_as_its_scalars_are():
+    rs = np.array([0.1, 0.7], dtype=np.float32)
+    got = max_entangled_classical(rs, "CD")
+    assert got.alice.dtype == got.bob.dtype == np.float64
+    assert np.stack(got, axis=-1).tolist() == [list(max_entangled_classical(r, "CD")) for r in rs]
+
+
+# Every edge of the domain, on both sides of EDGE_SLACK, with the hostile numbers.
+EDGES = [-EDGE_SLACK, -1.5 * EDGE_SLACK, math.nextafter(-EDGE_SLACK, -1.0), R_MAX, R_MAX + EDGE_SLACK]
+EDGES += [math.nextafter(R_MAX + EDGE_SLACK, 1.0), R_MAX + 1.5 * EDGE_SLACK]
+# The float32 values at and beside each edge: a list of them is a float32 array.
+FLOAT32_EDGES = [np.float32(-EDGE_SLACK), np.float32(R_MAX + EDGE_SLACK)]
+EDGES += FLOAT32_EDGES + [np.nextafter(edge, np.float32(way)) for edge in FLOAT32_EDGES for way in (-1, 1)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from(hostile.NUMBERS + EDGES), st.floats(-2e-6, R_MAX + 2e-6), st.floats()))
+def test_an_array_of_one_element_is_refused_and_accepted_as_that_element_is(x):
+    def domain(r):
+        try:
+            return _domain(r)[0]
+        except ValueError:
+            return None
+
+    alone, wrapped = domain(x), domain([x])
+    assert (alone is None) == (wrapped is None), x
+    if wrapped is not None:
+        assert wrapped.dtype == np.float64
+        assert np.array_equal(wrapped[0], alone)

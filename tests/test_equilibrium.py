@@ -8,7 +8,9 @@ import pytest
 from unruhpd.closed_forms import miracle_vs_classical
 from unruhpd.equilibrium import (
     DEVIATION_TOL,
+    GRID_POINTS,
     REFINE_MIN_STEP,
+    _search_grid,
     _check_player,
     _check_square,
     analyze,
@@ -20,7 +22,7 @@ from unruhpd.equilibrium import (
     set_best_responses,
     validate_strategy_set,
 )
-from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy
+from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries
 from unruhpd.payoff import GameSetup, Payoffs, PayoffTable, play
 
 C = NAMED_STRATEGIES["C"]
@@ -296,6 +298,30 @@ def test_best_response_equals_per_game_search_with_default_knobs(k, config):
             # Strategy equality compares alpha, theta and label.
             assert got == reference_best_response(setup, opponent, responder)
             assert type(got[1]) is float
+
+
+def test_search_grid_is_built_once_and_read_only():
+    assert _search_grid() is _search_grid()
+    alphas, thetas, grid = _search_grid()
+    assert type(alphas) is type(thetas) is tuple and len(alphas) == len(thetas) == GRID_POINTS
+    for values in grid:
+        assert values.shape == (GRID_POINTS, GRID_POINTS)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+
+
+def test_search_grid_is_move_entries_at_each_point_and_the_former_per_axis_grid_bit_for_bit():
+    alphas, thetas, grid = _search_grid()
+    assert alphas == tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
+    assert thetas == tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
+    got = np.stack(grid, axis=-1).view(np.int64)
+    want = np.array([[_move_entries(alpha, theta) for theta in thetas] for alpha in alphas])
+    assert np.array_equal(got, want.view(np.int64))
+    # The grid best_response built on every call before: per-axis cos and sin from `math`, multiplied by numpy.
+    cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
+    cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
+    former = np.broadcast_arrays(cos_a * cos_t, sin_t, sin_a * cos_t)
+    assert np.array_equal(got, np.stack(former, axis=-1).view(np.int64))
 
 
 def test_find_dominant_rejects_unknown_player():

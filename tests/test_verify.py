@@ -1,6 +1,7 @@
 """Verification-suite plumbing: pass/fail logic and discrepancy notes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
 from unruhpd.game import NAMED_STRATEGIES, move_entries
 from unruhpd.payoff import Payoffs, PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
-from unruhpd.verify import DEFAULT_TOL, NOTE_EQ13_ORDERING, SUITE_NAMES, WorstAt, _worst, run_suite
+from unruhpd.verify import DEFAULT_TOL, MAX_GRID, NOTE_EQ13_ORDERING, SUITE_NAMES, WorstAt, _worst, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -155,3 +156,18 @@ def test_a_failure_note_fails_a_suite_without_any_deviation(monkeypatch):
     assert outcome.max_abs_error <= DEFAULT_TOL
     assert not outcome.passed
     assert NOTE_EQ13_ORDERING in outcome.discrepancy_notes
+
+
+def test_every_grid_above_the_cap_is_refused_with_the_grid_message():
+    # The cap was sys.maxsize // 8, and numpy's linspace refused the top 64 grids up to it with its "array is too big".
+    band = range(sys.maxsize // 8 - 63, sys.maxsize // 8 + 2)
+    assert band[0] == MAX_GRID + 1
+    for grid in [*band, 2**61, sys.maxsize]:
+        with pytest.raises(ValueError, match="^grid must be an integer of at least 3 and at most"):
+            run_suite("eq8", grid)
+
+
+def test_the_largest_grid_reaches_numpy_and_is_refused_for_memory():
+    # No array of 2**60 floats fits this machine: numpy refuses it with MemoryError, not with a ValueError of its own.
+    with pytest.raises(MemoryError):
+        run_suite("eq8", MAX_GRID)
