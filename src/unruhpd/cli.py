@@ -128,7 +128,7 @@ def load_config_table(path: str, base: PayoffTable) -> PayoffTable:
 def resolve_table(args: argparse.Namespace) -> PayoffTable:
     table = getattr(args, "payoffs", None) or PayoffTable()
     config = getattr(args, "config", None)
-    if config:
+    if config is not None:
         table = load_config_table(config, table)
     return table
 

@@ -5,8 +5,10 @@ an explicit payoff table, each entry scored by `play`. Nash, dominance and
 within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search scores an (alpha, theta) grid and then each step of a
-coordinate descent through `payoff.play_entries`, the engine entry behind
-`play`: on arrays of move coordinates for the grid, on Python floats for the steps.
+coordinate descent through one `payoff._reply_scorer` per reply, which gives
+what `payoff.play_entries` gives with the trig and the responder's payoffs
+read once: on arrays of move coordinates for the grid, on Python floats for
+the steps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .game import Strategy, TWO_PI, _move_entries, move_entries, safe_repr
-from .payoff import GameSetup, Payoffs, play, play_entries
+from .payoff import GameSetup, Payoffs, _reply_scorer, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -130,25 +132,20 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     """Argmax reply over the whole (alpha, theta) move space.
 
     Scans the GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
-    (inclusive endpoints) in one `payoff.play_entries` call on its arrays of
-    move coordinates, then runs at most REFINE_ROUNDS rounds of coordinate
+    (inclusive endpoints) in one call of the reply's `payoff._reply_scorer` on its arrays
+    of move coordinates, then runs at most REFINE_ROUNDS rounds of coordinate
     descent from the best grid point, halving the step until it drops below
-    REFINE_MIN_STEP; each step is one `play_entries` call on Python floats.
-    Every move is `game._move_entries` of its angles, so grid and steps agree bit for bit with `play`.
+    REFINE_MIN_STEP; each step is one scorer call on Python floats.
+    Every move is `game._move_entries` of its angles, and the scorer gives what
+    `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
     import numpy as np
     player = _check_player("responder", responder)
-
-    def ordered(own, other):
-        return (own, other) if player == 0 else (other, own)
-
+    score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), player, setup.table)
     alphas, thetas, grid = _search_grid()
-    opponent_entries = move_entries(opponent)
-    # Read once, not on every descent step: a field read of a built GameSetup goes through its instance dict.
-    gamma, r, table = setup.gamma, setup.r, setup.table
-    values = play_entries(gamma, r, *ordered(grid, opponent_entries), table)[player]
+    values = score(grid)
     # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
@@ -161,8 +158,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
-            move = _move_entries(alpha, theta)
-            value = play_entries(gamma, r, *ordered(move, opponent_entries), table)[player]
+            value = score(_move_entries(alpha, theta))
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True

@@ -10,10 +10,13 @@ as UA Phi UB^T.
 
 The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
-(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z, and one entry to it,
+(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. Its entry is
 `play_entries`, which takes the moves as `game.move_entries` gives them.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
+Its second caller, `_reply_scorer`, scores one player's moves against a fixed
+opponent for `equilibrium.best_response`, with the trig and that player's
+payoffs read once per reply; it gives bit for bit what `play_entries` gives.
 Each real operation rounds once, in the same order on floats and on arrays,
 and the cos and sin of a Python-float gamma or r come from `math` in both, so
 a game scores bit for bit the same through `play` as in any batch at the same
@@ -221,6 +224,33 @@ def _expected(probs: tuple, table: PayoffTable) -> tuple:
         p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
         p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
     )
+
+
+def _reply_scorer(gamma: float, r: float, opponent: tuple, player: int, table: PayoffTable):
+    """`score(own)`: the payoff of `player` (0 Alice, 1 Bob) for own move coordinates against `opponent`'s.
+
+    `gamma` and `r` are Python floats, and `score` takes Python floats or
+    arrays of coordinates. It equals `play_entries(gamma, r, ..., table)[player]`
+    with the moves in the players' order bit for bit: the cos and sin come
+    from `math`, as `play_entries` takes them for a Python float, and the sum
+    over the player's payoff column runs in `_expected`'s order. What does not
+    change during a reply (the trig, the column, the opponent) is read here once.
+    """
+    half = gamma / 2.0
+    cos_g, sin_g = math.cos(half), math.sin(half)
+    cos_r, sin_r = math.cos(r), math.sin(r)
+    w_cc, w_cd, w_dc, w_dd = (pair[player] for pair in table.entries())
+    alice = player == 0
+
+    def score(own):
+        p_cc, p_cd, p_dc, p_dd = (
+            _probabilities(own, opponent, cos_g, sin_g, cos_r, sin_r)
+            if alice
+            else _probabilities(opponent, own, cos_g, sin_g, cos_r, sin_r)
+        )
+        return p_cc * w_cc + p_cd * w_cd + p_dc * w_dc + p_dd * w_dd
+
+    return score
 
 
 def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma: float) -> np.ndarray:

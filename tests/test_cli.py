@@ -270,6 +270,24 @@ def test_config_file_missing_is_io_error(tmp_path):
     assert result.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C"),
+        ("sweep", "--gamma", "0", "--steps", "2"),
+        ("fig2", "--steps", "2"),
+        ("equilibria", "--gamma", "0", "--r", "0"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_empty_config_path_is_io_error_as_an_empty_out_path_is(args):
+    # An empty path names no file: it must fail to open, not fall back to the default table.
+    result = run_cli(*args, "--config", "")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("I/O error:")
+
+
 def test_play_output_is_stable_across_runs():
     args = ("play", "--gamma", "pi/3", "--r", "pi/5", "--alice", "M", "--bob", "Q")
     first = run_cli(*args)

@@ -22,8 +22,8 @@ from unruhpd.equilibrium import (
     set_best_responses,
     validate_strategy_set,
 )
-from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries
-from unruhpd.payoff import GameSetup, Payoffs, PayoffTable, play
+from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries, move_entries
+from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, _reply_scorer, play, play_entries
 
 C = NAMED_STRATEGIES["C"]
 D = NAMED_STRATEGIES["D"]
@@ -298,6 +298,48 @@ def test_best_response_equals_per_game_search_with_default_knobs(k, config):
             # Strategy equality compares alpha, theta and label.
             assert got == reference_best_response(setup, opponent, responder)
             assert type(got[1]) is float
+
+
+SCORER_TABLES = [
+    PayoffTable(),
+    PayoffTable(cc=(-0.0, 0.0), cd=(0.0, -0.0), dc=(-0.0, -0.0), dd=(0.0, 0.0)),
+    PayoffTable(cc=(-0.0, -0.0), cd=(-0.0, -0.0), dc=(-0.0, -0.0), dd=(-0.0, -0.0)),
+    PayoffTable(
+        cc=(PAYOFF_ENTRY_MAX, -PAYOFF_ENTRY_MAX),
+        cd=(-PAYOFF_ENTRY_MAX, PAYOFF_ENTRY_MAX),
+        dc=(PAYOFF_ENTRY_MAX, PAYOFF_ENTRY_MAX),
+        dd=(-PAYOFF_ENTRY_MAX, -PAYOFF_ENTRY_MAX),
+    ),
+    PayoffTable.from_scalars(*_RNG.normal(0.0, 3.0, 4)),
+    PayoffTable(*(tuple(_RNG.uniform(-10.0, 10.0, 2)) for _ in range(4))),
+]
+
+
+@pytest.mark.parametrize("table", SCORER_TABLES, ids=range(len(SCORER_TABLES)))
+def test_reply_scorer_equals_play_entries_bit_for_bit(table):
+    # The search's scorer must give what the engine entry gives, on floats and on the grid's arrays,
+    # for each player: best_response's replies rest on it.
+    _, _, grid = _search_grid()
+    rng = np.random.default_rng(17)
+    moves = [move_entries(s) for s in OPPONENTS] + [_move_entries(*rng.uniform((0.0, 0.0), (TWO_PI, math.pi)))]
+    for gamma, r in CONFIGS:
+        setup = GameSetup(gamma, r, table)
+        for opponent in OPPONENTS:
+            other = move_entries(opponent)
+            for player in (0, 1):
+                score = _reply_scorer(setup.gamma, setup.r, other, player, table)
+
+                def engine(own):
+                    alice, bob = (own, other) if player == 0 else (other, own)
+                    return play_entries(gamma, r, alice, bob, table)[player]
+
+                for own in moves:
+                    got, want = score(own), engine(own)
+                    assert type(got) is type(want) is float
+                    assert got.hex() == want.hex()
+                got, want = score(grid), engine(grid)
+                assert got.shape == want.shape == (GRID_POINTS, GRID_POINTS)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_search_grid_is_built_once_and_read_only():

@@ -43,6 +43,7 @@ CLOSED_FORMS = "src/unruhpd/closed_forms.py"
 CLOSED_FORM_TESTS = ("tests/test_closed_forms.py", "tests/test_api.py")
 EQUILIBRIUM = "src/unruhpd/equilibrium.py"
 EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py",)
+PAYOFF = "src/unruhpd/payoff.py"
 KERNEL_TESTS = ("tests/test_engine.py", "tests/test_payoff.py")
 
 MUTANTS = [
@@ -76,13 +77,22 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     Mutant("grid: descent steps swapped", EQUILIBRIUM,
            "step_a, step_t = alphas[1], thetas[1]", "step_a, step_t = thetas[1], alphas[1]", EQUILIBRIUM_TESTS),
+    # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
+    Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
+           "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
+    Mutant("scorer: the other player's weight column", PAYOFF,
+           "(pair[player] for pair", "(pair[1 - player] for pair", EQUILIBRIUM_TESTS),
+    Mutant("scorer: dd term dropped", PAYOFF, " + p_dd * w_dd", "", EQUILIBRIUM_TESTS),
+    Mutant("scorer: cos(r) of the half angle", PAYOFF,
+           "    cos_r, sin_r = math.cos(r), math.sin(r)\n    w_cc",
+           "    cos_r, sin_r = math.cos(r / 2.0), math.sin(r)\n    w_cc", EQUILIBRIUM_TESTS),
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
            "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", ("tests/test_verify.py",)),
     # The kernel: one flipped sign and one dropped term.
-    Mutant("kernel: k01i sign flipped", "src/unruhpd/payoff.py",
+    Mutant("kernel: k01i sign flipped", PAYOFF,
            "c0 * a0b1 + sin_g * a1b3", "c0 * a0b1 - sin_g * a1b3", KERNEL_TESTS),
-    Mutant("kernel: l10r dropped from the DC line", "src/unruhpd/payoff.py",
+    Mutant("kernel: l10r dropped from the DC line", PAYOFF,
            "lr, li = cos_g * l10r - sin_g * l01i, sin_g * l01r", "lr, li = -sin_g * l01i, sin_g * l01r",
            KERNEL_TESTS),
 ]
