@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, move_entries, safe_repr
+from .game import Strategy, TWO_PI, _move_entries, is_finite, move_entries, safe_repr
 from .payoff import GameSetup, Payoffs, _reply_scorer, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -29,7 +31,9 @@ REFINE_ROUNDS = 100
 REFINE_MIN_STEP = 1e-6
 
 
-def validate_strategy_set(strategies: list[Strategy]) -> list[Strategy]:
+def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
+    """The strategies as a new list, read once, so an iterator gives what its list gives."""
+    strategies = list(strategies or ())  # None and an empty container are refused as empty, below
     if not strategies:
         raise ValueError("strategy set must not be empty")
     seen: set[tuple[float, float]] = set()
@@ -38,10 +42,10 @@ def validate_strategy_set(strategies: list[Strategy]) -> list[Strategy]:
         if key in seen:
             raise ValueError(f"duplicate strategy in set: {s}")
         seen.add(key)
-    return list(strategies)
+    return strategies
 
 
-def payoff_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payoffs]]:
+def payoff_table(setup: GameSetup, strategies: Iterable[Strategy]) -> list[list[Payoffs]]:
     """Full |set| x |set| table; entry [i][j] is `play` of strategies[i] vs strategies[j]."""
     strategies = validate_strategy_set(strategies)
     return [[play(setup, a, b) for b in strategies] for a in strategies]
@@ -77,7 +81,8 @@ def pareto_front(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
     Payoffs within DEVIATION_TOL count as equal, so roundoff noise cannot
     make one of two tied profiles dominate the other.
     """
-    n = _check_square(table)
+    table = _check_square(table)
+    n = len(table)
     cells = [(i, j) for i in range(n) for j in range(n)]
 
     def dominated(cell: tuple[int, int]) -> bool:
@@ -114,10 +119,11 @@ class EquilibriumReport:
     best_responses_bob: dict[int, int]
 
 
-def analyze(setup: GameSetup, strategies: list[Strategy]) -> EquilibriumReport:
+def analyze(setup: GameSetup, strategies: Iterable[Strategy]) -> EquilibriumReport:
+    strategies = validate_strategy_set(strategies)
     table = payoff_table(setup, strategies)
     return EquilibriumReport(
-        strategies=list(strategies),
+        strategies=strategies,
         table=table,
         nash=find_nash(table),
         dominant_alice=find_dominant(table, "alice"),
@@ -185,7 +191,7 @@ def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") 
 
     Alice owns the table's rows and Bob its columns; no other code reads that orientation.
     """
-    _check_square(table)
+    table = _check_square(table)
     index = _check_player(name, player)
     rows = table if index == 0 else list(zip(*table))
     return [[cell[index] for cell in row] for row in rows]
@@ -198,11 +204,28 @@ def _replies(own: list[list[float]], opp: int) -> list[int]:
     return [k for k, v in enumerate(scores) if top <= v + DEVIATION_TOL]
 
 
-def _check_square(table: list[list[Payoffs]]) -> int:
+def _check_square(table: list[list[Payoffs]]) -> list[list[tuple[float, float]]]:
+    """The table's cells as pairs of Python floats, or ValueError unless it is square, nonempty and all finite reals.
+
+    The four table functions read their table only through here, so a NaN cannot slip past the
+    tolerance tests and a numpy float32 cell cannot overflow in arithmetic with a Python float.
+    """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise ValueError("payoff table must be square and nonempty")
-    return n
+    return [[_payoff_cell(cell) for cell in row] for row in table]
+
+
+def _payoff_cell(cell) -> tuple[float, float]:
+    """(cell[0], cell[1]) as Python floats, read as `Payoffs` fields are; ValueError unless both are finite real numbers."""
+    try:
+        alice, bob = cell[0], cell[1]
+        ok = len(cell) == 2 and all(isinstance(v, numbers.Real) and is_finite(v) for v in (alice, bob))
+    except (TypeError, LookupError):  # no len or no items 0 and 1
+        ok = False
+    if not ok:
+        raise ValueError(f"payoff table cells must be pairs of finite real numbers, got {safe_repr(cell)}")
+    return float(alice), float(bob)
 
 
 def _check_player(name: str, player: str) -> int:

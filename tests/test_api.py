@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 import os
 import re
 import subprocess
@@ -246,6 +247,36 @@ def test_every_api_call_raises_value_error_or_returns_finite_floats(
     closed_form_or_value_error(unruhpd.miracle_vs_classical, form_r, bob[1])
     finite_or_value_error(unruhpd.r_from_acceleration, *acceleration)
     finite_or_value_error(unruhpd.run_suite, suite, grid, tol)
+
+
+def finite_real(x) -> bool:
+    """x is a real number with a finite float value."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # an int or a Fraction past the float range
+        return False
+
+
+table_entry = st.one_of(number, st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.tuples(table_entry, table_entry), min_size=n, max_size=n),
+                                                  min_size=n, max_size=n)),
+    st.sampled_from(["alice", "bob"]),
+)
+def test_table_functions_refuse_every_entry_that_is_not_a_finite_real(table, player):
+    """The four functions on payoff tables give a ValueError exactly when some entry is not a finite real number."""
+    calls = [unruhpd.find_nash, unruhpd.pareto_front]
+    calls += [lambda t: unruhpd.find_dominant(t, player), lambda t: unruhpd.set_best_responses(t, player)]
+    valid = all(finite_real(x) for row in table for cell in row for x in cell)
+    for call in calls:
+        if valid:
+            assert_finite_floats(call(table))
+        else:
+            with pytest.raises(ValueError, match="^payoff table cells must be pairs of finite real numbers, got "):
+                call(table)
 
 
 def test_r_from_acceleration_computes_in_python_floats():

@@ -13,7 +13,7 @@ from unruhpd import cli
 from unruhpd.payoff import PROFILE_ORDER
 
 ROOT = Path(__file__).resolve().parents[1]
-# The commands `tools/compare_cli_output.sh` compares between two source trees.
+# The commands whose stdout and exit code `tools/contract.py` lists, to compare two source trees.
 COMMANDS = [line.split() for line in (ROOT / "tools" / "cli_commands.txt").read_text().splitlines() if line.strip()]
 
 

@@ -1,6 +1,7 @@
 """Finite-set equilibrium classification and continuous best-response search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ def test_pareto_front_treats_roundoff_as_a_tie():
         [Payoffs(0.0, 0.0), Payoffs(0.0, 0.0)],
     ]
     assert pareto_front(table) == [(0, 0), (0, 1)]
+
+
+def test_pareto_front_counts_a_payoff_within_the_tolerance_below_as_no_worse():
+    # (0, 1) is half a tolerance worse for Alice, a tie, and better for Bob: it dominates (0, 0).
+    table = [
+        [Payoffs(1.0, 1.0), Payoffs(1.0 - DEVIATION_TOL / 2, 2.0)],
+        [Payoffs(0.0, 0.0), Payoffs(0.0, 0.0)],
+    ]
+    assert pareto_front(table) == [(0, 1)]
 
 
 def test_pareto_front_drops_a_profile_improved_for_one_player_only():
@@ -379,9 +389,64 @@ def test_square_table_required():
         find_nash([[], []])
 
 
+def test_an_iterator_of_strategies_gives_what_its_list_gives():
+    # The set used to be read twice: `payoff_table` returned [] for an iterator, and `analyze` raised
+    # "payoff table must be square and nonempty".
+    setup = GameSetup(0.3, 0.2)
+    assert payoff_table(setup, iter([C, D])) == payoff_table(setup, [C, D])
+    assert analyze(setup, iter([C, D, Q])) == analyze(setup, [C, D, Q])
+    assert analyze(setup, (s for s in (Q, M))).strategies == [Q, M]
+
+
+REFUSED_SETS = {
+    "None": (lambda: None, "must not be empty"),
+    "[]": (lambda: [], "must not be empty"),
+    "()": (lambda: (), "must not be empty"),
+    "iter([])": (lambda: iter([]), "must not be empty"),
+    "[C, D, C]": (lambda: [C, D, Strategy(0.0, 0.0)], "duplicate strategy in set"),
+    "iter([Q, Q])": (lambda: iter([Q, Q]), "duplicate strategy in set: Q"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_SETS)
+def test_a_refused_strategy_set_is_refused_by_both_readers(name):
+    make, message = REFUSED_SETS[name]
+    for call in (payoff_table, analyze):
+        with pytest.raises(ValueError, match=message):
+            call(GameSetup(0.3, 0.2), make())
+
+
+TABLE_FUNCTIONS = {
+    "find_nash": find_nash,
+    "pareto_front": pareto_front,
+    "find_dominant alice": lambda table: find_dominant(table, "alice"),
+    "set_best_responses alice": lambda table: set_best_responses(table, "alice"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_FUNCTIONS)
+@pytest.mark.parametrize("alice_cc", [math.nan, math.inf, -math.inf, "3", None, 1j], ids=repr)
+def test_a_cell_that_is_not_two_finite_reals_is_a_value_error(name, alice_cc):
+    # Alice's CC payoff of the default game replaced. Before the cells were checked, NaN put the dominated
+    # (D,D) on the Pareto front and made `set_best_responses` raise IndexError, inf gave answers, and "3"
+    # raised TypeError.
+    table = payoff_table(classical_setup(), CLASSICAL_SET)
+    table[0][0] = (alice_cc, table[0][0].bob)
+    with pytest.raises(ValueError, match=re.escape(f"finite real numbers, got {(alice_cc, 3.0)!r}")):
+        TABLE_FUNCTIONS[name](table)
+
+
+@pytest.mark.parametrize("name", TABLE_FUNCTIONS)
+def test_a_float32_cell_is_read_as_a_python_float(name):
+    # Compared with a Python float past float32's range, a float32 payoff used to warn "overflow encountered in cast".
+    table = [[(np.float32(1.25), PAYOFF_ENTRY_MAX), (5e-324, np.float32(-0.5))], [(-PAYOFF_ENTRY_MAX, 0.0), (2, 1.0)]]
+    floats = [[tuple(map(float, cell)) for cell in row] for row in table]
+    assert TABLE_FUNCTIONS[name](table) == TABLE_FUNCTIONS[name](floats)
+
+
 def reference_find_nash(table):
     """`find_nash` before the player view: its own index bookkeeping and tolerance test per player."""
-    n = _check_square(table)
+    n = len(_check_square(table))
     out = []
     for i in range(n):
         for j in range(n):
@@ -394,7 +459,7 @@ def reference_find_nash(table):
 
 def reference_find_dominant(table, player):
     """`find_dominant` before the player view."""
-    n = _check_square(table)
+    n = len(_check_square(table))
     _check_player("player", player)
 
     def against(own: int, opp: int) -> float:
@@ -426,7 +491,7 @@ def reference_find_dominant(table, player):
 
 def reference_set_best_responses(table, responder):
     """`set_best_responses` before the player view."""
-    n = _check_square(table)
+    n = len(_check_square(table))
     _check_player("responder", responder)
     out: dict[int, int] = {}
     for opp in range(n):

@@ -44,7 +44,9 @@ CLOSED_FORM_TESTS = ("tests/test_closed_forms.py", "tests/test_api.py")
 EQUILIBRIUM = "src/unruhpd/equilibrium.py"
 EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py",)
 PAYOFF = "src/unruhpd/payoff.py"
-KERNEL_TESTS = ("tests/test_engine.py", "tests/test_payoff.py")
+KERNEL_TESTS = ("tests/test_engine.py", "tests/test_payoff.py", "tests/test_exact.py")
+CLI = "src/unruhpd/cli.py"
+CLI_TESTS = ("tests/test_cli.py",)
 
 MUTANTS = [
     # closed_forms._domain: which r is an array, the guard of its conversion, the bound check and the clip.
@@ -95,6 +97,33 @@ MUTANTS = [
     Mutant("kernel: l10r dropped from the DC line", PAYOFF,
            "lr, li = cos_g * l10r - sin_g * l01i, sin_g * l01r", "lr, li = -sin_g * l01i, sin_g * l01r",
            KERNEL_TESTS),
+    # The channel: Rindler-mode amplitudes of Bob's |0> swapped.
+    Mutant("channel: cos(r) and sin(r) swapped", "src/unruhpd/unruh.py",
+           "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", ("tests/test_unruh.py",)),
+    # The clamp: a value just below 0 is inside the slack.
+    Mutant("clamp: the lower slack's sign flipped", "src/unruhpd/game.py",
+           "value < -EDGE_SLACK", "value < EDGE_SLACK", ("tests/test_game.py",)),
+    # The solution concepts: a gap of exactly DEVIATION_TOL is a tie, and the Pareto front's tie tolerance.
+    Mutant("dominant: a gap at the tolerance is strict", EQUILIBRIUM,
+           "if not any(gap <= DEVIATION_TOL for gap in gaps)", "if not any(gap < DEVIATION_TOL for gap in gaps)",
+           EQUILIBRIUM_TESTS),
+    Mutant("pareto: no tie tolerance", EQUILIBRIUM,
+           "no_worse = qa >= pa - DEVIATION_TOL and qb >= pb - DEVIATION_TOL", "no_worse = qa >= pa and qb >= pb",
+           EQUILIBRIUM_TESTS),
+    # The guards on the table functions' input: the strategy set read once and each cell finite.
+    Mutant("strategy set: an iterator read twice", EQUILIBRIUM,
+           "strategies = list(strategies or ())", "strategies = strategies or ()", EQUILIBRIUM_TESTS),
+    Mutant("table cells: a non-finite number passes", EQUILIBRIUM,
+           "isinstance(v, numbers.Real) and is_finite(v)", "isinstance(v, numbers.Real)", EQUILIBRIUM_TESTS),
+    # verify's pass/fail: a NaN deviation after a finite one must be the worst.
+    Mutant("verify: a later NaN is not the worst", "src/unruhpd/verify.py",
+           " or (math.isnan(value) and not math.isnan(worst))", "", ("tests/test_verify.py",)),
+    # The CLI validators of sweep's grid.
+    Mutant("cli: one sweep step accepted", CLI,
+           "    if args.steps < 2:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start",
+           "    if args.steps < 1:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start", CLI_TESTS),
+    Mutant("cli: a reversed r range accepted", CLI,
+           "if args.r_start > args.r_end:", "if args.r_start > args.r_end + 1.0:", CLI_TESTS),
 ]
 
 # Mutant name -> why no test can tell it from the original.
