@@ -4,11 +4,12 @@ Nash, dominance and Pareto classification are exhaustive deviation checks on
 an explicit payoff table, each entry scored by `play`. Nash, dominance and
 within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
-continuous search scores an (alpha, theta) grid and then each step of a
-coordinate descent through one `payoff._reply_scorer` per reply, which gives
-what `payoff.play_entries` gives with the trig and the responder's payoffs
-read once: on arrays of move coordinates for the grid, on Python floats for
-the steps.
+continuous search finds the best point of an (alpha, theta) grid and then
+refines it by coordinate descent, scoring through one `payoff._reply_scorer`
+per reply, which gives what `payoff.play_entries` gives with the trig and the
+responder's payoffs read once. The grid is prefiltered through the
+responder's quadratic form, `_reply_form`, so the scorer sees only the grid
+points near the form's maximum, and no point twice.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ DEVIATION_TOL = 1e-9
 GRID_POINTS = 32
 REFINE_ROUNDS = 100
 REFINE_MIN_STEP = 1e-6
+# At most this many grid candidates are scored one by one on Python floats; more are scored on arrays.
+FEW_CANDIDATES = 16
+
+# The class itself, bound at import: benchmarks/tracer.py rebinds the name `Strategy` here to a wrapper function.
+_STRATEGY_TYPE = Strategy
 
 
 def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
@@ -38,6 +44,8 @@ def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
         raise ValueError("strategy set must not be empty")
     seen: set[tuple[float, float]] = set()
     for s in strategies:
+        if not isinstance(s, _STRATEGY_TYPE):
+            raise ValueError(f"strategy set members must be Strategy objects, got {safe_repr(s)}")
         key = (s.alpha, s.theta)
         if key in seen:
             raise ValueError(f"duplicate strategy in set: {s}")
@@ -47,6 +55,7 @@ def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
 
 def payoff_table(setup: GameSetup, strategies: Iterable[Strategy]) -> list[list[Payoffs]]:
     """Full |set| x |set| table; entry [i][j] is `play` of strategies[i] vs strategies[j]."""
+    _check_setup(setup)
     strategies = validate_strategy_set(strategies)
     return [[play(setup, a, b) for b in strategies] for a in strategies]
 
@@ -137,25 +146,43 @@ def analyze(setup: GameSetup, strategies: Iterable[Strategy]) -> EquilibriumRepo
 def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple[Strategy, float]:
     """Argmax reply over the whole (alpha, theta) move space.
 
-    Scans the GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
-    (inclusive endpoints) in one call of the reply's `payoff._reply_scorer` on its arrays
-    of move coordinates, then runs at most REFINE_ROUNDS rounds of coordinate
-    descent from the best grid point, halving the step until it drops below
-    REFINE_MIN_STEP; each step is one scorer call on Python floats.
-    Every move is `game._move_entries` of its angles, and the scorer gives what
-    `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
+    Takes the first maximum, in row-major order, of the payoff over the
+    GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
+    (inclusive endpoints), then runs at most REFINE_ROUNDS rounds of coordinate
+    descent from it, halving the step until it drops below REFINE_MIN_STEP.
+    Every payoff is a call of the reply's `payoff._reply_scorer`, which gives
+    what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
+    Only the grid's `_candidates` under the responder's quadratic form are scored:
+    on Python floats when at most FEW_CANDIDATES, else on arrays. The descent
+    scores each (alpha, theta) once: a point scored before never beats the best.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
-    import numpy as np
     player = _check_player("responder", responder)
+    _check_setup(setup)
+    if not isinstance(opponent, _STRATEGY_TYPE):
+        raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
     score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), player, setup.table)
     alphas, thetas, grid = _search_grid()
-    values = score(grid)
-    # argmax takes the first maximum in row-major order: the smallest (alpha, theta).
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    best_alpha, best_theta, best_value = alphas[i], thetas[j], float(values[i, j])
+    weight = max(abs(pair[player]) for pair in setup.table.entries())
+    candidates = _candidates(_reply_form(score), weight)
+    if len(candidates) <= FEW_CANDIDATES:
+        best, best_value = -1, -math.inf
+        for k in candidates.tolist():
+            value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
+            if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
+                best, best_value = k, value
+    else:
+        import numpy as np
+        values = score(tuple(axis.reshape(-1)[candidates] for axis in grid))
+        at = int(np.argmax(values))  # the first maximum, as above
+        best, best_value = int(candidates[at]), float(values[at])
+    i, j = divmod(best, GRID_POINTS)
+    best_alpha, best_theta = alphas[i], thetas[j]
 
+    # Each scored (alpha, theta) as one complex, equal exactly when both angles are: it keeps a quarter of the
+    # memory of a tuple and its two floats, which matters to the benchmark's peak RSS.
+    seen = {complex(best_alpha, best_theta)}
     step_a, step_t = alphas[1], thetas[1]  # the grid's spacing
     for _ in range(REFINE_ROUNDS):
         if max(step_a, step_t) < REFINE_MIN_STEP:
@@ -164,6 +191,10 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = min(max(best_alpha + da, 0.0), TWO_PI)
             theta = min(max(best_theta + dt, 0.0), math.pi)
+            point = complex(alpha, theta)
+            if point in seen:
+                continue
+            seen.add(point)
             value = score(_move_entries(alpha, theta))
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
@@ -175,6 +206,40 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     return Strategy(best_alpha, best_theta), best_value
 
 
+def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
+    """The symmetric 3x3 matrix A with `score(q) = q^T A q` for move coordinates q = (q0, q1, q3).
+
+    Each outcome amplitude is linear in the responder's coordinates, so the payoff is a
+    quadratic form in them. Six float calls of `score`: the diagonal at the unit vectors
+    e0, e1, e3, and each off-diagonal term by polarization at (e_i + e_j)/sqrt(2).
+    """
+    h = math.sqrt(0.5)
+    a00, a11, a33 = score((1.0, 0.0, 0.0)), score((0.0, 1.0, 0.0)), score((0.0, 0.0, 1.0))
+    a01 = score((h, h, 0.0)) - (a00 + a11) / 2.0
+    a03 = score((h, 0.0, h)) - (a00 + a33) / 2.0
+    a13 = score((0.0, h, h)) - (a11 + a33) / 2.0
+    return (a00, a01, a03), (a01, a11, a13), (a03, a13, a33)
+
+
+def _candidates(form: tuple, weight: float):
+    """Row-major indices of the grid points whose `form` value is within a margin of its grid maximum.
+
+    The margin is 1e-9 of `weight`, the largest |payoff| of the responder's column, plus
+    1e-300, which covers tables of subnormal entries, where 1e-9 of them rounds to 0. The form
+    differs from the scorer by about 1e-15 of `weight`, far inside the margin, so the scorer's
+    maximum is always among these points. A form that is not finite keeps every point.
+    """
+    import numpy as np
+    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
+    q00, q11, q33, q01, q03, q13 = _grid_products()
+    values = a00 * q00 + a11 * q11 + a33 * q33 + a01 * q01 + a03 * q03 + a13 * q13
+    top, bottom = float(values.max()), float(values.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        return np.arange(values.size)
+    delta = 1e-9 * weight + 1e-300
+    return np.flatnonzero(values >= top - delta)
+
+
 @functools.cache
 def _search_grid() -> tuple:
     """The best reply's grid, built once, read-only: alphas, thetas, and (q0, q1, q3) arrays of each `_move_entries`."""
@@ -184,6 +249,16 @@ def _search_grid() -> tuple:
     entries = np.array([[_move_entries(alpha, theta) for theta in thetas] for alpha in alphas])
     entries.setflags(write=False)
     return alphas, thetas, tuple(np.moveaxis(entries, -1, 0))
+
+
+@functools.cache
+def _grid_products():
+    """The grid's q0^2, q1^2, q3^2, 2 q0 q1, 2 q0 q3 and 2 q1 q3, each over the points in row-major order, read-only."""
+    import numpy as np
+    q0, q1, q3 = (axis.reshape(-1) for axis in _search_grid()[2])
+    products = np.array((q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3))
+    products.setflags(write=False)
+    return products
 
 
 def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:
@@ -210,8 +285,12 @@ def _check_square(table: list[list[Payoffs]]) -> list[list[tuple[float, float]]]
     The four table functions read their table only through here, so a NaN cannot slip past the
     tolerance tests and a numpy float32 cell cannot overflow in arithmetic with a Python float.
     """
-    n = len(table)
-    if n == 0 or any(len(row) != n for row in table):
+    try:
+        n = len(table)
+        square = n > 0 and all(len(row) == n for row in table)
+    except TypeError:  # the table or a row has no length
+        square = False
+    if not square:
         raise ValueError("payoff table must be square and nonempty")
     return [[_payoff_cell(cell) for cell in row] for row in table]
 
@@ -226,6 +305,11 @@ def _payoff_cell(cell) -> tuple[float, float]:
     if not ok:
         raise ValueError(f"payoff table cells must be pairs of finite real numbers, got {safe_repr(cell)}")
     return float(alice), float(bob)
+
+
+def _check_setup(setup: GameSetup) -> None:
+    if not isinstance(setup, GameSetup):
+        raise ValueError(f"setup must be a GameSetup, got {safe_repr(setup)}")
 
 
 def _check_player(name: str, player: str) -> int:

@@ -101,6 +101,29 @@ BAD_API_CALLS = [
     ("run_suite grid 2**61", lambda: unruhpd.run_suite("eq8", 2**61), "^grid must be"),
     ("run_suite grid 2**63 - 1", lambda: unruhpd.run_suite("eq8", 2**63 - 1), "^grid must be"),
     ("run_suite grid 10**5000", lambda: unruhpd.run_suite("eq8", HUGE_INT), "^grid must be"),
+    # Objects of the wrong type; each used to raise AttributeError from reading a field they lack.
+    ("analyze set 'CD'", lambda: unruhpd.analyze(unruhpd.GameSetup(0.1, 0.1), "CD"), "^strategy set members must be"),
+    ("analyze set [1, 2]", lambda: unruhpd.analyze(unruhpd.GameSetup(0.1, 0.1), [1, 2]), "got 1$"),
+    ("analyze setup None", lambda: unruhpd.analyze(None, [unruhpd.NAMED_STRATEGIES["C"]]), "^setup must be a Game"),
+    ("payoff_table setup None", lambda: unruhpd.payoff_table(None, [unruhpd.NAMED_STRATEGIES["C"]]), "got None$"),
+    (
+        "payoff_table setup 10**5000",
+        lambda: unruhpd.payoff_table(HUGE_INT, [unruhpd.NAMED_STRATEGIES["C"]]),
+        "^setup must be a GameSetup, got <unprintable int>$",
+    ),
+    (
+        "best_response setup None",
+        lambda: unruhpd.best_response(None, unruhpd.NAMED_STRATEGIES["C"], "alice"),
+        "^setup must be a GameSetup, got None$",
+    ),
+    (
+        "best_response opponent 'C'",
+        lambda: unruhpd.best_response(unruhpd.GameSetup(0.1, 0.1), "C", "alice"),
+        re.escape("opponent must be a Strategy, got 'C'"),
+    ),
+    # A table or a row with no length used to raise TypeError.
+    ("find_nash [1, 2]", lambda: unruhpd.find_nash([1, 2]), "^payoff table must be square and nonempty$"),
+    ("find_nash None", lambda: unruhpd.find_nash(None), "^payoff table must be square and nonempty$"),
 ]
 
 

@@ -11,6 +11,8 @@ from unruhpd.equilibrium import (
     DEVIATION_TOL,
     GRID_POINTS,
     REFINE_MIN_STEP,
+    _candidates,
+    _reply_form,
     _search_grid,
     _check_player,
     _check_square,
@@ -352,6 +354,47 @@ def test_reply_scorer_equals_play_entries_bit_for_bit(table):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+# The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-9
+# of the largest entry rounds to 0, and only the margin's 1e-300 floor keeps the scorer's maximum a candidate.
+PREFILTER_TABLES = SCORER_TABLES + [
+    PayoffTable(cc=(0.0, 0.0), cd=(0.0, 0.0), dc=(0.0, 0.0), dd=(0.0, 0.0)),
+    *(PayoffTable.from_scalars(*(scale * x for x in (3.0, 0.0, 5.0, 1.0))) for scale in (5e-324, 1e-310, 1e-300)),
+]
+# Replies checked against the per-game reference for each table: one opponent per configuration, in turn.
+REFERENCE_REPLIES = [(config, OPPONENTS[k % len(OPPONENTS)]) for k, config in enumerate(CONFIGS)]
+
+
+@pytest.mark.parametrize("table", PREFILTER_TABLES, ids=range(len(PREFILTER_TABLES)))
+def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table):
+    # The responder's quadratic form must track the scorer on the whole grid to within a quarter of the
+    # margin, so the scorer's first maximum (the grid point best_response takes) is always a candidate.
+    _, _, grid = _search_grid()
+    q = np.stack(grid, axis=-1)
+    for gamma, r in CONFIGS:
+        for opponent in OPPONENTS:
+            for player in (0, 1):
+                score = _reply_scorer(gamma, r, move_entries(opponent), player, table)
+                form = _reply_form(score)
+                matrix = np.array(form)
+                assert np.array_equal(matrix, matrix.T)
+                values = np.einsum("...i,ij,...j->...", q, matrix, q)
+                kernel = score(grid)
+                weight = max(abs(pair[player]) for pair in table.entries())
+                delta = 1e-9 * weight + 1e-300
+                assert np.abs(values - kernel).max() <= delta / 4
+                candidates = _candidates(form, weight)
+                assert list(candidates) == sorted(set(candidates))
+                assert np.argmax(kernel) in candidates
+    for config, opponent in REFERENCE_REPLIES:
+        setup = GameSetup(*config, table)
+        for responder in ("alice", "bob"):
+            bits = [
+                (reply.alpha.hex(), reply.theta.hex(), value.hex())
+                for reply, value in (f(setup, opponent, responder) for f in (best_response, reference_best_response))
+            ]
+            assert bits[0] == bits[1]
+
+
 def test_search_grid_is_built_once_and_read_only():
     assert _search_grid() is _search_grid()
     alphas, thetas, grid = _search_grid()
@@ -422,6 +465,22 @@ TABLE_FUNCTIONS = {
     "find_dominant alice": lambda table: find_dominant(table, "alice"),
     "set_best_responses alice": lambda table: set_best_responses(table, "alice"),
 }
+
+
+# Each used to raise TypeError from len(): "object of type 'int' has no len()".
+WITHOUT_A_LENGTH = {
+    "None": None,
+    "[1, 2]": [1, 2],
+    "[[cell, cell], 1]": [[(3.0, 3.0), (0.0, 5.0)], 1],
+    "iter([[cell]])": iter([[(3.0, 3.0)]]),
+}
+
+
+@pytest.mark.parametrize("name", WITHOUT_A_LENGTH)
+@pytest.mark.parametrize("function", TABLE_FUNCTIONS)
+def test_a_table_or_row_without_a_length_is_a_value_error(name, function):
+    with pytest.raises(ValueError, match="^payoff table must be square and nonempty$"):
+        TABLE_FUNCTIONS[function](WITHOUT_A_LENGTH[name])
 
 
 @pytest.mark.parametrize("name", TABLE_FUNCTIONS)

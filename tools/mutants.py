@@ -79,6 +79,16 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     Mutant("grid: descent steps swapped", EQUILIBRIUM,
            "step_a, step_t = alphas[1], thetas[1]", "step_a, step_t = thetas[1], alphas[1]", EQUILIBRIUM_TESTS),
+    # equilibrium._candidates and the grid's scoring: the margin, its floor for subnormal tables, the first maximum.
+    Mutant("prefilter: no 1e-300 floor", EQUILIBRIUM,
+           "delta = 1e-9 * weight + 1e-300", "delta = 1e-9 * weight", EQUILIBRIUM_TESTS),
+    Mutant("prefilter: no margin", EQUILIBRIUM,
+           "delta = 1e-9 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
+    Mutant("prefilter: the last maximum among few candidates", EQUILIBRIUM,
+           "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
+           EQUILIBRIUM_TESTS),
+    Mutant("descent: the grid's best point not marked as scored", EQUILIBRIUM,
+           "seen = {complex(best_alpha, best_theta)}", "seen = set()", EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
     Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
            "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
@@ -127,7 +137,11 @@ MUTANTS = [
 ]
 
 # Mutant name -> why no test can tell it from the original.
-EQUIVALENT: dict[str, str] = {}
+EQUIVALENT: dict[str, str] = {
+    "descent: the grid's best point not marked as scored": (
+        "rescoring a point gives the value it had, which never beats the current best, so only the work changes"
+    ),
+}
 
 
 def stale(mutants: list[Mutant]) -> list[str]:
