@@ -39,7 +39,7 @@ ROWS_PER_WRITE = 256
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 _PI_TOKEN = re.compile(
-    r"^(?P<sign>[+-])?(?P<coef>\d+(?:\.\d*)?)?pi(?:/(?P<den>\d+(?:\.\d*)?))?$"
+    r"^(?P<sign>[+-])?(?P<coef>\d+(?:\.\d*)?|\.\d+)?pi(?:/(?P<den>\d+(?:\.\d*)?|\.\d+))?$"
 )
 
 
@@ -49,7 +49,7 @@ def fmt(value: float) -> str:
 
 
 def parse_angle(token: str) -> float:
-    """Accept plain floats plus pi fractions: 'pi', 'pi/4', '3pi/4', '-pi/2'."""
+    """Accept plain floats plus pi fractions: 'pi', 'pi/4', '3pi/4', '-pi/2', '.5pi', 'pi/.5'."""
     text = token.strip().lower().replace(" ", "").replace("*", "")
     match = _PI_TOKEN.match(text)
     if match:

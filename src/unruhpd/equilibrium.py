@@ -5,11 +5,11 @@ an explicit payoff table, each entry scored by `play`. Nash, dominance and
 within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search finds the best point of an (alpha, theta) grid and then
-refines it by coordinate descent, scoring through one `payoff._reply_scorer`
-per reply, which gives what `payoff.play_entries` gives with the trig and the
-responder's payoffs read once. The grid is prefiltered through the
-responder's quadratic form, `_reply_form`, so the scorer sees only the grid
-points near the form's maximum, and no point twice.
+refines it by coordinate descent, scoring on Python floats through one
+`payoff._reply_scorer` per reply, which gives what `payoff.play_entries` gives
+with the trig and the responder's payoffs read once. The grid is prefiltered
+through the responder's quadratic form, `_reply_form`, so the scorer sees only
+the grid points near the form's maximum, and no point twice.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ DEVIATION_TOL = 1e-9
 GRID_POINTS = 32
 REFINE_ROUNDS = 100
 REFINE_MIN_STEP = 1e-6
-# At most this many grid candidates are scored one by one on Python floats; more are scored on arrays.
-FEW_CANDIDATES = 16
 
 # The class itself, bound at import: benchmarks/tracer.py rebinds the name `Strategy` here to a wrapper function.
 _STRATEGY_TYPE = Strategy
@@ -152,9 +150,9 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     descent from it, halving the step until it drops below REFINE_MIN_STEP.
     Every payoff is a call of the reply's `payoff._reply_scorer`, which gives
     what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
-    Only the grid's `_candidates` under the responder's quadratic form are scored:
-    on Python floats when at most FEW_CANDIDATES, else on arrays. The descent
-    scores each (alpha, theta) once: a point scored before never beats the best.
+    Only the grid's `_candidates` under the responder's quadratic form are scored,
+    one by one on Python floats. The descent scores each (alpha, theta) once: a
+    point scored before never beats the best.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
@@ -163,20 +161,13 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     if not isinstance(opponent, _STRATEGY_TYPE):
         raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
     score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), player, setup.table)
-    alphas, thetas, grid = _search_grid()
+    alphas, thetas, products = _search_grid()
     weight = max(abs(pair[player]) for pair in setup.table.entries())
-    candidates = _candidates(_reply_form(score), weight)
-    if len(candidates) <= FEW_CANDIDATES:
-        best, best_value = -1, -math.inf
-        for k in candidates.tolist():
-            value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
-            if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
-                best, best_value = k, value
-    else:
-        import numpy as np
-        values = score(tuple(axis.reshape(-1)[candidates] for axis in grid))
-        at = int(np.argmax(values))  # the first maximum, as above
-        best, best_value = int(candidates[at]), float(values[at])
+    best, best_value = -1, -math.inf
+    for k in _candidates(_reply_form(score), products, weight):
+        value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
+        if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
+            best, best_value = k, value
     i, j = divmod(best, GRID_POINTS)
     best_alpha, best_theta = alphas[i], thetas[j]
 
@@ -221,44 +212,33 @@ def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
     return (a00, a01, a03), (a01, a11, a13), (a03, a13, a33)
 
 
-def _candidates(form: tuple, weight: float):
-    """Row-major indices of the grid points whose `form` value is within a margin of its grid maximum.
+def _candidates(form: tuple, products, weight: float) -> list[int]:
+    """Row-major indices of the grid points whose `form` value, from `_search_grid`'s `products`, is near its maximum.
 
-    The margin is 1e-9 of `weight`, the largest |payoff| of the responder's column, plus
-    1e-300, which covers tables of subnormal entries, where 1e-9 of them rounds to 0. The form
-    differs from the scorer by about 1e-15 of `weight`, far inside the margin, so the scorer's
-    maximum is always among these points. A form that is not finite keeps every point.
+    The margin is 1e-9 of `weight`, the largest |payoff| of the responder's column, plus 1e-300,
+    which covers tables of subnormal entries, where 1e-9 of them rounds to 0. The form differs from
+    the scorer by about 1e-15 of `weight`, far inside the margin, so the scorer's maximum is always
+    among these points. The values are finite: the form's coefficients are at most max/4 (the bound
+    `PAYOFF_ENTRY_MAX`) up to rounding, and the products' sizes sum to at most 3.
     """
     import numpy as np
     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
-    q00, q11, q33, q01, q03, q13 = _grid_products()
+    q00, q11, q33, q01, q03, q13 = products
     values = a00 * q00 + a11 * q11 + a33 * q33 + a01 * q01 + a03 * q03 + a13 * q13
-    top, bottom = float(values.max()), float(values.min())
-    if not (math.isfinite(top) and math.isfinite(bottom)):
-        return np.arange(values.size)
     delta = 1e-9 * weight + 1e-300
-    return np.flatnonzero(values >= top - delta)
+    return np.flatnonzero(values >= values.max() - delta).tolist()
 
 
 @functools.cache
 def _search_grid() -> tuple:
-    """The best reply's grid, built once, read-only: alphas, thetas, and (q0, q1, q3) arrays of each `_move_entries`."""
+    """The best reply's grid, built once: alphas, thetas, and the read-only monomial rows of its points, row-major."""
     import numpy as np
     alphas = tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
     thetas = tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
-    entries = np.array([[_move_entries(alpha, theta) for theta in thetas] for alpha in alphas])
-    entries.setflags(write=False)
-    return alphas, thetas, tuple(np.moveaxis(entries, -1, 0))
-
-
-@functools.cache
-def _grid_products():
-    """The grid's q0^2, q1^2, q3^2, 2 q0 q1, 2 q0 q3 and 2 q1 q3, each over the points in row-major order, read-only."""
-    import numpy as np
-    q0, q1, q3 = (axis.reshape(-1) for axis in _search_grid()[2])
+    q0, q1, q3 = np.array([_move_entries(alpha, theta) for alpha in alphas for theta in thetas]).T
     products = np.array((q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3))
     products.setflags(write=False)
-    return products
+    return alphas, thetas, products
 
 
 def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser
+from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser, parse_angle
 from unruhpd.game import NAMED_STRATEGIES, move_entries
 from unruhpd.payoff import PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
@@ -389,6 +389,24 @@ def test_negative_values_parse_in_every_number_form():
     args = build_parser().parse_args(argv)
     assert (args.gamma, args.r_start) == (-0.5, -5e-7)
     assert args.payoffs == PayoffTable.from_scalars(-1.0, -2.0, -3.0, -4.0)
+
+
+@pytest.mark.parametrize(
+    "token, want",
+    [(".5pi", math.pi * 0.5), ("-.5pi", -(math.pi * 0.5)), ("pi/.5", math.pi * 1.0 / 0.5)],
+)
+def test_pi_tokens_take_a_leading_point_number_as_float_does(token, want):
+    # `.5` parses as a plain float, so `.5pi` and `pi/.5` read as `0.5pi` and `pi/0.5` do.
+    spelled_out = token.replace(".5", "0.5")
+    assert parse_angle(token) == parse_angle(spelled_out) == want
+    args = build_parser().parse_args(["sweep", "--gamma", token, "--steps", "3", "--r-start", token])
+    assert args.gamma == args.r_start == want
+    # As a move angle in a subprocess: the same output as the plain float's repr.
+    outputs = [
+        run_cli("play", "--gamma", "0", "--r", "0", "--alice", f"{alpha},0", "--bob", "C").stdout
+        for alpha in (token.lstrip("-"), repr(abs(want)))
+    ]
+    assert outputs[0] == outputs[1] != ""
 
 
 @pytest.mark.parametrize(

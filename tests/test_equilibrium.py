@@ -327,11 +327,17 @@ SCORER_TABLES = [
 ]
 
 
+def grid_points():
+    """The search grid's (q0, q1, q3) of each point in row-major order, as (GRID_POINTS**2, 3), built per point here."""
+    alphas, thetas, _ = _search_grid()
+    return np.array([_move_entries(alpha, theta) for alpha in alphas for theta in thetas])
+
+
 @pytest.mark.parametrize("table", SCORER_TABLES, ids=range(len(SCORER_TABLES)))
 def test_reply_scorer_equals_play_entries_bit_for_bit(table):
-    # The search's scorer must give what the engine entry gives, on floats and on the grid's arrays,
+    # The search's scorer must give what the engine entry gives, on floats and on arrays of the grid's points,
     # for each player: best_response's replies rest on it.
-    _, _, grid = _search_grid()
+    grid = tuple(grid_points().T)
     rng = np.random.default_rng(17)
     moves = [move_entries(s) for s in OPPONENTS] + [_move_entries(*rng.uniform((0.0, 0.0), (TWO_PI, math.pi)))]
     for gamma, r in CONFIGS:
@@ -350,7 +356,7 @@ def test_reply_scorer_equals_play_entries_bit_for_bit(table):
                     assert type(got) is type(want) is float
                     assert got.hex() == want.hex()
                 got, want = score(grid), engine(grid)
-                assert got.shape == want.shape == (GRID_POINTS, GRID_POINTS)
+                assert got.shape == want.shape == (GRID_POINTS**2,)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -368,8 +374,8 @@ REFERENCE_REPLIES = [(config, OPPONENTS[k % len(OPPONENTS)]) for k, config in en
 def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table):
     # The responder's quadratic form must track the scorer on the whole grid to within a quarter of the
     # margin, so the scorer's first maximum (the grid point best_response takes) is always a candidate.
-    _, _, grid = _search_grid()
-    q = np.stack(grid, axis=-1)
+    products = _search_grid()[2]
+    q = grid_points()
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
@@ -378,13 +384,14 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
                 matrix = np.array(form)
                 assert np.array_equal(matrix, matrix.T)
                 values = np.einsum("...i,ij,...j->...", q, matrix, q)
-                kernel = score(grid)
+                kernel = score(tuple(q.T))
                 weight = max(abs(pair[player]) for pair in table.entries())
                 delta = 1e-9 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
-                candidates = _candidates(form, weight)
-                assert list(candidates) == sorted(set(candidates))
-                assert np.argmax(kernel) in candidates
+                candidates = _candidates(form, products, weight)
+                assert all(type(k) is int for k in candidates)
+                assert candidates == sorted(set(candidates))
+                assert int(np.argmax(kernel)) in candidates
     for config, opponent in REFERENCE_REPLIES:
         setup = GameSetup(*config, table)
         for responder in ("alice", "bob"):
@@ -395,28 +402,65 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
             assert bits[0] == bits[1]
 
 
+# Tables of +-PAYOFF_ENTRY_MAX entries, the largest a table takes: the extreme scorer table and seeded sign mixes.
+EXTREME_TABLES = [SCORER_TABLES[3]] + [
+    PayoffTable(*(tuple(float(x) for x in _RNG.choice((-PAYOFF_ENTRY_MAX, PAYOFF_ENTRY_MAX), 2)) for _ in range(4)))
+    for _ in range(5)
+]
+
+
+@pytest.mark.parametrize("table", EXTREME_TABLES, ids=range(len(EXTREME_TABLES)))
+def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
+    # _candidates has no fallback for a form that is not finite: its coefficients are at most PAYOFF_ENTRY_MAX
+    # up to rounding and the products' sizes sum to at most 3, so no value may overflow, and the scorer's first
+    # maximum must still be a candidate.
+    products = _search_grid()[2]
+    q = grid_points()
+    for gamma, r in CONFIGS:
+        for opponent in OPPONENTS:
+            for player in (0, 1):
+                score = _reply_scorer(gamma, r, move_entries(opponent), player, table)
+                with np.errstate(over="raise", invalid="raise"):
+                    form = _reply_form(score)
+                    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
+                    values = sum(a * row for a, row in zip((a00, a11, a33, a01, a03, a13), products))
+                    candidates = _candidates(form, products, PAYOFF_ENTRY_MAX)
+                    kernel = score(tuple(q.T))
+                assert np.isfinite(values).all()
+                assert np.abs(values).max() <= PAYOFF_ENTRY_MAX * (1.0 + 1e-14)
+                assert int(np.argmax(kernel)) in candidates
+
+
 def test_search_grid_is_built_once_and_read_only():
     assert _search_grid() is _search_grid()
-    alphas, thetas, grid = _search_grid()
+    alphas, thetas, products = _search_grid()
     assert type(alphas) is type(thetas) is tuple and len(alphas) == len(thetas) == GRID_POINTS
-    for values in grid:
-        assert values.shape == (GRID_POINTS, GRID_POINTS)
-        with pytest.raises(ValueError, match="read-only"):
-            values[0, 0] = 0.0
+    assert products.shape == (6, GRID_POINTS**2)
+    with pytest.raises(ValueError, match="read-only"):
+        products[0, 0] = 0.0
 
 
 def test_search_grid_is_move_entries_at_each_point_and_the_former_per_axis_grid_bit_for_bit():
-    alphas, thetas, grid = _search_grid()
+    alphas, thetas, products = _search_grid()
     assert alphas == tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
     assert thetas == tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
-    got = np.stack(grid, axis=-1).view(np.int64)
-    want = np.array([[_move_entries(alpha, theta) for theta in thetas] for alpha in alphas])
-    assert np.array_equal(got, want.view(np.int64))
+
+    def monomials(q0, q1, q3):
+        return np.array((q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3))
+
+    got = products.view(np.int64)
+    points = grid_points()
+    assert np.array_equal(got, monomials(*points.T).view(np.int64))
+    # One point at a time on Python floats: row-major order puts alpha along the rows.
+    for k in (0, 1, GRID_POINTS, GRID_POINTS**2 - 1, 517):
+        q0, q1, q3 = _move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS])
+        want = (q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3)
+        assert [x.hex() for x in products[:, k].tolist()] == [x.hex() for x in want]
     # The grid best_response built on every call before: per-axis cos and sin from `math`, multiplied by numpy.
     cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
     cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))
-    former = np.broadcast_arrays(cos_a * cos_t, sin_t, sin_a * cos_t)
-    assert np.array_equal(got, np.stack(former, axis=-1).view(np.int64))
+    former = (axis.reshape(-1) for axis in np.broadcast_arrays(cos_a * cos_t, sin_t, sin_a * cos_t))
+    assert np.array_equal(got, monomials(*former).view(np.int64))
 
 
 def test_find_dominant_rejects_unknown_player():

@@ -3,7 +3,7 @@
 
     python tools/mutants.py           # run every mutant
     python tools/mutants.py NAME ...  # run the named mutants
-    python tools/mutants.py --list    # name each mutant and its tests
+    python tools/mutants.py --list    # name each mutant and its tests, and check every `old` text
 
 Each mutant replaces one text (`old`, which must occur exactly once in its
 file) with another (`new`). The tool copies the repository to a temporary
@@ -14,8 +14,10 @@ per mutant and killed/total at the end.
 
 Exit codes: 0 when every mutant is killed or listed in `EQUIVALENT` with a
 reason; 1 when one survives unexplained; 2 when a mutant's `old` text no
-longer occurs exactly once, or the unmutated tests fail. Needs only the
-standard library, and pytest and hypothesis for the tests it runs.
+longer occurs exactly once, or the unmutated tests fail. `--list` runs no
+test: it exits 2 and names the mutants whose `old` text is stale, else 0.
+Needs only the standard library, and pytest and hypothesis for the tests it
+runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ CLI = "src/unruhpd/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
 
 MUTANTS = [
+    # A closed form's formula: the max-entangled CC payoff's sin^2 term shifted by 1e-11, above the tests' 1e-12.
+    Mutant("closed form: a term of max_entangled_classical shifted", CLOSED_FORMS,
+           "1.25 * m.sin(r) ** 2", "(1.25 * m.sin(r) ** 2 + 1e-11)", CLOSED_FORM_TESTS),
     # closed_forms._domain: which r is an array, the guard of its conversion, the bound check and the clip.
     Mutant("domain: a 0-d array is an array", CLOSED_FORMS,
            "(isinstance(r, ndarray) and r.ndim)", "isinstance(r, ndarray)", CLOSED_FORM_TESTS),
@@ -70,13 +75,12 @@ MUTANTS = [
            "np.clip(values, 0.0, R_MAX, dtype=float)", "values.astype(float)", CLOSED_FORM_TESTS),
     Mutant("domain: the clip keeps a float32 array's precision", CLOSED_FORMS,
            "np.clip(values, 0.0, R_MAX, dtype=float)", "np.clip(values, 0.0, R_MAX)", CLOSED_FORM_TESTS),
-    # equilibrium._search_grid: built once, read-only, alpha along the rows.
+    # equilibrium._search_grid: built once, its products read-only, alpha along the rows.
     Mutant("grid: rebuilt on every call", EQUILIBRIUM,
            "@functools.cache\ndef _search_grid", "def _search_grid", EQUILIBRIUM_TESTS),
-    Mutant("grid: writable", EQUILIBRIUM, "    entries.setflags(write=False)\n", "", EQUILIBRIUM_TESTS),
+    Mutant("grid: writable", EQUILIBRIUM, "    products.setflags(write=False)\n", "", EQUILIBRIUM_TESTS),
     Mutant("grid: alpha and theta axes swapped", EQUILIBRIUM,
-           "for theta in thetas] for alpha in alphas]", "for alpha in alphas] for theta in thetas]",
-           EQUILIBRIUM_TESTS),
+           "for alpha in alphas for theta in thetas]", "for theta in thetas for alpha in alphas]", EQUILIBRIUM_TESTS),
     Mutant("grid: descent steps swapped", EQUILIBRIUM,
            "step_a, step_t = alphas[1], thetas[1]", "step_a, step_t = thetas[1], alphas[1]", EQUILIBRIUM_TESTS),
     # equilibrium._candidates and the grid's scoring: the margin, its floor for subnormal tables, the first maximum.
@@ -84,7 +88,7 @@ MUTANTS = [
            "delta = 1e-9 * weight + 1e-300", "delta = 1e-9 * weight", EQUILIBRIUM_TESTS),
     Mutant("prefilter: no margin", EQUILIBRIUM,
            "delta = 1e-9 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
-    Mutant("prefilter: the last maximum among few candidates", EQUILIBRIUM,
+    Mutant("prefilter: the last maximum among the candidates", EQUILIBRIUM,
            "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
            EQUILIBRIUM_TESTS),
     Mutant("descent: the grid's best point not marked as scored", EQUILIBRIUM,
@@ -134,6 +138,10 @@ MUTANTS = [
            "    if args.steps < 1:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start", CLI_TESTS),
     Mutant("cli: a reversed r range accepted", CLI,
            "if args.r_start > args.r_end:", "if args.r_start > args.r_end + 1.0:", CLI_TESTS),
+    # The CLI's number text and its --config reader.
+    Mutant("cli: fmt at 16 significant digits", CLI, 'return f"{value:.17g}"', 'return f"{value:.16g}"', CLI_TESTS),
+    Mutant("cli: --config comments not stripped", CLI,
+           'line = raw.split("#", 1)[0].strip()', "line = raw.strip()", CLI_TESTS),
 ]
 
 # Mutant name -> why no test can tell it from the original.
@@ -161,6 +169,9 @@ def main(argv: list[str]) -> int:
     if argv == ["--list"]:
         for m in MUTANTS:
             print(f"{m.name}: {m.path} -> {' '.join(m.tests)}")
+        if bad := stale(MUTANTS):
+            print(f"old text not found exactly once: {'; '.join(bad)}", file=sys.stderr)
+            return 2
         return 0
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:
