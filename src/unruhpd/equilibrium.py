@@ -148,6 +148,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
     (inclusive endpoints), then runs at most REFINE_ROUNDS rounds of coordinate
     descent from it, halving the step until it drops below REFINE_MIN_STEP.
+    The descent takes alpha modulo 2*pi, where the moves repeat, and clamps theta to [0, pi].
     Every payoff is a call of the reply's `payoff._reply_scorer`, which gives
     what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
     Only the grid's `_candidates` under the responder's quadratic form are scored,
@@ -180,7 +181,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
             break
         improved = False
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
-            alpha = min(max(best_alpha + da, 0.0), TWO_PI)
+            alpha = (best_alpha + da) % TWO_PI  # U(0, theta) = U(2*pi, theta): alpha wraps, it is not clamped
             theta = min(max(best_theta + dt, 0.0), math.pi)
             point = complex(alpha, theta)
             if point in seen:

@@ -10,13 +10,15 @@ as UA Phi UB^T.
 
 The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
-(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. Its entry is
-`play_entries`, which takes the moves as `game.move_entries` gives them.
+(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
+through six coefficients, which `_coefficients` computes from the cos and
+sin of gamma/2 and r. Its entry is `play_entries`, which takes the moves as
+`game.move_entries` gives them and computes the coefficients once per call.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Its second caller, `_reply_scorer`, scores one player's moves against a fixed
-opponent for `equilibrium.best_response`, with the trig and that player's
-payoffs read once per reply; it gives bit for bit what `play_entries` gives.
+opponent for `equilibrium.best_response`, with the coefficients and that
+player's payoffs computed once per reply; it gives bit for bit what `play_entries` gives.
 Each real operation rounds once, in the same order on floats and on arrays,
 and the cos and sin of a Python-float gamma or r come from `math` in both, so
 a game scores bit for bit the same through `play` as in any batch at the same
@@ -165,53 +167,60 @@ def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payo
     else:
         import numpy as np
         cos_r, sin_r = np.cos(r), np.sin(r)
-    return Payoffs(*_expected(_probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r), table))
+    return Payoffs(*_expected(_probabilities(alice, bob, _coefficients(cos_g, sin_g, cos_r, sin_r)), table))
 
 
-def _probabilities(a, b, cos_g, sin_g, cos_r, sin_r) -> tuple:
+def _coefficients(cos_g, sin_g, cos_r, sin_r) -> tuple:
+    """The six numbers (P, M, S, T, e, f) through which gamma and r enter `_probabilities`.
+
+    With c0 = cos(g/2) cos r and c1 = cos(g/2) sin r: P, M = cos(g/2) c0 +- sin^2(g/2),
+    S, T = sin(g/2) (cos(g/2) +- c0), e = cos(g/2) c1 and f = sin(g/2) c1.
+    `cos_g` and `sin_g` are the cos and sin of gamma/2, `cos_r` and `sin_r`
+    those of r, all Python floats or arrays broadcast together. Only + - and *
+    are used, so on floats and arrays they round alike, and at r = 0
+    (cos_r = 1.0, sin_r = 0.0) T, e and f are exactly 0.0.
+    """
+    c0, c1 = cos_g * cos_r, cos_g * sin_r
+    q, s2 = cos_g * c0, sin_g * sin_g
+    return q + s2, q - s2, sin_g * (cos_g + c0), sin_g * (cos_g - c0), cos_g * c1, sin_g * c1
+
+
+def _probabilities(a, b, coefficients) -> tuple:
     """Probabilities of CC, CD, DC, DD for Alice's move coordinates `a` and Bob's `b`.
 
-    Moves are given as `game.move_entries` gives them. Every value is a
-    Python float or an array, all broadcast together. The formula is written
-    out per outcome: only +, - and * are used, on real numbers, in the same
-    order for both, and each rounds once, so a game scores bit for bit the
-    same on floats as in any batch.
+    Moves are given as `game.move_entries` gives them, and gamma and r as
+    `_coefficients` gives them. Every value is a Python float or an array,
+    all broadcast together. The formula is written out per outcome: only +,
+    - and * are used, on real numbers, in the same order for both, and each
+    rounds once, so a game scores bit for bit the same on floats as in any batch.
     """
     # (I x K0)|psi> = cos(g/2) cos r |00> + i sin(g/2) |11> and
     # (I x K1)|psi> = cos(g/2) sin r |01>. After the moves their blocks over
-    # (Alice, Bob) bits are cos(g/2) cos r A0 B0^T + i sin(g/2) A1 B1^T (kept,
-    # k_ij) and cos(g/2) sin r A0 B1^T (lost, l_ij), with Ak and Bk the k-th
-    # columns of the moves [[q0 + i q3, i q1], [i q1, q0 - i q3]]. Each term is
-    # the complex product with its zero parts dropped, which changes at most
-    # the sign of a zero (squared away below), and its negations moved outward.
+    # (Alice, Bob) bits are cos(g/2) cos r A0 B0^T + i sin(g/2) A1 B1^T (kept)
+    # and cos(g/2) sin r A0 B1^T (lost), with Ak and Bk the k-th columns of the
+    # moves [[q0 + i q3, i q1], [i q1, q0 - i q3]]. J^dag = cos(g/2) I - i sin(g/2) D1 x D1
+    # then mixes outcome k with outcome 3 - k. Multiplied out, each amplitude is a sum of
+    # move products weighted by the coefficients: the same polynomial, expanded without
+    # using cos^2 + sin^2 = 1. Overall signs are dropped: they are squared away.
+    P, M, S, T, e, f = coefficients
     a0, a1, a3 = a
     b0, b1, b3 = b
     a0b0, a0b1, a0b3 = a0 * b0, a0 * b1, a0 * b3
     a1b0, a1b1, a1b3 = a1 * b0, a1 * b1, a1 * b3
     a3b0, a3b1, a3b3 = a3 * b0, a3 * b1, a3 * b3
-    c0, c1 = cos_g * cos_r, cos_g * sin_r
-    s, t = a0b0 - a3b3, a0b3 + a3b0  # (a0 + i a3)(b0 + i b3) = s + i t, shared by k00 and k11
-    k00r, k00i = c0 * s, c0 * t - sin_g * a1b1
-    k01r, k01i = -c0 * a3b1 - sin_g * a1b0, c0 * a0b1 + sin_g * a1b3
-    k10r, k10i = -c0 * a1b3 - sin_g * a0b1, c0 * a1b0 + sin_g * a3b1
-    k11r, k11i = sin_g * t - c0 * a1b1, sin_g * s
-    l00r, l00i = -c1 * a3b1, c1 * a0b1
-    l01r, l01i = c1 * (a0b0 + a3b3), c1 * (a3b0 - a0b3)
-    l10r = -c1 * a1b1  # l10 is real
-    l11r, l11i = c1 * a1b3, c1 * a1b0
-    # J^dag = cos(g/2) I - i sin(g/2) D1 x D1. D1 x D1 maps outcome 3 - k to
-    # outcome k, with sign + for CC and DD and - for CD and DC.
-    kr, ki = cos_g * k00r + sin_g * k11i, cos_g * k00i - sin_g * k11r
-    lr, li = cos_g * l00r + sin_g * l11i, cos_g * l00i - sin_g * l11r
+    s, t = a0b0 - a3b3, a0b3 + a3b0  # (a0 + i a3)(b0 + i b3) = s + i t
+    u, v = a0b0 + a3b3, a3b0 - a0b3  # (a0 + i a3)(b0 - i b3) = u + i v
+    kr, ki = P * s, M * t - T * a1b1  # kept and lost amplitudes of each outcome, real and imaginary parts
+    lr, li = f * a1b0 - e * a3b1, e * a0b1 - f * a1b3
     p_cc = kr * kr + ki * ki + (lr * lr + li * li)
-    kr, ki = cos_g * k01r - sin_g * k10i, cos_g * k01i + sin_g * k10r
-    lr, li = cos_g * l01r, cos_g * l01i + sin_g * l10r
+    kr, ki = P * a3b1 + S * a1b0, M * a0b1 + T * a1b3
+    lr, li = e * u, e * v - f * a1b1
     p_cd = kr * kr + ki * ki + (lr * lr + li * li)
-    kr, ki = cos_g * k10r - sin_g * k01i, cos_g * k10i + sin_g * k01r
-    lr, li = cos_g * l10r - sin_g * l01i, sin_g * l01r
+    kr, ki = P * a1b3 + S * a0b1, M * a1b0 + T * a3b1
+    lr, li = e * a1b1 + f * v, f * u
     p_dc = kr * kr + ki * ki + (lr * lr + li * li)
-    kr, ki = cos_g * k11r + sin_g * k00i, cos_g * k11i - sin_g * k00r
-    lr, li = cos_g * l11r + sin_g * l00i, cos_g * l11i - sin_g * l00r
+    kr, ki = S * t - P * a1b1, T * s
+    lr, li = e * a1b3 + f * a0b1, e * a1b0 + f * a3b1
     p_dd = kr * kr + ki * ki + (lr * lr + li * li)
     return p_cc, p_cd, p_dc, p_dd
 
@@ -234,19 +243,16 @@ def _reply_scorer(gamma: float, r: float, opponent: tuple, player: int, table: P
     with the moves in the players' order bit for bit: the cos and sin come
     from `math`, as `play_entries` takes them for a Python float, and the sum
     over the player's payoff column runs in `_expected`'s order. What does not
-    change during a reply (the trig, the column, the opponent) is read here once.
+    change during a reply (the coefficients, the column, the opponent) is computed here once.
     """
     half = gamma / 2.0
-    cos_g, sin_g = math.cos(half), math.sin(half)
-    cos_r, sin_r = math.cos(r), math.sin(r)
+    coefficients = _coefficients(math.cos(half), math.sin(half), math.cos(r), math.sin(r))
     w_cc, w_cd, w_dc, w_dd = (pair[player] for pair in table.entries())
     alice = player == 0
 
     def score(own):
         p_cc, p_cd, p_dc, p_dd = (
-            _probabilities(own, opponent, cos_g, sin_g, cos_r, sin_r)
-            if alice
-            else _probabilities(opponent, own, cos_g, sin_g, cos_r, sin_r)
+            _probabilities(own, opponent, coefficients) if alice else _probabilities(opponent, own, coefficients)
         )
         return p_cc * w_cc + p_cd * w_cd + p_dc * w_dc + p_dd * w_dd
 

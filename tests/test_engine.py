@@ -2,6 +2,8 @@
 reference and property tests of the physics invariants."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg import basis_ket
+from rational import circle_point, sphere_point
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
 from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, named_strategy_matrix
-from unruhpd.payoff import GameSetup, PayoffTable, _probabilities, final_density, payoffs, play, play_entries
+from unruhpd.payoff import (
+    GameSetup,
+    PayoffTable,
+    _coefficients,
+    _probabilities,
+    final_density,
+    payoffs,
+    play,
+    play_entries,
+)
 from unruhpd.unruh import unruh_channel
 
 GAMMAS = st.floats(0.0, math.pi / 2)
@@ -24,6 +36,7 @@ TABLES = st.tuples(*[st.floats(-10.0, 10.0)] * 8).map(
     lambda v: PayoffTable(cc=v[0:2], cd=v[2:4], dc=v[4:6], dd=v[6:8])
 )
 SEEDED = settings(max_examples=300, derandomize=True, deadline=None)
+EPS = sys.float_info.epsilon
 
 UPPER = np.array([math.pi / 2, math.pi / 4, 2 * math.pi, math.pi, 2 * math.pi, math.pi])
 
@@ -121,13 +134,14 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
 def expanded(q):
     """The entries ((u00, u01), (u10, u11)) of the move with coordinates `q`, each a (real, imaginary) pair."""
     q0, q1, q3 = q
-    return (((q0, q3), (0.0, q1)), ((0.0, q1), (q0, -q3)))
+    zero = q0 - q0  # 0 of the coordinates' own type: a float, a Fraction or an array
+    return (((q0, q3), (zero, q1)), ((zero, q1), (q0, -q3)))
 
 
 def nested_loop_probabilities(a, b, cos_g, sin_g, cos_r, sin_r):
     """The general complex kernel as loops over the outcomes, on `expanded` move entries.
 
-    `payoff._probabilities` is this with the entries' zero parts dropped, and must equal it bit for bit.
+    `payoff._probabilities` is this polynomial multiplied out, with gamma and r folded into `_coefficients`.
     """
     c0 = cos_g * cos_r
     c1 = cos_g * sin_r
@@ -157,6 +171,25 @@ def nested_loop_probabilities(a, b, cos_g, sin_g, cos_r, sin_r):
     return tuple(probs)
 
 
+# Rational points: (cos, sin) of gamma/2 and of r for angles up to pi/2, and moves on the unit sphere.
+CIRCLE_POINTS = st.fractions(0, 1, max_denominator=16).map(circle_point)
+RATIONALS = st.fractions(-12, 12, max_denominator=12)
+SPHERE_POINTS = st.one_of(
+    st.sampled_from([tuple(map(Fraction, move)) for move in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
+    st.builds(sphere_point, RATIONALS, RATIONALS),
+)
+
+
+@SEEDED
+@given(CIRCLE_POINTS, CIRCLE_POINTS, SPHERE_POINTS, SPHERE_POINTS)
+def test_probabilities_are_the_nested_loop_polynomial(half, rotation, a, b):
+    # On Fractions both sides are exact, so `==` shows that the multiplied-out kernel is the same polynomial.
+    trig = (*half, *rotation)
+    got = _probabilities(a, b, _coefficients(*trig))
+    assert all(type(p) is Fraction for p in got), got
+    assert got == nested_loop_probabilities(expanded(a), expanded(b), *trig)
+
+
 ANGLE_PAIRS = st.tuples(
     st.one_of(st.sampled_from((0.0, math.pi / 2)), GAMMAS), st.one_of(st.sampled_from((0.0, math.pi / 4)), RS)
 )
@@ -164,25 +197,48 @@ ANGLE_PAIRS = st.tuples(
 
 @SEEDED
 @given(st.lists(ANGLE_PAIRS, min_size=1, max_size=4), st.lists(MOVES, min_size=1, max_size=5))
-def test_probabilities_equal_the_nested_loop_reference(angles, strategies):
-    # Same operations on the same operands in the same order, less the terms
-    # with a zero factor, which change at most the sign of a zero before it is
-    # squared: equal to the last bit on floats and on broadcast arrays.
+def test_probabilities_round_alike_on_floats_and_arrays(angles, strategies):
+    # On floats each probability is within 4 eps of the nested-loop reference; on (angles, moves, moves)
+    # broadcast arrays of the same trig values the kernel rounds as on floats, so it equals them to the last bit.
     moves = [move_entries(s) for s in strategies]
-    for gamma, r in angles:
-        trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
+    trigs = [(math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r)) for gamma, r in angles]
+    singles = []
+    for trig in trigs:
         for a in moves:
             for b in moves:
-                assert _probabilities(a, b, *trig) == nested_loop_probabilities(expanded(a), expanded(b), *trig)
-    half = np.array([gamma for gamma, _ in angles])[:, None, None] / 2.0
-    rs = np.array([r for _, r in angles])[:, None, None]
-    trig = (np.cos(half), np.sin(half), np.cos(rs), np.sin(rs))
+                got = _probabilities(a, b, _coefficients(*trig))
+                want = nested_loop_probabilities(expanded(a), expanded(b), *trig)
+                assert all(abs(x - y) <= 4 * EPS for x, y in zip(got, want, strict=True)), (got, want)
+                singles.append(got)
+    trig = tuple(np.array(column)[:, None, None] for column in zip(*trigs))
     stack = np.array(moves)
-    a, b = stacked(stack[:, None]), stacked(stack[None, :])
-    reference = nested_loop_probabilities(expanded(a), expanded(b), *trig)
-    for got, want in zip(_probabilities(a, b, *trig), reference, strict=True):
-        assert got.shape == (len(angles), len(moves), len(moves))
-        assert np.array_equal(got, want)
+    batch = np.stack(_probabilities(stacked(stack[:, None]), stacked(stack[None, :]), _coefficients(*trig)), axis=-1)
+    assert batch.shape == (len(angles), len(moves), len(moves), 4)
+    assert np.array_equal(batch.reshape(-1, 4), np.array(singles))
+
+
+# Symmetric tables whose sucker's payoff is 0, as in the default table: then Alice's and Bob's sums add the same
+# terms in the same order. With another sucker's payoff the CD and DC terms are added in swapped order.
+SYMMETRIC_TABLES = st.builds(
+    lambda reward, temptation, punishment: PayoffTable.from_scalars(reward, 0.0, temptation, punishment),
+    *[st.floats(-10.0, 10.0)] * 3,
+)
+
+
+@SEEDED
+@given(GAMMAS, st.lists(MOVES, min_size=1, max_size=4), SYMMETRIC_TABLES)
+def test_swapping_the_players_of_the_inertial_game_swaps_their_payoffs_bit_for_bit(gamma, strategies, table):
+    # At r = 0 the lost amplitudes' coefficients e, f and the kept ones' T are exactly 0, so each outcome's
+    # amplitudes are the same float products with the players' coordinates swapped.
+    half = gamma / 2.0
+    assert _coefficients(math.cos(half), math.sin(half), math.cos(0.0), math.sin(0.0))[3:] == (0.0, 0.0, 0.0)
+    setup = GameSetup(gamma, 0.0, table)
+    moves = np.array([move_entries(s) for s in strategies])
+    batch = play_entries(setup.gamma, 0.0, stacked(moves[:, None]), stacked(moves[None, :]), table)
+    for i, alice in enumerate(strategies):
+        for j, bob in enumerate(strategies):
+            assert play(setup, alice, bob) == play(setup, bob, alice)[::-1]
+            assert (batch.alice[i, j], batch.bob[i, j]) == (batch.bob[j, i], batch.alice[j, i])
 
 
 def test_batch_broadcasts_grids_against_move_stacks():

@@ -279,7 +279,7 @@ def reference_best_response(setup, opponent, responder, grid=32, refine=100):
             break
         improved = False
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
-            alpha = min(max(best_alpha + da, 0.0), TWO_PI)
+            alpha = (best_alpha + da) % TWO_PI
             theta = min(max(best_theta + dt, 0.0), math.pi)
             value = score(alpha, theta)
             if value > best_value:
@@ -310,6 +310,24 @@ def test_best_response_equals_per_game_search_with_default_knobs(k, config):
             # Strategy equality compares alpha, theta and label.
             assert got == reference_best_response(setup, opponent, responder)
             assert type(got[1]) is float
+
+
+# Replies whose optimum lies just below alpha = 2*pi: a descent that clamped alpha to [0, 2*pi] stopped at the
+# alpha = 0 edge, 0.029 (default table) and 0.039 below the optimum.
+WRAPPING_REPLIES = [
+    (GameSetup(math.pi / 2, 0.0), Strategy(0.552, 2.018)),
+    (GameSetup(1.4076887045517399, 0.0, PayoffTable.from_scalars(2.68, -4.24, 3.69, 0.43)), Strategy(0.511, 2.212)),
+]
+
+
+@pytest.mark.parametrize("setup,opponent", WRAPPING_REPLIES, ids=range(len(WRAPPING_REPLIES)))
+def test_the_descent_wraps_alpha_past_zero_to_the_optimum(setup, opponent):
+    # The moves cover the unit sphere of coordinates up to sign, so the optimum is the top eigenvalue of the form.
+    reply, value = best_response(setup, opponent, "alice")
+    score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), 0, setup.table)
+    optimum = np.linalg.eigvalsh(np.array(_reply_form(score))).max()
+    assert 6.0 < reply.alpha < TWO_PI
+    assert value >= optimum - 1e-9
 
 
 SCORER_TABLES = [

@@ -5,16 +5,27 @@ its polynomial exactly. Rational points of the unit circle and of the unit
 sphere give exact cosines, sines and unit moves, and every check here is `==`:
 the outcome probabilities sum to exactly 1, none is negative, they equal an
 exact Kraus-form reference written below, and at r = 0 swapping the players
-swaps CD and DC.
+swaps CD and DC. gamma and r reach the kernel through `payoff._coefficients`,
+as in the engine.
+
+The last test runs the engine's float path on the Fractions of its own float
+inputs: that is the exact value of the same formula, so the difference is the
+float result's rounding error alone.
 """
 
+import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
-from unruhpd.payoff import _probabilities
+from rational import circle_point, sphere_point
+from unruhpd.game import GAMMA_MAX, TWO_PI, _move_entries
+from unruhpd.payoff import PayoffTable, _coefficients, _probabilities, play_entries
+from unruhpd.unruh import R_MAX
 
 GAMES = 300
+EPS = sys.float_info.epsilon
 
 ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
 AT_REST = (Fraction(1), Fraction(0))  # (cos r, sin r) at r = 0: the inertial game
@@ -27,27 +38,22 @@ def rational(rng):
     return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
 
-def circle_point(t):
-    """(cos, sin) of the angle 2 atan(t), exactly."""
-    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-
-
-def sphere_point(rng):
-    """A move (q0, q1, q3) on the unit sphere: the inverse stereographic image of a rational (u, v)."""
-    u, v = rational(rng), rational(rng)
-    n = u * u + v * v + 1
-    return 2 * u / n, 2 * v / n, (u * u + v * v - 1) / n
-
-
 def games(seed):
     """GAMES (alice, bob, cos_g, sin_g, cos_r, sin_r) draws from `random.Random(seed)`."""
     rng = random.Random(seed)
     for k in range(GAMES):
-        alice, bob = (rng.choice(NAMED_MOVES) if rng.random() < 0.2 else sphere_point(rng) for _ in "ab")
+        alice, bob = (
+            rng.choice(NAMED_MOVES) if rng.random() < 0.2 else sphere_point(rational(rng), rational(rng)) for _ in "ab"
+        )
         # gamma/2 and r run over angles up to pi/2, past their domains: the identities hold on the whole circle.
         cos_g, sin_g = circle_point(Fraction(rng.randint(0, 12), 12))
         cos_r, sin_r = AT_REST if k % 4 == 0 else circle_point(Fraction(rng.randint(0, 12), 12))
         yield alice, bob, cos_g, sin_g, cos_r, sin_r
+
+
+def probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
+    """The kernel's outcome probabilities, with gamma and r folded in by `_coefficients` as the engine folds them."""
+    return _probabilities(alice, bob, _coefficients(cos_g, sin_g, cos_r, sin_r))
 
 
 # Complex numbers as (real, imaginary) pairs of Fractions; 2x2 and 4x4 matrices as lists of rows.
@@ -88,7 +94,7 @@ def kraus_probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
 
 def test_probabilities_sum_to_exactly_one_and_none_is_negative():
     for game in games(1):
-        probs = _probabilities(*game)
+        probs = probabilities(*game)
         assert all(type(p) is Fraction for p in probs), probs
         assert sum(probs) == 1, game
         assert min(probs) >= 0, game
@@ -96,13 +102,13 @@ def test_probabilities_sum_to_exactly_one_and_none_is_negative():
 
 def test_probabilities_equal_the_exact_kraus_reference():
     for game in games(2):
-        assert _probabilities(*game) == kraus_probabilities(*game), game
+        assert probabilities(*game) == kraus_probabilities(*game), game
 
 
 def test_swapping_the_players_of_the_inertial_game_swaps_cd_and_dc():
     for alice, bob, cos_g, sin_g, _, _ in games(3):
-        p_cc, p_cd, p_dc, p_dd = _probabilities(alice, bob, cos_g, sin_g, *AT_REST)
-        assert _probabilities(bob, alice, cos_g, sin_g, *AT_REST) == (p_cc, p_dc, p_cd, p_dd), (alice, bob)
+        p_cc, p_cd, p_dc, p_dd = probabilities(alice, bob, cos_g, sin_g, *AT_REST)
+        assert probabilities(bob, alice, cos_g, sin_g, *AT_REST) == (p_cc, p_dc, p_cd, p_dd), (alice, bob)
 
 
 def test_the_reference_is_the_classical_game_for_classical_moves():
@@ -111,3 +117,24 @@ def test_the_reference_is_the_classical_game_for_classical_moves():
     for outcome, (alice, bob) in enumerate(((c, c), (c, d), (d, c), (d, d))):
         want = tuple(Fraction(int(k == outcome)) for k in range(4))
         assert kraus_probabilities(alice, bob, Fraction(1), Fraction(0), *AT_REST) == want
+
+
+def test_float_rounding_stays_within_its_budget():
+    # Float games in their domains, each scored on floats and then exactly on the Fractions of the same floats:
+    # at most 3 eps per probability and 16 eps per payoff of the default table (measured here: 2.13 and 10.4 eps;
+    # at most 2.58 and 13.6 eps over seeds 1 to 8).
+    rng = random.Random(4)
+    table = PayoffTable()
+    worst_probability = worst_payoff = Fraction(0)
+    for _ in range(4000):
+        gamma, r = rng.uniform(0.0, GAMMA_MAX), rng.uniform(0.0, R_MAX)
+        alice, bob = (_move_entries(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, math.pi)) for _ in "ab")
+        trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
+        exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
+        for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):
+            worst_probability = max(worst_probability, abs(Fraction(got) - want))
+        for player, got in enumerate(play_entries(gamma, r, alice, bob, table)):
+            want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries()))
+            worst_payoff = max(worst_payoff, abs(Fraction(got) - want))
+    assert worst_probability <= 3 * Fraction(EPS), float(worst_probability / Fraction(EPS))
+    assert worst_payoff <= 16 * Fraction(EPS), float(worst_payoff / Fraction(EPS))

@@ -51,9 +51,16 @@ CLI = "src/unruhpd/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
 
 MUTANTS = [
-    # A closed form's formula: the max-entangled CC payoff's sin^2 term shifted by 1e-11, above the tests' 1e-12.
+    # Each closed form's formula: one term shifted so that a payoff moves by about 1e-11, above the tests' 1e-12
+    # (a term inside `0.25 * (...)` by 4e-11).
     Mutant("closed form: a term of max_entangled_classical shifted", CLOSED_FORMS,
            "1.25 * m.sin(r) ** 2", "(1.25 * m.sin(r) ** 2 + 1e-11)", CLOSED_FORM_TESTS),
+    Mutant("closed form: a term of unentangled_classical shifted", CLOSED_FORMS,
+           "3.0 * sin_sq", "(3.0 * sin_sq + 1e-11)", CLOSED_FORM_TESTS),
+    Mutant("closed form: a term of q_vs_arbitrary shifted", CLOSED_FORMS,
+           "shared = 2.0 * cos_2a * (cos_t + 1.0)", "shared = 2.0 * cos_2a * (cos_t + 1.0) + 4e-11", CLOSED_FORM_TESTS),
+    Mutant("closed form: a term of miracle_vs_classical shifted", CLOSED_FORMS,
+           "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 4e-11)", CLOSED_FORM_TESTS),
     # closed_forms._domain: which r is an array, the guard of its conversion, the bound check and the clip.
     Mutant("domain: a 0-d array is an array", CLOSED_FORMS,
            "(isinstance(r, ndarray) and r.ndim)", "isinstance(r, ndarray)", CLOSED_FORM_TESTS),
@@ -93,6 +100,8 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     Mutant("descent: the grid's best point not marked as scored", EQUILIBRIUM,
            "seen = {complex(best_alpha, best_theta)}", "seen = set()", EQUILIBRIUM_TESTS),
+    Mutant("descent: alpha clamped to [0, 2*pi], not wrapped", EQUILIBRIUM,
+           "alpha = (best_alpha + da) % TWO_PI", "alpha = min(max(best_alpha + da, 0.0), TWO_PI)", EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
     Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
            "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
@@ -100,17 +109,19 @@ MUTANTS = [
            "(pair[player] for pair", "(pair[1 - player] for pair", EQUILIBRIUM_TESTS),
     Mutant("scorer: dd term dropped", PAYOFF, " + p_dd * w_dd", "", EQUILIBRIUM_TESTS),
     Mutant("scorer: cos(r) of the half angle", PAYOFF,
-           "    cos_r, sin_r = math.cos(r), math.sin(r)\n    w_cc",
-           "    cos_r, sin_r = math.cos(r / 2.0), math.sin(r)\n    w_cc", EQUILIBRIUM_TESTS),
+           "math.sin(half), math.cos(r), math.sin(r))", "math.sin(half), math.cos(r / 2.0), math.sin(r))",
+           EQUILIBRIUM_TESTS),
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
            "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", ("tests/test_verify.py",)),
-    # The kernel: one flipped sign and one dropped term.
-    Mutant("kernel: k01i sign flipped", PAYOFF,
-           "c0 * a0b1 + sin_g * a1b3", "c0 * a0b1 - sin_g * a1b3", KERNEL_TESTS),
-    Mutant("kernel: l10r dropped from the DC line", PAYOFF,
-           "lr, li = cos_g * l10r - sin_g * l01i, sin_g * l01r", "lr, li = -sin_g * l01i, sin_g * l01r",
-           KERNEL_TESTS),
+    # The kernel: one flipped sign and one dropped term; its coefficients: M's sign flipped, e and f swapped.
+    Mutant("kernel: the T term of CD's kept amplitude sign flipped", PAYOFF,
+           "M * a0b1 + T * a1b3", "M * a0b1 - T * a1b3", KERNEL_TESTS),
+    Mutant("kernel: the e term dropped from DC's lost amplitude", PAYOFF,
+           "lr, li = e * a1b1 + f * v, f * u", "lr, li = f * v, f * u", KERNEL_TESTS),
+    Mutant("coefficients: M's sign flipped", PAYOFF, "q + s2, q - s2,", "q + s2, s2 - q,", KERNEL_TESTS),
+    Mutant("coefficients: e and f swapped", PAYOFF,
+           "cos_g * c1, sin_g * c1", "sin_g * c1, cos_g * c1", KERNEL_TESTS),
     # The channel: Rindler-mode amplitudes of Bob's |0> swapped.
     Mutant("channel: cos(r) and sin(r) swapped", "src/unruhpd/unruh.py",
            "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", ("tests/test_unruh.py",)),
