@@ -24,7 +24,7 @@ import re
 import sys
 
 from .equilibrium import analyze
-from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, move_entries, validate_gamma
+from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, validate_gamma
 from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, play, play_entries
 from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
@@ -257,7 +257,7 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
     does, and yielded as built.
     """
     import numpy as np
-    moves = [[move_entries(NAMED_STRATEGIES[label]) for label in profile] for profile in profiles]
+    moves = [[NAMED_STRATEGIES[label].q for label in profile] for profile in profiles]
     delta = r_end - r_start
     step = delta / (steps - 1)
     for lo in range(0, steps, GRID_BLOCK):

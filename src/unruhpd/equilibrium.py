@@ -20,7 +20,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, is_finite, move_entries, safe_repr
+from .game import Strategy, TWO_PI, _move_entries, is_finite, safe_repr
 from .payoff import GameSetup, Payoffs, _reply_scorer, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -161,7 +161,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     _check_setup(setup)
     if not isinstance(opponent, _STRATEGY_TYPE):
         raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
-    score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), player, setup.table)
+    score = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)
     alphas, thetas, products = _search_grid()
     weight = max(abs(pair[player]) for pair in setup.table.entries())
     best, best_value = -1, -math.inf

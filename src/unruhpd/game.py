@@ -10,7 +10,7 @@ Strategies and move coordinates are Python floats: on them it makes no numpy cal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 GAMMA_MAX = math.pi / 2.0
@@ -59,18 +59,31 @@ def validate_gamma(gamma: float) -> float:
 _NAMED_ANGLES = {"C": (0.0, 0.0), "D": (0.0, math.pi), "Q": (math.pi / 2.0, 0.0), "M": (math.pi / 2.0, math.pi / 2.0)}
 
 
+def _move_entries(alpha: float, theta: float) -> tuple:
+    """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z."""
+    cos_t = math.cos(theta / 2.0)
+    return (math.cos(alpha) * cos_t, math.sin(theta / 2.0), math.sin(alpha) * cos_t)
+
+
+_Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z
+
+
 @dataclass(frozen=True)
 class Strategy:
-    """A two-parameter local move; named moves carry their one-letter label and angles."""
+    """A two-parameter local move; named moves carry their one-letter label and angles.
+
+    `q` holds the move's coordinates (q0, q1, q3), set once in `__init__`; repr, == and hash ignore it.
+    """
 
     alpha: float
     theta: float
     label: str = "custom"
+    q: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, alpha: float, theta: float, label: str = "custom"):
         alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
         theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
-        # The label picks the move that `move_entries` scores, so it must agree with the angles.
+        # The label picks the coordinates `q` that are scored, so it must agree with the angles.
         if label != "custom" and not (isinstance(label, str) and _NAMED_ANGLES.get(label) == (alpha, theta)):
             raise ValueError(f"strategy label {safe_repr(label)} does not name the move at alpha={alpha}, theta={theta}")
         # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
@@ -79,6 +92,7 @@ class Strategy:
         fields["alpha"] = alpha
         fields["theta"] = theta
         fields["label"] = label
+        fields["q"] = _Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)
 
     def __str__(self) -> str:
         if self.label != "custom":
@@ -89,32 +103,13 @@ class Strategy:
 NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_ANGLES.items()}
 
 
-def _move_entries(alpha: float, theta: float) -> tuple:
-    """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z."""
-    cos_t = math.cos(theta / 2.0)
-    return (math.cos(alpha) * cos_t, math.sin(theta / 2.0), math.sin(alpha) * cos_t)
-
-
-_Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z
-
-
-def move_entries(strategy: Strategy) -> tuple:
-    """Coordinates of a strategy's move as `_move_entries` gives them; Q gives diag(i, -i) exactly.
-
-    A Strategy validated its angles when it was built, so they are not checked again.
-    """
-    if strategy.label == "Q":
-        return _Q_ENTRIES
-    return _move_entries(strategy.alpha, strategy.theta)
-
-
 def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
-    """Move matrix [[q0 + i q3, i q1], [i q1, q0 - i q3]] of a strategy's `move_entries`.
+    """Move matrix [[q0 + i q3, i q1], [i q1, q0 - i q3]] of a strategy's coordinates `Strategy.q`.
 
     A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]; Q is diag(i, -i).
     """
     import numpy as np
-    q0, q1, q3 = move_entries(strategy)
+    q0, q1, q3 = strategy.q
     return np.array([[complex(q0, q3), complex(0.0, q1)], [complex(0.0, q1), complex(q0, -q3)]])
 
 

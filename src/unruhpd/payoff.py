@@ -13,7 +13,7 @@ loop or list, in real arithmetic on each move's three real coordinates
 (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
 through six coefficients, which `_coefficients` computes from the cos and
 sin of gamma/2 and r. Its entry is `play_entries`, which takes the moves as
-`game.move_entries` gives them and computes the coefficients once per call.
+`Strategy.q` holds them and computes the coefficients once per call.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Its second caller, `_reply_scorer`, scores one player's moves against a fixed
@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .game import Strategy, entangler, move_entries, safe_repr, validate_gamma
+from .game import Strategy, entangler, safe_repr, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -144,11 +144,11 @@ class GameSetup:
 
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
     """Expected payoffs for one strategy profile, scored on Python floats."""
-    return play_entries(setup.gamma, setup.r, move_entries(alice), move_entries(bob), setup.table)
+    return play_entries(setup.gamma, setup.r, alice.q, bob.q, setup.table)
 
 
 def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payoffs:
-    """Expected payoffs of two moves given by their coordinates, as `game.move_entries` gives them.
+    """Expected payoffs of two moves given by their coordinates, as `Strategy.q` holds them.
 
     `gamma`, `r` and every coordinate are Python floats or arrays, all broadcast
     together; each payoff is a float or an array of the broadcast shape.
@@ -188,7 +188,7 @@ def _coefficients(cos_g, sin_g, cos_r, sin_r) -> tuple:
 def _probabilities(a, b, coefficients) -> tuple:
     """Probabilities of CC, CD, DC, DD for Alice's move coordinates `a` and Bob's `b`.
 
-    Moves are given as `game.move_entries` gives them, and gamma and r as
+    Moves are given as `Strategy.q` holds them, and gamma and r as
     `_coefficients` gives them. Every value is a Python float or an array,
     all broadcast together. The formula is written out per outcome: only +,
     - and * are used, on real numbers, in the same order for both, and each

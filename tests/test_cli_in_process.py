@@ -85,3 +85,26 @@ def test_build_parser_returns_a_new_parser_on_every_call():
 def test_help_matches_a_fresh_process(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal's width, read when it is printed
     assert run_in_process(argv) == run_fresh(argv)
+
+
+# One file per message of `cli.load_config_table`: its text, the line it names and the message after `path:line: `.
+CONFIG_ERRORS = {
+    "no =": ("cc 3, 3\n", 1, "expected key=value, got 'cc 3, 3'"),
+    "unknown key": ("# a comment\nZZ = 1, 2\n", 2, "unknown key 'zz' (use cc, cd, dc, dd)"),
+    "not alice,bob": ("cc = 4, 4\n\ndd = 1\n", 3, "value must be 'alice,bob', got '1'"),
+    "non-numeric": ("cd = 0, five  # Bob's temptation\n", 1, "non-numeric payoff in '0, five'"),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_each_config_error_names_its_line_and_is_a_usage_error(name, tmp_path):
+    text, lineno, message = CONFIG_ERRORS[name]
+    config = tmp_path / "table.cfg"
+    config.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["play", "--gamma", "0", "--r", "0", "--alice", "C", "--bob", "C", "--config", str(config)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().splitlines()[0] == f"error: {config}:{lineno}: {message}"
+    assert err.getvalue().splitlines()[1].startswith("usage: ")
+    assert "Traceback" not in err.getvalue()

@@ -3,9 +3,11 @@
 `ParentPayoffTable`, `ParentGameSetup` and `ParentStrategy` keep the former
 validation bodies verbatim: the dataclass `__post_init__` of PayoffTable and
 the `object.__setattr__` `__init__` of the other two. A seeded hostile pool
-goes through old and new; each call must store the same fields (type, value,
-zero sign and identity with the argument) or raise the same exception type
-and message. The only differences allowed are the mended ones: where the old
+goes through old and new; each call must store the same init fields (type,
+value, zero sign and identity with the argument) or raise the same exception
+type and message. A new Strategy also stores its move coordinates `q`, which
+must be those the parent scored its moves with, `parent_coordinates`. The
+only differences allowed are the mended ones: where the old
 code raised something other than its domain message (an int with no repr, an
 unhashable label, a mapping or a signaling NaN as a payoff pair), the new
 code raises a ValueError with the domain message.
@@ -21,7 +23,16 @@ from dataclasses import dataclass
 import pytest
 
 from hostile import FLOATS, HUGE_INT, LABELS, NUMBERS, PAIR_SHAPES
-from unruhpd.game import _NAMED_ANGLES, NAMED_STRATEGIES, TWO_PI, Strategy, clamp_to_domain, safe_repr, validate_gamma
+from unruhpd.game import (
+    _NAMED_ANGLES,
+    NAMED_STRATEGIES,
+    TWO_PI,
+    Strategy,
+    _move_entries,
+    clamp_to_domain,
+    safe_repr,
+    validate_gamma,
+)
 from unruhpd.payoff import _PAYOFF_TABLE_TYPE, PAYOFF_ENTRY_MAX, PROFILE_ORDER, GameSetup, PayoffTable
 from unruhpd.unruh import validate_r
 
@@ -87,12 +98,19 @@ class ParentStrategy:
     def __init__(self, alpha: float, theta: float, label: str = "custom"):
         alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
         theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
-        # The label picks the move that `move_entries` scores, so it must agree with the angles.
+        # The label picks the move that `parent_coordinates` scores, so it must agree with the angles.
         if label != "custom" and _NAMED_ANGLES.get(label) != (alpha, theta):
             raise ValueError(f"strategy label {label!r} does not name the move at alpha={alpha}, theta={theta}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "label", label)
+
+
+def parent_coordinates(strategy):
+    """The move coordinates the parent scored, read from the label at every play: Q gives diag(i, -i) exactly."""
+    if strategy.label == "Q":
+        return (0.0, 0.0, 1.0)
+    return _move_entries(strategy.alpha, strategy.theta)
 
 
 def stored(value):
@@ -107,13 +125,15 @@ def stored(value):
 
 
 def outcome(cls, args, kwargs):
-    """The fields `cls(*args, **kwargs)` stores, each with whether it is the very object passed in, or what it raised."""
+    """The init fields `cls(*args, **kwargs)` stores, each with whether it is the argument itself, or what it raised."""
     try:
         obj = cls(*args, **kwargs)
     except Exception as exc:  # the old code raised TypeError and KeyError too
         return "raised", type(exc), str(exc)
-    given = dict(zip([f.name for f in dataclasses.fields(obj)], args), **kwargs)
-    return "built", {name: (stored(v), name in given and v is given[name]) for name, v in vars(obj).items()}
+    names = [f.name for f in dataclasses.fields(obj) if f.init]
+    given = dict(zip(names, args), **kwargs)
+    fields = {name: getattr(obj, name) for name in names}
+    return "built", {name: (stored(v), name in given and v is given[name]) for name, v in fields.items()}
 
 
 def compare(new_cls, old_cls, calls):
@@ -184,6 +204,16 @@ def test_strategy_matches_the_parent_on_a_hostile_pool():
         calls.append(((alpha, theta), {"label": label}) if rng.random() < 0.5 else ((alpha, theta, label), {}))
     mended = compare(Strategy, ParentStrategy, calls)
     assert_only_mended(mended, "ValueError: Exceeds the limit (4300 digits)", "TypeError: unhashable type")
+    built = 0
+    for args, kwargs in calls:
+        try:
+            new = Strategy(*args, **kwargs)
+        except ValueError:
+            continue
+        assert set(vars(new)) == {"alpha", "theta", "label", "q"}
+        assert stored(new.q) == stored(parent_coordinates(ParentStrategy(*args, **kwargs)))
+        built += 1
+    assert built > DRAWS // 10, "the pool must build strategies, named and custom"
 
 
 VALUES = [
@@ -208,3 +238,14 @@ def test_values_survive_pickle_and_deepcopy_and_stay_frozen(value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(value, field)
     assert dataclasses.replace(value) == value
+    assert stored(tuple(vars(dataclasses.replace(value)).values())) == stored(tuple(vars(value).values()))
+
+
+def test_strategy_coordinates_take_no_part_in_repr_eq_or_hash():
+    for s in [*NAMED_STRATEGIES.values(), Strategy(1.0, 2.0), Strategy(0.0, -0.0)]:
+        parent = ParentStrategy(s.alpha, s.theta, s.label)
+        assert repr(s) == "Strategy" + repr(parent).removeprefix("ParentStrategy")
+        assert hash(s) == hash(parent)
+        assert s == Strategy(s.alpha, s.theta, s.label)
+    shown = [f.name for f in dataclasses.fields(Strategy) if f.init or f.repr or f.compare]
+    assert shown == ["alpha", "theta", "label"]

@@ -15,7 +15,7 @@ from rational import circle_point, sphere_point
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import closed_forms
-from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, move_entries, named_strategy_matrix
+from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, named_strategy_matrix
 from unruhpd.payoff import (
     GameSetup,
     PayoffTable,
@@ -64,15 +64,15 @@ INDICATOR_TABLES = (
 
 
 def named(label):
-    return move_entries(NAMED_STRATEGIES[label])
+    return NAMED_STRATEGIES[label].q
 
 
 def move(alpha, theta):
-    return move_entries(Strategy(alpha, theta))
+    return Strategy(alpha, theta).q
 
 
 def stacked(moves):
-    """Coordinates of a stack of moves, as `move_entries` gives them, each an array over the stack axes.
+    """Coordinates of a stack of moves, as `Strategy.q` holds them, each an array over the stack axes.
 
     `moves` is an array of shape (..., 3), or a list of coordinate triples.
     """
@@ -124,7 +124,7 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
     # `play` scores on Python floats, `play_entries` here on arrays: the same
     # real formula, rounded in the same order, so equal to the last bit.
     setup = GameSetup(gamma, r, table)
-    moves = np.array([move_entries(s) for s in strategies])
+    moves = np.array([s.q for s in strategies])
     batch = play_entries(setup.gamma, setup.r, stacked(moves[:, None]), stacked(moves[None, :]), table)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
@@ -200,7 +200,7 @@ ANGLE_PAIRS = st.tuples(
 def test_probabilities_round_alike_on_floats_and_arrays(angles, strategies):
     # On floats each probability is within 4 eps of the nested-loop reference; on (angles, moves, moves)
     # broadcast arrays of the same trig values the kernel rounds as on floats, so it equals them to the last bit.
-    moves = [move_entries(s) for s in strategies]
+    moves = [s.q for s in strategies]
     trigs = [(math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r)) for gamma, r in angles]
     singles = []
     for trig in trigs:
@@ -233,7 +233,7 @@ def test_swapping_the_players_of_the_inertial_game_swaps_their_payoffs_bit_for_b
     half = gamma / 2.0
     assert _coefficients(math.cos(half), math.sin(half), math.cos(0.0), math.sin(0.0))[3:] == (0.0, 0.0, 0.0)
     setup = GameSetup(gamma, 0.0, table)
-    moves = np.array([move_entries(s) for s in strategies])
+    moves = np.array([s.q for s in strategies])
     batch = play_entries(setup.gamma, 0.0, stacked(moves[:, None]), stacked(moves[None, :]), table)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):

@@ -25,7 +25,7 @@ from unruhpd.equilibrium import (
     set_best_responses,
     validate_strategy_set,
 )
-from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries, move_entries
+from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries
 from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, _reply_scorer, play, play_entries
 
 C = NAMED_STRATEGIES["C"]
@@ -324,7 +324,7 @@ WRAPPING_REPLIES = [
 def test_the_descent_wraps_alpha_past_zero_to_the_optimum(setup, opponent):
     # The moves cover the unit sphere of coordinates up to sign, so the optimum is the top eigenvalue of the form.
     reply, value = best_response(setup, opponent, "alice")
-    score = _reply_scorer(setup.gamma, setup.r, move_entries(opponent), 0, setup.table)
+    score = _reply_scorer(setup.gamma, setup.r, opponent.q, 0, setup.table)
     optimum = np.linalg.eigvalsh(np.array(_reply_form(score))).max()
     assert 6.0 < reply.alpha < TWO_PI
     assert value >= optimum - 1e-9
@@ -357,11 +357,11 @@ def test_reply_scorer_equals_play_entries_bit_for_bit(table):
     # for each player: best_response's replies rest on it.
     grid = tuple(grid_points().T)
     rng = np.random.default_rng(17)
-    moves = [move_entries(s) for s in OPPONENTS] + [_move_entries(*rng.uniform((0.0, 0.0), (TWO_PI, math.pi)))]
+    moves = [s.q for s in OPPONENTS] + [_move_entries(*rng.uniform((0.0, 0.0), (TWO_PI, math.pi)))]
     for gamma, r in CONFIGS:
         setup = GameSetup(gamma, r, table)
         for opponent in OPPONENTS:
-            other = move_entries(opponent)
+            other = opponent.q
             for player in (0, 1):
                 score = _reply_scorer(setup.gamma, setup.r, other, player, table)
 
@@ -397,7 +397,7 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
-                score = _reply_scorer(gamma, r, move_entries(opponent), player, table)
+                score = _reply_scorer(gamma, r, opponent.q, player, table)
                 form = _reply_form(score)
                 matrix = np.array(form)
                 assert np.array_equal(matrix, matrix.T)
@@ -437,7 +437,7 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
-                score = _reply_scorer(gamma, r, move_entries(opponent), player, table)
+                score = _reply_scorer(gamma, r, opponent.q, player, table)
                 with np.errstate(over="raise", invalid="raise"):
                     form = _reply_form(score)
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
@@ -555,6 +555,15 @@ def test_a_cell_that_is_not_two_finite_reals_is_a_value_error(name, alice_cc):
     table[0][0] = (alice_cc, table[0][0].bob)
     with pytest.raises(ValueError, match=re.escape(f"finite real numbers, got {(alice_cc, 3.0)!r}")):
         TABLE_FUNCTIONS[name](table)
+
+
+@pytest.mark.parametrize("name", TABLE_FUNCTIONS)
+@pytest.mark.parametrize("cell", [1, (1.0,)], ids=repr)
+def test_a_cell_without_items_0_and_1_is_a_value_error(name, cell):
+    # A number has no item 0 and a one-tuple no item 1: both are refused with the cell message, not TypeError
+    # or IndexError.
+    with pytest.raises(ValueError, match=re.escape(f"finite real numbers, got {cell!r}")):
+        TABLE_FUNCTIONS[name]([[cell]])
 
 
 @pytest.mark.parametrize("name", TABLE_FUNCTIONS)

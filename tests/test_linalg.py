@@ -98,6 +98,15 @@ def test_partial_trace_rejects_inconsistent_dims():
         partial_trace(random_density(4), [2, 2], which=2)
 
 
+def test_partial_trace_rejects_a_zero_dimension_and_a_nan_entry():
+    with pytest.raises(ValueError, match="^subsystem dimensions must be positive$"):
+        partial_trace(np.zeros((0, 0)), [2, 0], which=0)
+    rho = random_density(4)
+    rho[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        partial_trace(rho, [2, 2], which=0)
+
+
 def test_matrix_exp_zero_is_identity():
     assert np.abs(matrix_exp(np.zeros((3, 3), dtype=complex)) - np.eye(3)).max() <= 1e-15
 

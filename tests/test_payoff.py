@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -100,6 +101,16 @@ def test_final_density_rejects_non_unitary_moves():
         final_density(projector(0), np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.0)
     with pytest.raises(ValueError):
         final_density(projector(0), np.eye(2), np.full((2, 2), np.nan), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4,), (16,), (4, 4, 1)])
+def test_final_density_and_payoffs_reject_a_matrix_that_is_not_4x4(shape):
+    rho = np.zeros(shape, dtype=complex)
+    message = "^" + re.escape(f"expected a 4x4 density matrix, got shape {shape}") + "$"
+    with pytest.raises(ValueError, match=message):
+        final_density(rho, np.eye(2), np.eye(2), 0.0)
+    with pytest.raises(ValueError, match=message):
+        payoffs(rho, PayoffTable())
 
 
 def test_final_density_preserves_trace_and_hermiticity():

@@ -98,6 +98,11 @@ def test_expand_rejects_unnormalized_input():
         expand_bob_mode(np.array([1.0, 1.0, 0.0, 0.0]), 0.1)
 
 
+def test_expand_rejects_a_normalized_state_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"^expected a dim-4 state, got shape \(8,\)$"):
+        expand_bob_mode(random_pure_state(8), 0.1)
+
+
 @pytest.mark.parametrize(
     "gamma,r",
     [(0.0, 0.0), (0.0, math.pi / 4), (math.pi / 2, math.pi / 8), (math.pi / 3, 0.6), (math.pi / 2, math.pi / 4)],

@@ -9,7 +9,7 @@ import pytest
 import unruhpd.verify
 from unruhpd import closed_forms
 from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
-from unruhpd.game import NAMED_STRATEGIES, move_entries
+from unruhpd.game import NAMED_STRATEGIES
 from unruhpd.payoff import Payoffs, PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
 from unruhpd.verify import DEFAULT_TOL, MAX_GRID, NOTE_EQ13_ORDERING, SUITE_NAMES, WorstAt, _worst, run_suite
@@ -108,7 +108,7 @@ def test_worst_at_locates_the_largest_deviation():
     assert at.r in np.linspace(0.0, R_MAX, 101).tolist()
     # Re-score that one point as the suite does: the deviation there is the maximum.
     rs = np.array([at.r])
-    moves = [move_entries(NAMED_STRATEGIES[label]) for label in at.label]
+    moves = [NAMED_STRATEGIES[label].q for label in at.label]
     engine = [values[0] for values in play_entries(math.pi / 2, rs, *moves, PayoffTable())]
     formula = max_entangled_classical(rs, at.label)
     column = ("alice", "bob").index(at.player)
@@ -171,3 +171,13 @@ def test_the_largest_grid_reaches_numpy_and_is_refused_for_memory():
     # No array of 2**60 floats fits this machine: numpy refuses it with MemoryError, not with a ValueError of its own.
     with pytest.raises(MemoryError):
         run_suite("eq8", MAX_GRID)
+
+
+@pytest.mark.parametrize("grid", [3, 5, 9, 17, 101, 1001, 4099, 10007])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_stays_within_its_rounding_budget(suite, grid):
+    # The engine and the closed forms round differently, by at most 16 eps (eq8, eq11) on these grids, and the
+    # commutators by 0.39 eps: the budgets leave 4x for other numpy builds. A closed-form term shifted by 1e-13,
+    # far inside the 1e-12 tolerance, is far outside them.
+    budget = (4 if suite == "commutators" else 64) * sys.float_info.epsilon
+    assert run_suite(suite, grid=grid).max_abs_error <= budget

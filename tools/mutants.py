@@ -43,10 +43,13 @@ class Mutant(NamedTuple):
 
 CLOSED_FORMS = "src/unruhpd/closed_forms.py"
 CLOSED_FORM_TESTS = ("tests/test_closed_forms.py", "tests/test_api.py")
+GAME = "src/unruhpd/game.py"
+GAME_TESTS = ("tests/test_game.py",)
 EQUILIBRIUM = "src/unruhpd/equilibrium.py"
 EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py",)
 PAYOFF = "src/unruhpd/payoff.py"
 KERNEL_TESTS = ("tests/test_engine.py", "tests/test_payoff.py", "tests/test_exact.py")
+VERIFY_TESTS = ("tests/test_verify.py",)
 CLI = "src/unruhpd/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -61,6 +64,16 @@ MUTANTS = [
            "shared = 2.0 * cos_2a * (cos_t + 1.0)", "shared = 2.0 * cos_2a * (cos_t + 1.0) + 4e-11", CLOSED_FORM_TESTS),
     Mutant("closed form: a term of miracle_vs_classical shifted", CLOSED_FORMS,
            "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 4e-11)", CLOSED_FORM_TESTS),
+    # The same terms shifted by 1e-13 (a payoff by at least 1.8e-14, 80 eps), inside the 1e-12 tolerance: only the
+    # rounding budget of `verify`'s suites tells them.
+    Mutant("closed form: a term of max_entangled_classical shifted by 1e-13", CLOSED_FORMS,
+           "1.25 * m.sin(r) ** 2", "(1.25 * m.sin(r) ** 2 + 1e-13)", VERIFY_TESTS),
+    Mutant("closed form: a term of unentangled_classical shifted by 1e-13", CLOSED_FORMS,
+           "3.0 * sin_sq", "(3.0 * sin_sq + 1e-13)", VERIFY_TESTS),
+    Mutant("closed form: a term of q_vs_arbitrary shifted by 1e-13", CLOSED_FORMS,
+           "shared = 2.0 * cos_2a * (cos_t + 1.0)", "shared = 2.0 * cos_2a * (cos_t + 1.0) + 1e-13", VERIFY_TESTS),
+    Mutant("closed form: a term of miracle_vs_classical shifted by 1e-13", CLOSED_FORMS,
+           "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 1e-13)", VERIFY_TESTS),
     # closed_forms._domain: which r is an array, the guard of its conversion, the bound check and the clip.
     Mutant("domain: a 0-d array is an array", CLOSED_FORMS,
            "(isinstance(r, ndarray) and r.ndim)", "isinstance(r, ndarray)", CLOSED_FORM_TESTS),
@@ -113,7 +126,7 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
-           "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", ("tests/test_verify.py",)),
+           "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", VERIFY_TESTS),
     # The kernel: one flipped sign and one dropped term; its coefficients: M's sign flipped, e and f swapped.
     Mutant("kernel: the T term of CD's kept amplitude sign flipped", PAYOFF,
            "M * a0b1 + T * a1b3", "M * a0b1 - T * a1b3", KERNEL_TESTS),
@@ -126,8 +139,10 @@ MUTANTS = [
     Mutant("channel: cos(r) and sin(r) swapped", "src/unruhpd/unruh.py",
            "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", ("tests/test_unruh.py",)),
     # The clamp: a value just below 0 is inside the slack.
-    Mutant("clamp: the lower slack's sign flipped", "src/unruhpd/game.py",
-           "value < -EDGE_SLACK", "value < EDGE_SLACK", ("tests/test_game.py",)),
+    Mutant("clamp: the lower slack's sign flipped", GAME, "value < -EDGE_SLACK", "value < EDGE_SLACK", GAME_TESTS),
+    # A Strategy's coordinates: Q's are diag(i, -i) exactly, not the rounded coordinates of its angles (pi/2, 0).
+    Mutant("strategy: Q's coordinates from its angles", GAME,
+           '_Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)', "_move_entries(alpha, theta)", GAME_TESTS),
     # The solution concepts: a gap of exactly DEVIATION_TOL is a tie, and the Pareto front's tie tolerance.
     Mutant("dominant: a gap at the tolerance is strict", EQUILIBRIUM,
            "if not any(gap <= DEVIATION_TOL for gap in gaps)", "if not any(gap < DEVIATION_TOL for gap in gaps)",
@@ -142,7 +157,7 @@ MUTANTS = [
            "isinstance(v, numbers.Real) and is_finite(v)", "isinstance(v, numbers.Real)", EQUILIBRIUM_TESTS),
     # verify's pass/fail: a NaN deviation after a finite one must be the worst.
     Mutant("verify: a later NaN is not the worst", "src/unruhpd/verify.py",
-           " or (math.isnan(value) and not math.isnan(worst))", "", ("tests/test_verify.py",)),
+           " or (math.isnan(value) and not math.isnan(worst))", "", VERIFY_TESTS),
     # The CLI validators of sweep's grid.
     Mutant("cli: one sweep step accepted", CLI,
            "    if args.steps < 2:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start",
