@@ -94,6 +94,10 @@ class Strategy:
         fields["label"] = label
         fields["q"] = _Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)
 
+    def __setstate__(self, state: dict) -> None:
+        # Through `__init__`: the angles are checked again and `q` is set, also for a pickle written before `q`.
+        self.__init__(state["alpha"], state["theta"], state.get("label", "custom"))
+
     def __str__(self) -> str:
         if self.label != "custom":
             return self.label

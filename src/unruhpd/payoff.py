@@ -25,8 +25,8 @@ a game scores bit for bit the same through `play` as in any batch at the same
 float gamma and r.
 
 `final_density` and `payoffs` score one game from its 4x4 density matrix.
-With `unruh.unruh_channel` (Rindler expansion, `unruh.partial_trace` of
-region II) they are the reference the engine is tested against.
+With `unruh.unruh_channel` (Bob's Rindler expansion, region II traced out of
+that pure state) they are the reference the engine is tested against.
 
 Expected payoffs weight the outcomes CC, CD, DC, DD with a classical payoff
 table.
@@ -259,12 +259,21 @@ def _reply_scorer(gamma: float, r: float, opponent: tuple, player: int, table: P
     return score
 
 
-def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma: float) -> np.ndarray:
-    """Apply the joint move and undo the entangler: J^dag (uA x uB) rho (.)^dag J."""
+def _density_4x4(rho) -> np.ndarray:
+    """`rho` as a complex array, or ValueError if it is not 4x4 or has an entry that is not finite."""
     import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
+    return rho
+
+
+def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma: float) -> np.ndarray:
+    """Apply the joint move and undo the entangler: J^dag (uA x uB) rho (.)^dag J."""
+    import numpy as np
+    rho = _density_4x4(rho)
     for name, u in (("alice", u_alice), ("bob", u_bob)):
         u = np.asarray(u, dtype=complex)
         # Negated <=, so that a NaN entry fails it too.
@@ -278,9 +287,7 @@ def final_density(rho: np.ndarray, u_alice: np.ndarray, u_bob: np.ndarray, gamma
 def payoffs(rho_final: np.ndarray, table: PayoffTable) -> Payoffs:
     """Diagonal-weighted expectation of the classical payoff table."""
     import numpy as np
-    rho_final = np.asarray(rho_final, dtype=complex)
-    if rho_final.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho_final.shape}")
+    rho_final = _density_4x4(rho_final)
     diag = np.real(np.diag(rho_final))
     alice = float(sum(pair[0] * p for pair, p in zip(table.entries(), diag)))
     bob = float(sum(pair[1] * p for pair, p in zip(table.entries(), diag)))

@@ -13,10 +13,11 @@ state into a mixed two-qubit state and degrades its entanglement. Only a
 single field mode per wedge is kept, the standard highly-monochromatic
 detector idealization.
 
-`expand_bob_mode`, `partial_trace` and `unruh_channel` build that reduced
-state as an explicit 4x4 density matrix. `payoff` applies the same channel
-in its Kraus form without one; these functions are the reference it is
-tested against.
+`expand_bob_mode` writes the pure state over (Alice, region I, region II),
+`partial_trace` traces region II out of it, and `unruh_channel` does both,
+giving the reduced state as an explicit 4x4 density matrix. `payoff` applies
+the same channel in its Kraus form without one; these functions are the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _check_normalized(state: np.ndarray) -> np.ndarray:
     import numpy as np
     state = np.asarray(state, dtype=complex).reshape(-1)
     norm_sq = float(np.real(np.vdot(state, state)))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # negated, so that a NaN or inf entry fails it too
         raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
     return state
 
@@ -77,30 +78,17 @@ def expand_bob_mode(state: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def partial_trace(rho: np.ndarray, dims: list[int], which: int) -> np.ndarray:
-    """Trace out subsystem `which`, preserving the order of the rest.
+def partial_trace(expanded: np.ndarray) -> np.ndarray:
+    """Trace region II out of the dim-8 pure state that `expand_bob_mode` returns.
 
-    `dims` lists the subsystem dimensions, most significant first; their
-    product must equal the side of the square matrix `rho`, whose entries
-    must be finite.
+    With the state as a 4x2 matrix M over ((Alice, region I), region II), the
+    reduced density matrix over (Alice, region I) is M M^dag.
     """
-    import numpy as np
-    rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("subsystem dimensions must be positive")
-    total = math.prod(dims)
-    if rho.shape != (total, total):
-        raise ValueError(f"dims {dims} inconsistent with matrix shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("matrix entries must be finite")
-    n = len(dims)
-    if not 0 <= which < n:
-        raise ValueError(f"subsystem index {which} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    reduced = np.trace(t, axis1=which, axis2=n + which)
-    keep = total // dims[which]
-    return reduced.reshape(keep, keep)
+    expanded = _check_normalized(expanded)
+    if expanded.shape != (8,):
+        raise ValueError(f"expected a dim-8 state, got shape {expanded.shape}")
+    m = expanded.reshape(4, 2)
+    return m @ m.conj().T
 
 
 def unruh_channel(state: np.ndarray, r: float) -> np.ndarray:
@@ -109,6 +97,4 @@ def unruh_channel(state: np.ndarray, r: float) -> np.ndarray:
     Returns the 4x4 reduced density matrix over (Alice, region I). Trace one,
     Hermitian, positive semidefinite; the identity map at r = 0.
     """
-    expanded = expand_bob_mode(state, r)
-    rho = expanded[:, None] * expanded.conj()  # the outer product, as np.outer forms it
-    return partial_trace(rho, [2, 2, 2], which=2)
+    return partial_trace(expand_bob_mode(state, r))

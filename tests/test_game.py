@@ -1,7 +1,9 @@
 """Strategy space, named moves, entangling operator, initial state."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from unruhpd.game import (
     named_strategy_matrix,
     validate_gamma,
 )
+from unruhpd.payoff import GameSetup, play
 
 
 def test_cooperate_matrix_is_identity():
@@ -115,6 +118,25 @@ def test_strategy_keeps_dataclass_behaviour():
     assert dataclasses.replace(strategy, theta=0.5) == Strategy(1.0, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         strategy.alpha = 0.5
+
+
+def test_a_strategy_pickled_without_its_coordinates_unpickles_with_them():
+    # A pickle as written before `Strategy.q` existed: the state holds the three fields only.
+    for strategy in (Strategy(1.0, 2.0), NAMED_STRATEGIES["Q"]):
+        old = copy.copy(strategy)
+        del old.__dict__["q"]
+        clone = pickle.loads(pickle.dumps(old))
+        assert clone == strategy and clone.q == strategy.q
+        setup = GameSetup(0.3, 0.2)
+        assert play(setup, clone, NAMED_STRATEGIES["D"]) == play(setup, strategy, NAMED_STRATEGIES["D"])
+
+
+def test_a_pickled_strategy_with_an_angle_out_of_its_domain_is_refused():
+    strategy = copy.copy(Strategy(1.0, 2.0))
+    strategy.__dict__["alpha"] = math.nan
+    data = pickle.dumps(strategy)
+    with pytest.raises(ValueError, match=r"^strategy alpha must lie in \[0, 2\*pi\], got nan$"):
+        pickle.loads(data)
 
 
 def test_strategy_labels_and_custom_rendering():

@@ -14,14 +14,9 @@ RNG = np.random.default_rng(20240811)
 D1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
-def random_complex(rows, cols):
-    return RNG.normal(size=(rows, cols)) + 1j * RNG.normal(size=(rows, cols))
-
-
-def random_density(dim):
-    a = random_complex(dim, dim)
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
+def random_unit_vector(dim):
+    v = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+    return v / np.linalg.norm(v)
 
 
 def move_matrix(alpha, theta):
@@ -70,41 +65,35 @@ def test_adjoint_of_move_is_inverse(alpha, theta):
     assert is_unitary(u)
 
 
-def test_partial_trace_product_state():
-    rho_a = random_density(2)
-    rho_b = random_density(2)
-    reduced = partial_trace(np.kron(rho_a, rho_b), [2, 2], which=1)
-    assert np.abs(reduced - rho_a).max() <= 1e-13
-
-
-def test_partial_trace_matches_brute_force_on_random_8x8():
-    rho = random_density(8)
-    for which in range(3):
-        got = partial_trace(rho, [2, 2, 2], which)
-        want = brute_force_partial_trace(rho, [2, 2, 2], which)
-        assert np.abs(got - want).max() <= 1e-13
+def test_partial_trace_matches_brute_force_over_region_ii():
+    for _ in range(20):
+        v = random_unit_vector(8)
+        want = brute_force_partial_trace(np.outer(v, v.conj()), [2, 2, 2], which=2)
+        assert np.abs(partial_trace(v) - want).max() <= 1e-14
 
 
 def test_partial_trace_preserves_trace():
-    rho = random_density(8)
-    reduced = partial_trace(rho, [2, 2, 2], which=2)
-    assert abs(np.trace(reduced) - np.trace(rho)) <= 1e-12
+    for _ in range(20):
+        assert abs(np.trace(partial_trace(random_unit_vector(8))) - 1.0) <= 1e-12
 
 
-def test_partial_trace_rejects_inconsistent_dims():
-    with pytest.raises(ValueError):
-        partial_trace(random_density(8), [2, 2], which=0)
-    with pytest.raises(ValueError):
-        partial_trace(random_density(4), [2, 2], which=2)
+def test_partial_trace_rejects_a_unit_vector_of_the_wrong_size():
+    for dim in (4, 16):
+        with pytest.raises(ValueError, match=rf"^expected a dim-8 state, got shape \({dim},\)$"):
+            partial_trace(random_unit_vector(dim))
 
 
-def test_partial_trace_rejects_a_zero_dimension_and_a_nan_entry():
-    with pytest.raises(ValueError, match="^subsystem dimensions must be positive$"):
-        partial_trace(np.zeros((0, 0)), [2, 0], which=0)
-    rho = random_density(4)
-    rho[1, 2] = np.nan
-    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        partial_trace(rho, [2, 2], which=0)
+def test_partial_trace_rejects_a_vector_that_is_not_normalized():
+    with pytest.raises(ValueError, match="^state is not normalized"):
+        partial_trace(2.0 * random_unit_vector(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_partial_trace_rejects_a_non_finite_entry(bad):
+    v = random_unit_vector(8)
+    v[5] = bad
+    with pytest.raises(ValueError, match="^state is not normalized"):
+        partial_trace(v)
 
 
 def test_matrix_exp_zero_is_identity():

@@ -113,6 +113,22 @@ def test_final_density_and_payoffs_reject_a_matrix_that_is_not_4x4(shape):
         payoffs(rho, PayoffTable())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_final_density_rejects_a_non_finite_entry(bad):
+    rho = projector(0)
+    rho[2, 1] = bad
+    with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+        final_density(rho, np.eye(2), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_payoffs_rejects_a_non_finite_entry(bad):
+    rho = projector(0)
+    rho[1, 1] = bad
+    with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+        payoffs(rho, PayoffTable())
+
+
 def test_final_density_preserves_trace_and_hermiticity():
     from unruhpd.game import initial_state
     from unruhpd.unruh import unruh_channel

@@ -98,6 +98,12 @@ def test_expand_rejects_unnormalized_input():
         expand_bob_mode(np.array([1.0, 1.0, 0.0, 0.0]), 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expand_rejects_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="^state is not normalized"):
+        expand_bob_mode(np.array([bad, 0.0, 0.0, 0.0]), 0.1)
+
+
 def test_expand_rejects_a_normalized_state_of_the_wrong_dimension():
     with pytest.raises(ValueError, match=r"^expected a dim-4 state, got shape \(8,\)$"):
         expand_bob_mode(random_pure_state(8), 0.1)

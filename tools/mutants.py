@@ -50,6 +50,9 @@ EQUILIBRIUM_TESTS = ("tests/test_equilibrium.py",)
 PAYOFF = "src/unruhpd/payoff.py"
 KERNEL_TESTS = ("tests/test_engine.py", "tests/test_payoff.py", "tests/test_exact.py")
 VERIFY_TESTS = ("tests/test_verify.py",)
+IDENTITY_TESTS = ("tests/test_verify.py", "tests/test_identities.py")
+UNRUH = "src/unruhpd/unruh.py"
+UNRUH_TESTS = ("tests/test_unruh.py", "tests/test_linalg.py")
 CLI = "src/unruhpd/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
 
@@ -65,15 +68,15 @@ MUTANTS = [
     Mutant("closed form: a term of miracle_vs_classical shifted", CLOSED_FORMS,
            "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 4e-11)", CLOSED_FORM_TESTS),
     # The same terms shifted by 1e-13 (a payoff by at least 1.8e-14, 80 eps), inside the 1e-12 tolerance: only the
-    # rounding budget of `verify`'s suites tells them.
+    # rounding budget of `verify`'s suites and the exact identities tell them.
     Mutant("closed form: a term of max_entangled_classical shifted by 1e-13", CLOSED_FORMS,
-           "1.25 * m.sin(r) ** 2", "(1.25 * m.sin(r) ** 2 + 1e-13)", VERIFY_TESTS),
+           "1.25 * m.sin(r) ** 2", "(1.25 * m.sin(r) ** 2 + 1e-13)", IDENTITY_TESTS),
     Mutant("closed form: a term of unentangled_classical shifted by 1e-13", CLOSED_FORMS,
-           "3.0 * sin_sq", "(3.0 * sin_sq + 1e-13)", VERIFY_TESTS),
+           "3.0 * sin_sq", "(3.0 * sin_sq + 1e-13)", IDENTITY_TESTS),
     Mutant("closed form: a term of q_vs_arbitrary shifted by 1e-13", CLOSED_FORMS,
-           "shared = 2.0 * cos_2a * (cos_t + 1.0)", "shared = 2.0 * cos_2a * (cos_t + 1.0) + 1e-13", VERIFY_TESTS),
+           "shared = 2.0 * cos_2a * (cos_t + 1.0)", "shared = 2.0 * cos_2a * (cos_t + 1.0) + 1e-13", IDENTITY_TESTS),
     Mutant("closed form: a term of miracle_vs_classical shifted by 1e-13", CLOSED_FORMS,
-           "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 1e-13)", VERIFY_TESTS),
+           "7.0 * cos_sq * sin_t", "(7.0 * cos_sq * sin_t + 1e-13)", IDENTITY_TESTS),
     # closed_forms._domain: which r is an array, the guard of its conversion, the bound check and the clip.
     Mutant("domain: a 0-d array is an array", CLOSED_FORMS,
            "(isinstance(r, ndarray) and r.ndim)", "isinstance(r, ndarray)", CLOSED_FORM_TESTS),
@@ -135,14 +138,27 @@ MUTANTS = [
     Mutant("coefficients: M's sign flipped", PAYOFF, "q + s2, q - s2,", "q + s2, s2 - q,", KERNEL_TESTS),
     Mutant("coefficients: e and f swapped", PAYOFF,
            "cos_g * c1, sin_g * c1", "sin_g * c1, cos_g * c1", KERNEL_TESTS),
-    # The channel: Rindler-mode amplitudes of Bob's |0> swapped.
-    Mutant("channel: cos(r) and sin(r) swapped", "src/unruhpd/unruh.py",
-           "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", ("tests/test_unruh.py",)),
+    # The channel: Rindler-mode amplitudes of Bob's |0> swapped; region I traced in place of region II; the
+    # conjugate dropped from M M^dag; the norm check that a NaN or inf entry passes.
+    Mutant("channel: cos(r) and sin(r) swapped", UNRUH,
+           "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", UNRUH_TESTS),
+    Mutant("channel: region I traced out", UNRUH,
+           "m = expanded.reshape(4, 2)", "m = expanded.reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)", UNRUH_TESTS),
+    Mutant("channel: M M^T in place of M M^dag", UNRUH, "return m @ m.conj().T", "return m @ m.T", UNRUH_TESTS),
+    Mutant("channel: a non-finite state passes the norm check", UNRUH,
+           "if not abs(norm_sq - 1.0) <= NORM_TOL:", "if abs(norm_sq - 1.0) > NORM_TOL:", UNRUH_TESTS),
+    # The reference's 4x4 check: a non-finite entry passes.
+    Mutant("reference: a non-finite density matrix passes", PAYOFF,
+           "if not np.isfinite(rho).all():", "if False:", ("tests/test_payoff.py",)),
     # The clamp: a value just below 0 is inside the slack.
     Mutant("clamp: the lower slack's sign flipped", GAME, "value < -EDGE_SLACK", "value < EDGE_SLACK", GAME_TESTS),
     # A Strategy's coordinates: Q's are diag(i, -i) exactly, not the rounded coordinates of its angles (pi/2, 0).
     Mutant("strategy: Q's coordinates from its angles", GAME,
            '_Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)', "_move_entries(alpha, theta)", GAME_TESTS),
+    # An unpickled Strategy is built through `__init__`, not from the pickled state as written.
+    Mutant("strategy: unpickled from its state as written", GAME,
+           'self.__init__(state["alpha"], state["theta"], state.get("label", "custom"))', "self.__dict__.update(state)",
+           GAME_TESTS),
     # The solution concepts: a gap of exactly DEVIATION_TOL is a tie, and the Pareto front's tie tolerance.
     Mutant("dominant: a gap at the tolerance is strict", EQUILIBRIUM,
            "if not any(gap <= DEVIATION_TOL for gap in gaps)", "if not any(gap < DEVIATION_TOL for gap in gaps)",
