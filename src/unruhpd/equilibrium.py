@@ -9,7 +9,8 @@ refines it by coordinate descent, scoring on Python floats through one
 `payoff._reply_scorer` per reply, which gives what `payoff.play_entries` gives
 with the trig and the responder's payoffs read once. The grid is prefiltered
 through the responder's quadratic form, `_reply_form`, so the scorer sees only
-the grid points near the form's maximum, and no point twice.
+the grid points near the form's maximum, and the descent scores only the moves
+that the form says can beat its best.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     Every payoff is a call of the reply's `payoff._reply_scorer`, which gives
     what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
     Only the grid's `_candidates` under the responder's quadratic form are scored,
-    one by one on Python floats. The descent scores each (alpha, theta) once: a
-    point scored before never beats the best.
+    one by one on Python floats. The descent scores a step only where the form is
+    at least the best value less the margin `delta`: the form stays within delta / 4
+    of the scorer, so no step that the scorer would accept is skipped.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
@@ -162,19 +164,18 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     if not isinstance(opponent, _STRATEGY_TYPE):
         raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
     score = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)
+    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form = _reply_form(score)
     alphas, thetas, products = _search_grid()
     weight = max(abs(pair[player]) for pair in setup.table.entries())
+    delta = 1e-9 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
     best, best_value = -1, -math.inf
-    for k in _candidates(_reply_form(score), products, weight):
+    for k in _candidates(form, products, delta):
         value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
         if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
             best, best_value = k, value
     i, j = divmod(best, GRID_POINTS)
     best_alpha, best_theta = alphas[i], thetas[j]
 
-    # Each scored (alpha, theta) as one complex, equal exactly when both angles are: it keeps a quarter of the
-    # memory of a tuple and its two floats, which matters to the benchmark's peak RSS.
-    seen = {complex(best_alpha, best_theta)}
     step_a, step_t = alphas[1], thetas[1]  # the grid's spacing
     for _ in range(REFINE_ROUNDS):
         if max(step_a, step_t) < REFINE_MIN_STEP:
@@ -183,11 +184,11 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
         for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
             alpha = (best_alpha + da) % TWO_PI  # U(0, theta) = U(2*pi, theta): alpha wraps, it is not clamped
             theta = min(max(best_theta + dt, 0.0), math.pi)
-            point = complex(alpha, theta)
-            if point in seen:
+            q0, q1, q3 = q = _move_entries(alpha, theta)
+            if (a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3) + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3)
+                    + a13 * (2.0 * q1 * q3) < best_value - delta):  # the form, in `_candidates`' term order
                 continue
-            seen.add(point)
-            value = score(_move_entries(alpha, theta))
+            value = score(q)
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
                 improved = True
@@ -213,12 +214,12 @@ def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
     return (a00, a01, a03), (a01, a11, a13), (a03, a13, a33)
 
 
-def _candidates(form: tuple, products, weight: float) -> list[int]:
+def _candidates(form: tuple, products, delta: float) -> list[int]:
     """Row-major indices of the grid points whose `form` value, from `_search_grid`'s `products`, is near its maximum.
 
-    The margin is 1e-9 of `weight`, the largest |payoff| of the responder's column, plus 1e-300,
+    The margin `delta` from `best_response` is 1e-9 of the largest |payoff| of the responder's column, plus 1e-300,
     which covers tables of subnormal entries, where 1e-9 of them rounds to 0. The form differs from
-    the scorer by about 1e-15 of `weight`, far inside the margin, so the scorer's maximum is always
+    the scorer by about 1e-15 of that payoff, far inside the margin, so the scorer's maximum is always
     among these points. The values are finite: the form's coefficients are at most max/4 (the bound
     `PAYOFF_ENTRY_MAX`) up to rounding, and the products' sizes sum to at most 3.
     """
@@ -226,7 +227,6 @@ def _candidates(form: tuple, products, weight: float) -> list[int]:
     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
     q00, q11, q33, q01, q03, q13 = products
     values = a00 * q00 + a11 * q11 + a33 * q33 + a01 * q01 + a03 * q03 + a13 * q13
-    delta = 1e-9 * weight + 1e-300
     return np.flatnonzero(values >= values.max() - delta).tolist()
 
 

@@ -53,7 +53,7 @@ def r_from_acceleration(omega: float, a: float, c: float) -> float:
 def _check_normalized(state: np.ndarray) -> np.ndarray:
     import numpy as np
     state = np.asarray(state, dtype=complex).reshape(-1)
-    norm_sq = float(np.real(np.vdot(state, state)))
+    norm_sq = float(np.vdot(state.real, state.real)) + float(np.vdot(state.imag, state.imag))  # complex vdot(inf): nan
     if not abs(norm_sq - 1.0) <= NORM_TOL:  # negated, so that a NaN or inf entry fails it too
         raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
     return state

@@ -406,7 +406,7 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
                 weight = max(abs(pair[player]) for pair in table.entries())
                 delta = 1e-9 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
-                candidates = _candidates(form, products, weight)
+                candidates = _candidates(form, products, delta)
                 assert all(type(k) is int for k in candidates)
                 assert candidates == sorted(set(candidates))
                 assert int(np.argmax(kernel)) in candidates
@@ -442,11 +442,84 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
                     form = _reply_form(score)
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
                     values = sum(a * row for a, row in zip((a00, a11, a33, a01, a03, a13), products))
-                    candidates = _candidates(form, products, PAYOFF_ENTRY_MAX)
+                    candidates = _candidates(form, products, 1e-9 * PAYOFF_ENTRY_MAX + 1e-300)
                     kernel = score(tuple(q.T))
                 assert np.isfinite(values).all()
                 assert np.abs(values).max() <= PAYOFF_ENTRY_MAX * (1.0 + 1e-14)
                 assert int(np.argmax(kernel)) in candidates
+
+
+def descent_points():
+    """The (q0, q1, q3) of points the descent can reach off the grid, as (n, 3).
+
+    Seeded (alpha, theta), the edges theta = 0, pi and alpha just below 2*pi, and each one's four neighbours at every
+    step from the grid's spacing down to REFINE_MIN_STEP, wrapped and clamped as `best_response` takes them.
+    """
+    rng = np.random.default_rng(25)
+    alphas, thetas, _ = _search_grid()
+    below_two_pi = math.nextafter(TWO_PI, 0.0)
+    bases = [tuple(rng.uniform((0.0, 0.0), (TWO_PI, math.pi))) for _ in range(24)]
+    bases += [(float(rng.uniform(0.0, TWO_PI)), edge) for edge in (0.0, math.pi)]
+    bases += [(below_two_pi, float(rng.uniform(0.0, math.pi))), (below_two_pi, 0.0), (below_two_pi, math.pi)]
+    points = []
+    for alpha, theta in bases:
+        points.append(_move_entries(alpha, theta))
+        step_a, step_t = alphas[1], thetas[1]
+        while max(step_a, step_t) >= REFINE_MIN_STEP:
+            for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
+                points.append(_move_entries((alpha + da) % TWO_PI, min(max(theta + dt, 0.0), math.pi)))
+            step_a /= 2.0
+            step_t /= 2.0
+    return np.array(points)
+
+
+BOUND_TABLES = PREFILTER_TABLES + EXTREME_TABLES[1:]  # EXTREME_TABLES[0] is SCORER_TABLES[3]
+
+
+@pytest.mark.parametrize("table", BOUND_TABLES, ids=range(len(BOUND_TABLES)))
+def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
+    # The descent skips a step whose form value is below best_value - delta. That skips no step the scorer would
+    # accept only while the form, summed in the descent's term order, stays within delta / 4 of the scorer at every
+    # point the descent reaches, not only on the grid; and no value may overflow for the largest entries.
+    q0, q1, q3 = descent_points().T
+    for gamma, r in CONFIGS:
+        for opponent in OPPONENTS:
+            for player in (0, 1):
+                score = _reply_scorer(gamma, r, opponent.q, player, table)
+                delta = 1e-9 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
+                with np.errstate(over="raise", invalid="raise"):
+                    (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
+                    form = (
+                        a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3)
+                        + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3) + a13 * (2.0 * q1 * q3)
+                    )
+                    kernel = score((q0, q1, q3))
+                    assert np.isfinite(form).all() and np.isfinite(kernel).all()
+                    assert np.abs(form - kernel).max() <= delta / 4
+
+
+# Replies on tables of entries near 1e-320, where 1e-9 of the largest entry rounds to 0: at some step of each
+# descent the scorer beats the best value while the form, a few units of 5e-324 off, falls below it. Only the
+# margin's 1e-300 floor keeps the prune from skipping that step.
+SUBNORMAL_REPLIES = [
+    (GameSetup(0.18015362880690788, math.pi / 4, PayoffTable.from_scalars(1e-320, -1e-320, 2e-320, 7e-320)),
+     Strategy(0.48161643961125661, 1.7287391238282623), "alice"),
+    (GameSetup(math.pi / 2, 0.6334136963232025, PayoffTable.from_scalars(-1e-320, -3e-320, 3e-320, 1e-320)),
+     Strategy(5.7128148864702881, 0.92370233445649208), "bob"),
+    (GameSetup(1.0840181202236705, 0.0, PayoffTable.from_scalars(2e-320, -3e-320, 0.0, 7.1e-322)),
+     Strategy(1.9815053401876253, 1.5511006857280862), "bob"),
+    (GameSetup(math.pi / 2, 0.0, PayoffTable.from_scalars(0.0, -3e-320, 2e-320, 3e-320)),
+     Strategy(1.4622136952005598, 2.0691624700321172), "alice"),
+]
+
+
+@pytest.mark.parametrize("setup,opponent,responder", SUBNORMAL_REPLIES, ids=range(len(SUBNORMAL_REPLIES)))
+def test_the_prune_keeps_each_step_the_scorer_accepts_on_subnormal_tables(setup, opponent, responder):
+    bits = [
+        (reply.alpha.hex(), reply.theta.hex(), value.hex())
+        for reply, value in (f(setup, opponent, responder) for f in (best_response, reference_best_response))
+    ]
+    assert bits[0] == bits[1]
 
 
 def test_search_grid_is_built_once_and_read_only():

@@ -1,5 +1,6 @@
 """Linear algebra under the engine: move adjoints, the partial trace, and the test-only helpers."""
 
+import cmath
 import itertools
 import math
 
@@ -88,11 +89,12 @@ def test_partial_trace_rejects_a_vector_that_is_not_normalized():
         partial_trace(2.0 * random_unit_vector(8))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_partial_trace_rejects_a_non_finite_entry(bad):
     v = random_unit_vector(8)
     v[5] = bad
-    with pytest.raises(ValueError, match="^state is not normalized"):
+    norm_sq = "nan" if cmath.isnan(bad) else "inf"
+    with pytest.raises(ValueError, match=rf"^state is not normalized: \|psi\|\^2 = {norm_sq}$"):
         partial_trace(v)
 
 

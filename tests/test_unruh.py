@@ -1,5 +1,6 @@
 """Acceleration channel: mode expansion, region-II trace, density properties."""
 
+import cmath
 import math
 
 import numpy as np
@@ -98,9 +99,12 @@ def test_expand_rejects_unnormalized_input():
         expand_bob_mode(np.array([1.0, 1.0, 0.0, 0.0]), 0.1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(0.0, math.nan), 1e200])
 def test_expand_rejects_a_non_finite_entry(bad):
-    with pytest.raises(ValueError, match="^state is not normalized"):
+    # The squared norm is the sum of the squared real and imaginary parts, with no RuntimeWarning (an error here):
+    # vdot(state, state) read inf + 0j as nan, from its inf * 0 terms. 1e200 is finite, but its square overflows.
+    norm_sq = "nan" if cmath.isnan(bad) else "inf"
+    with pytest.raises(ValueError, match=rf"^state is not normalized: \|psi\|\^2 = {norm_sq}$"):
         expand_bob_mode(np.array([bad, 0.0, 0.0, 0.0]), 0.1)
 
 

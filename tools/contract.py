@@ -10,12 +10,13 @@ reads stdin from /dev/null. Then one line for `best_response`, which no CLI
 command reaches: the SHA-256 of the reprs of each reply's (alpha, theta,
 value), one line per task. Each of the TASKS tasks is a (gamma, r) setup, a
 payoff table, an opponent and a responder drawn from `random.Random(SEED)`;
-gamma and r include their domain's ends, the tables the default and
-`from_scalars` tables, and the opponents the named moves C, D, Q, M and
-custom angles. Two source trees print the same listing only when every CLI
-byte, exit code and reply bit is the same, and `diff` of their listings names
-each line that moved. Takes no arguments; needs only the standard library and
-the package.
+gamma and r include their domain's ends; the tables are the default, a
+`from_scalars`, the zero, a +-`PAYOFF_ENTRY_MAX` sign mix, or the default
+table scaled by 5e-324, 1e-310 or 1e-300; and the opponents are the named
+moves C, D, Q, M and custom angles. Two source trees print the same listing
+only when every CLI byte, exit code and reply bit is the same, and `diff` of
+their listings names each line that moved. Takes no arguments; needs only the
+standard library and the package.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 from unruhpd import NAMED_STRATEGIES, GameSetup, PayoffTable, Strategy, best_response
 from unruhpd.game import GAMMA_MAX, TWO_PI
+from unruhpd.payoff import PAYOFF_ENTRY_MAX
 from unruhpd.unruh import R_MAX
 
 COMMANDS = Path(__file__).resolve().with_name("cli_commands.txt")
@@ -42,13 +44,25 @@ def cli_lines():
         yield f"{hashlib.sha256(run.stdout).hexdigest()} {len(run.stdout):>8} exit={run.returncode} unruhpd {' '.join(args)}"
 
 
+def reply_table(rng: random.Random) -> PayoffTable:
+    """One of the tables the module docstring names; the extremes test the search's margin and its floor."""
+    kind = rng.choice(("default", "scalars", "zero", "extreme", "subnormal"))
+    if kind == "scalars":
+        return PayoffTable.from_scalars(*(rng.uniform(-5.0, 5.0) for _ in range(4)))
+    if kind == "extreme":
+        signs = (-PAYOFF_ENTRY_MAX, PAYOFF_ENTRY_MAX)
+        return PayoffTable(*(tuple(rng.choice(signs) for _ in range(2)) for _ in range(4)))
+    scale = {"default": 1.0, "zero": 0.0, "subnormal": rng.choice((5e-324, 1e-310, 1e-300))}[kind]
+    return PayoffTable(*(tuple(scale * x for x in pair) for pair in PayoffTable().entries()))
+
+
 def reply_tasks():
     rng = random.Random(SEED)
     named = [NAMED_STRATEGIES[label] for label in "CDQM"]
     for _ in range(TASKS):
         gamma = rng.choice((0.0, GAMMA_MAX, rng.uniform(0.0, GAMMA_MAX)))
         r = rng.choice((0.0, R_MAX, rng.uniform(0.0, R_MAX)))
-        table = rng.choice((PayoffTable(), PayoffTable.from_scalars(*(rng.uniform(-5.0, 5.0) for _ in range(4)))))
+        table = reply_table(rng)
         if rng.random() < 0.5:
             opponent = rng.choice(named)
         else:

@@ -106,16 +106,22 @@ MUTANTS = [
            "for alpha in alphas for theta in thetas]", "for theta in thetas for alpha in alphas]", EQUILIBRIUM_TESTS),
     Mutant("grid: descent steps swapped", EQUILIBRIUM,
            "step_a, step_t = alphas[1], thetas[1]", "step_a, step_t = thetas[1], alphas[1]", EQUILIBRIUM_TESTS),
-    # equilibrium._candidates and the grid's scoring: the margin, its floor for subnormal tables, the first maximum.
-    Mutant("prefilter: no 1e-300 floor", EQUILIBRIUM,
+    # The margin that equilibrium._candidates and the descent's prune share, its floor for subnormal tables, and the
+    # first maximum among the grid's candidates.
+    Mutant("margin: no 1e-300 floor", EQUILIBRIUM,
            "delta = 1e-9 * weight + 1e-300", "delta = 1e-9 * weight", EQUILIBRIUM_TESTS),
-    Mutant("prefilter: no margin", EQUILIBRIUM,
+    Mutant("margin: none", EQUILIBRIUM,
            "delta = 1e-9 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
     Mutant("prefilter: the last maximum among the candidates", EQUILIBRIUM,
            "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
            EQUILIBRIUM_TESTS),
-    Mutant("descent: the grid's best point not marked as scored", EQUILIBRIUM,
-           "seen = {complex(best_alpha, best_theta)}", "seen = set()", EQUILIBRIUM_TESTS),
+    # The descent's prune: a step is scored only where the form is at least best_value - delta.
+    Mutant("prune: the margin added instead of subtracted", EQUILIBRIUM,
+           "< best_value - delta):", "< best_value + delta):", EQUILIBRIUM_TESTS),
+    Mutant("prune: no 1e-300 floor", EQUILIBRIUM,
+           "< best_value - delta):", "< best_value - 1e-9 * weight):", EQUILIBRIUM_TESTS),
+    Mutant("prune: the comparison reversed", EQUILIBRIUM,
+           "< best_value - delta):", ">= best_value - delta):", EQUILIBRIUM_TESTS),
     Mutant("descent: alpha clamped to [0, 2*pi], not wrapped", EQUILIBRIUM,
            "alpha = (best_alpha + da) % TWO_PI", "alpha = min(max(best_alpha + da, 0.0), TWO_PI)", EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
@@ -139,7 +145,7 @@ MUTANTS = [
     Mutant("coefficients: e and f swapped", PAYOFF,
            "cos_g * c1, sin_g * c1", "sin_g * c1, cos_g * c1", KERNEL_TESTS),
     # The channel: Rindler-mode amplitudes of Bob's |0> swapped; region I traced in place of region II; the
-    # conjugate dropped from M M^dag; the norm check that a NaN or inf entry passes.
+    # conjugate dropped from M M^dag; the norm check that a NaN or inf entry passes, and a norm that reads inf as nan.
     Mutant("channel: cos(r) and sin(r) swapped", UNRUH,
            "[math.cos(r), 0.0, 0.0, math.sin(r)]", "[math.sin(r), 0.0, 0.0, math.cos(r)]", UNRUH_TESTS),
     Mutant("channel: region I traced out", UNRUH,
@@ -147,6 +153,9 @@ MUTANTS = [
     Mutant("channel: M M^T in place of M M^dag", UNRUH, "return m @ m.conj().T", "return m @ m.T", UNRUH_TESTS),
     Mutant("channel: a non-finite state passes the norm check", UNRUH,
            "if not abs(norm_sq - 1.0) <= NORM_TOL:", "if abs(norm_sq - 1.0) > NORM_TOL:", UNRUH_TESTS),
+    Mutant("channel: the squared norm as vdot(state, state)", UNRUH,
+           "float(np.vdot(state.real, state.real)) + float(np.vdot(state.imag, state.imag))",
+           "float(np.real(np.vdot(state, state)))", UNRUH_TESTS),
     # The reference's 4x4 check: a non-finite entry passes.
     Mutant("reference: a non-finite density matrix passes", PAYOFF,
            "if not np.isfinite(rho).all():", "if False:", ("tests/test_payoff.py",)),
@@ -187,11 +196,7 @@ MUTANTS = [
 ]
 
 # Mutant name -> why no test can tell it from the original.
-EQUIVALENT: dict[str, str] = {
-    "descent: the grid's best point not marked as scored": (
-        "rescoring a point gives the value it had, which never beats the current best, so only the work changes"
-    ),
-}
+EQUIVALENT: dict[str, str] = {}
 
 
 def stale(mutants: list[Mutant]) -> list[str]:
