@@ -41,14 +41,13 @@ def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
     strategies = list(strategies or ())  # None and an empty container are refused as empty, below
     if not strategies:
         raise ValueError("strategy set must not be empty")
-    seen: set[tuple[float, float]] = set()
+    seen: set[Strategy] = set()
     for s in strategies:
         if not isinstance(s, _STRATEGY_TYPE):
             raise ValueError(f"strategy set members must be Strategy objects, got {safe_repr(s)}")
-        key = (s.alpha, s.theta)
-        if key in seen:
+        if s in seen:
             raise ValueError(f"duplicate strategy in set: {s}")
-        seen.add(key)
+        seen.add(s)
     return strategies
 
 

@@ -3,7 +3,8 @@
 The game starts from |00> shared by Alice (most significant qubit) and Bob.
 An entangling unitary J(gamma) = cos(gamma/2) I + i sin(gamma/2) (D1 x D1)
 prepares cos(gamma/2)|00> + i sin(gamma/2)|11>; each player then applies a
-local move U(alpha, theta), and J is undone before measurement.
+local move U(alpha, theta), and J is undone before measurement. A Strategy is
+its two angles; at a named move's angles it is that move.
 Strategies and move coordinates are Python floats: on them it makes no numpy call and loads no numpy.
 """
 
@@ -54,57 +55,52 @@ def validate_gamma(gamma: float) -> float:
     return clamp_to_domain(gamma, GAMMA_MAX, "entanglement gamma", "[0, pi/2]")
 
 
-# Angles (alpha, theta) of the named moves. Q is the diagonal phase move
+# Angles (alpha, theta) of the named moves, and their names by angles. Q is the diagonal phase move
 # diag(i, -i); in the (alpha, theta) parametrization that matrix sits at (pi/2, 0).
 _NAMED_ANGLES = {"C": (0.0, 0.0), "D": (0.0, math.pi), "Q": (math.pi / 2.0, 0.0), "M": (math.pi / 2.0, math.pi / 2.0)}
+_NAMES = {angles: label for label, angles in _NAMED_ANGLES.items()}
+_Q_ALPHA = math.pi / 2.0
+_Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z
 
 
 def _move_entries(alpha: float, theta: float) -> tuple:
-    """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z."""
+    """Coordinates (q0, q1, q3) of the move U(alpha, theta) = q0 I + i q1 X + i q3 Z; Q's are exact, not rounded."""
+    if theta == 0.0 and alpha == _Q_ALPHA:
+        return _Q_ENTRIES
     cos_t = math.cos(theta / 2.0)
     return (math.cos(alpha) * cos_t, math.sin(theta / 2.0), math.sin(alpha) * cos_t)
 
 
-_Q_ENTRIES = (0.0, 0.0, 1.0)  # diag(i, -i) = i Z
-
-
 @dataclass(frozen=True)
 class Strategy:
-    """A two-parameter local move; named moves carry their one-letter label and angles.
+    """A two-parameter local move U(alpha, theta), nothing more: at a named move's angles it is that move.
 
     `q` holds the move's coordinates (q0, q1, q3), set once in `__init__`; repr, == and hash ignore it.
     """
 
     alpha: float
     theta: float
-    label: str = "custom"
     q: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, alpha: float, theta: float, label: str = "custom"):
+    def __init__(self, alpha: float, theta: float):
         alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
         theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
-        # The label picks the coordinates `q` that are scored, so it must agree with the angles.
-        if label != "custom" and not (isinstance(label, str) and _NAMED_ANGLES.get(label) == (alpha, theta)):
-            raise ValueError(f"strategy label {safe_repr(label)} does not name the move at alpha={alpha}, theta={theta}")
         # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
         # frozen `__setattr__`, though on CPython 3.11 a written dict makes each later field read slower.
         fields = self.__dict__
         fields["alpha"] = alpha
         fields["theta"] = theta
-        fields["label"] = label
-        fields["q"] = _Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)
+        fields["q"] = _move_entries(alpha, theta)
 
     def __setstate__(self, state: dict) -> None:
-        # Through `__init__`: the angles are checked again and `q` is set, also for a pickle written before `q`.
-        self.__init__(state["alpha"], state["theta"], state.get("label", "custom"))
+        # Through `__init__`: the angles are checked again and `q` is set, also for an old pickle; its label is ignored.
+        self.__init__(state["alpha"], state["theta"])
 
     def __str__(self) -> str:
-        if self.label != "custom":
-            return self.label
-        return f"{self.alpha:.17g},{self.theta:.17g}"
+        return _NAMES.get((self.alpha, self.theta)) or f"{self.alpha:.17g},{self.theta:.17g}"
 
 
-NAMED_STRATEGIES = {label: Strategy(*angles, label) for label, angles in _NAMED_ANGLES.items()}
+NAMED_STRATEGIES = {label: Strategy(*angles) for label, angles in _NAMED_ANGLES.items()}
 
 
 def named_strategy_matrix(strategy: Strategy) -> np.ndarray:

@@ -108,3 +108,14 @@ def test_each_config_error_names_its_line_and_is_a_usage_error(name, tmp_path):
     assert err.getvalue().splitlines()[0] == f"error: {config}:{lineno}: {message}"
     assert err.getvalue().splitlines()[1].startswith("usage: ")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("name,angles", [("Q", "pi/2,0"), ("D", "0,pi"), ("C", "0,0"), ("M", "pi/2,pi/2")])
+def test_a_named_move_written_as_angles_prints_as_that_move(name, angles):
+    for extra in ([], ["--json"]):
+        for seat in ("--alice", "--bob"):
+            base = ["play", "--gamma", "pi/3", "--r", "0.4", "--alice", "1,2", "--bob", "1,2", *extra]
+            i = base.index(seat) + 1
+            named, written = base[:i] + [name] + base[i + 1:], base[:i] + [angles] + base[i + 1:]
+            out, code = run_in_process(written)
+            assert code == 0 and (out, code) == run_in_process(named)

@@ -5,12 +5,13 @@ validation bodies verbatim: the dataclass `__post_init__` of PayoffTable and
 the `object.__setattr__` `__init__` of the other two. A seeded hostile pool
 goes through old and new; each call must store the same init fields (type,
 value, zero sign and identity with the argument) or raise the same exception
-type and message. A new Strategy also stores its move coordinates `q`, which
-must be those the parent scored its moves with, `parent_coordinates`. The
-only differences allowed are the mended ones: where the old
-code raised something other than its domain message (an int with no repr, an
-unhashable label, a mapping or a signaling NaN as a payoff pair), the new
-code raises a ValueError with the domain message.
+type and message. The only differences allowed are the mended ones: where the
+old code raised something other than its domain message (an int with no repr,
+a mapping or a signaling NaN as a payoff pair), the new code raises a
+ValueError with the domain message. A Strategy is its two angles: it stores
+the parent's fields less the label, and its move coordinates `q` are those the
+parent scored, `parent_coordinates`, under the label that names the move at
+its angles.
 """
 
 import copy
@@ -46,7 +47,6 @@ DOMAIN_MESSAGES = (
     "acceleration parameter r must lie in",
     "strategy alpha must lie in",
     "strategy theta must lie in",
-    "strategy label ",
 )
 
 
@@ -195,25 +195,35 @@ def test_strategy_matches_the_parent_on_a_hostile_pool():
     rng = random.Random(SEED)
     angles = NUMBERS + [a for pair in _NAMED_ANGLES.values() for a in pair]
     calls = [((a, t), {}) for a in NUMBERS for t in NUMBERS[::4]]
-    calls += [((a, t, label), {}) for a, t in _NAMED_ANGLES.values() for label in LABELS]
+    calls += [(angles, {}) for angles in _NAMED_ANGLES.values()]
     for _ in range(DRAWS):
         alpha, theta = rng.choice(angles), rng.choice(angles)
         if rng.random() < 0.3:
             alpha, theta = rng.choice(list(_NAMED_ANGLES.values()))
-        label = rng.choice(LABELS)
-        calls.append(((alpha, theta), {"label": label}) if rng.random() < 0.5 else ((alpha, theta, label), {}))
-    mended = compare(Strategy, ParentStrategy, calls)
-    assert_only_mended(mended, "ValueError: Exceeds the limit (4300 digits)", "TypeError: unhashable type")
-    built = 0
+        calls.append(((alpha,), {"theta": theta}) if rng.random() < 0.5 else ((alpha, theta), {}))
+    names = {angles: label for label, angles in _NAMED_ANGLES.items()}
+    built = named = 0
     for args, kwargs in calls:
-        try:
-            new = Strategy(*args, **kwargs)
-        except ValueError:
+        new, old = outcome(Strategy, args, kwargs), outcome(ParentStrategy, args, kwargs)
+        if old[0] == "raised":
+            assert new == old, (args, kwargs)
             continue
-        assert set(vars(new)) == {"alpha", "theta", "label", "q"}
-        assert stored(new.q) == stored(parent_coordinates(ParentStrategy(*args, **kwargs)))
+        assert new == ("built", {k: v for k, v in old[1].items() if k != "label"}), (args, kwargs)
+        s = Strategy(*args, **kwargs)
+        label = names.get((s.alpha, s.theta), "custom")
+        assert set(vars(s)) == {"alpha", "theta", "q"}
+        assert stored(s.q) == stored(parent_coordinates(ParentStrategy(s.alpha, s.theta, label)))
         built += 1
-    assert built > DRAWS // 10, "the pool must build strategies, named and custom"
+        named += label != "custom"
+    assert built > DRAWS // 10 and named > DRAWS // 10, "the pool must build strategies, named and custom"
+
+
+def test_a_strategy_takes_no_label():
+    for label in LABELS:
+        with pytest.raises(TypeError):
+            Strategy(0.0, 0.0, label)
+        with pytest.raises(TypeError):
+            Strategy(0.0, 0.0, label=label)
 
 
 VALUES = [
@@ -243,9 +253,9 @@ def test_values_survive_pickle_and_deepcopy_and_stay_frozen(value):
 
 def test_strategy_coordinates_take_no_part_in_repr_eq_or_hash():
     for s in [*NAMED_STRATEGIES.values(), Strategy(1.0, 2.0), Strategy(0.0, -0.0)]:
-        parent = ParentStrategy(s.alpha, s.theta, s.label)
-        assert repr(s) == "Strategy" + repr(parent).removeprefix("ParentStrategy")
-        assert hash(s) == hash(parent)
-        assert s == Strategy(s.alpha, s.theta, s.label)
+        parent = ParentStrategy(s.alpha, s.theta)
+        assert repr(s) == "Strategy" + repr(parent).removeprefix("ParentStrategy").replace(", label='custom'", "")
+        assert hash(s) == hash((s.alpha, s.theta))
+        assert s == Strategy(s.alpha, s.theta)
     shown = [f.name for f in dataclasses.fields(Strategy) if f.init or f.repr or f.compare]
-    assert shown == ["alpha", "theta", "label"]
+    assert shown == ["alpha", "theta"]

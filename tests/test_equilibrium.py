@@ -48,6 +48,19 @@ def test_validate_strategy_set():
         validate_strategy_set([C, Strategy(0.0, 0.0)])
 
 
+def test_a_set_refuses_a_pair_exactly_when_the_moves_are_equal():
+    near_half_pi = math.nextafter(math.pi / 2, 0.0)
+    moves = [*NAMED_STRATEGIES.values(), Strategy(math.pi / 2, 0.0), Strategy(0.0, 3.1415927), Strategy(-0.0, 0.0),
+             Strategy(near_half_pi, 0.0), Strategy(math.pi / 2, 5e-324), Strategy(1.0, 2.0), Strategy(1.0, 2.0)]
+    for a in moves:
+        for b in moves:
+            if a == b:
+                with pytest.raises(ValueError, match=f"^duplicate strategy in set: {re.escape(str(b))}$"):
+                    validate_strategy_set([a, b])
+            else:
+                assert validate_strategy_set([a, b]) == [a, b]
+
+
 def test_payoff_table_inertial_classical_game():
     table = payoff_table(classical_setup(), CLASSICAL_SET)
     want = [[(3.0, 3.0), (0.0, 5.0)], [(5.0, 0.0), (1.0, 1.0)]]

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from linalg import basis_ket, is_unitary, matrix_exp
 from unruhpd.game import (
+    _NAMED_ANGLES,
     D1,
     EDGE_SLACK,
     GAMMA_MAX,
@@ -23,7 +25,7 @@ from unruhpd.game import (
     named_strategy_matrix,
     validate_gamma,
 )
-from unruhpd.payoff import GameSetup, play
+from unruhpd.payoff import GameSetup, PayoffTable, play
 
 
 def test_cooperate_matrix_is_identity():
@@ -88,7 +90,7 @@ def test_near_edge_values_are_clamped_not_rejected():
     # Decimal-rounded endpoints like theta = 3.1415927 must be accepted.
     s = Strategy(0.0, 3.1415927)
     assert s.theta == math.pi
-    assert Strategy(0.0, 3.1415927, "D") == NAMED_STRATEGIES["D"]
+    assert Strategy(0.0, 3.1415927) == NAMED_STRATEGIES["D"]
     assert validate_gamma(1.5707964) == GAMMA_MAX
 
 
@@ -109,12 +111,12 @@ def test_clamp_to_domain_equals_the_clamp_expression(upper):
 
 def test_strategy_keeps_dataclass_behaviour():
     strategy = Strategy(1.0, 2.0)
-    assert strategy == Strategy(alpha=1.0, theta=2.0, label="custom") == Strategy(1.0, theta=2.0)
-    assert strategy.label == "custom"
+    assert strategy == Strategy(alpha=1.0, theta=2.0) == Strategy(1.0, theta=2.0)
+    assert not hasattr(strategy, "label")
     assert hash(strategy) == hash(Strategy(1.0, 2.0))
-    assert strategy != Strategy(1.0, 2.5) and Strategy(0.0, math.pi, "D") != Strategy(0.0, math.pi)
-    assert repr(strategy) == "Strategy(alpha=1.0, theta=2.0, label='custom')"
-    assert repr(NAMED_STRATEGIES["D"]) == "Strategy(alpha=0.0, theta=3.141592653589793, label='D')"
+    assert strategy != Strategy(1.0, 2.5) and NAMED_STRATEGIES["D"] == Strategy(0.0, math.pi)
+    assert repr(strategy) == "Strategy(alpha=1.0, theta=2.0)"
+    assert repr(NAMED_STRATEGIES["D"]) == "Strategy(alpha=0.0, theta=3.141592653589793)"
     assert dataclasses.replace(strategy, theta=0.5) == Strategy(1.0, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         strategy.alpha = 0.5
@@ -131,6 +133,15 @@ def test_a_strategy_pickled_without_its_coordinates_unpickles_with_them():
         assert play(setup, clone, NAMED_STRATEGIES["D"]) == play(setup, strategy, NAMED_STRATEGIES["D"])
 
 
+def test_a_strategy_pickled_with_a_label_unpickles_as_the_move_at_its_angles():
+    # A pickle as written while a Strategy held a label: the label is ignored, the angles name the move.
+    for label in ("Q", "custom"):
+        old = copy.copy(Strategy(math.pi / 2, 0.0))
+        old.__dict__["label"] = label
+        clone = pickle.loads(pickle.dumps(old))
+        assert vars(clone) == vars(NAMED_STRATEGIES["Q"]) and str(clone) == "Q"
+
+
 def test_a_pickled_strategy_with_an_angle_out_of_its_domain_is_refused():
     strategy = copy.copy(Strategy(1.0, 2.0))
     strategy.__dict__["alpha"] = math.nan
@@ -142,20 +153,38 @@ def test_a_pickled_strategy_with_an_angle_out_of_its_domain_is_refused():
 def test_strategy_labels_and_custom_rendering():
     assert str(NAMED_STRATEGIES["C"]) == "C"
     for label, strategy in NAMED_STRATEGIES.items():
-        assert Strategy(strategy.alpha, strategy.theta, label) == strategy
+        assert str(strategy) == label and Strategy(strategy.alpha, strategy.theta) == strategy
     assert str(Strategy(0.5, 1.25)) == "0.5,1.25"
+    assert str(Strategy(0.1, math.pi / 3)) == "0.10000000000000001,1.0471975511965976"
 
 
-@pytest.mark.parametrize(
-    "alpha,theta,label",
-    [(0.0, 0.0, "Q"), (0.0, 0.0, "D"), (math.pi / 2, 0.0, "C"), (0.5, 1.25, "M"), (0.0, 0.0, "X"), (0.0, 0.0, "")],
-)
-def test_label_must_name_the_move_at_its_angles(alpha, theta, label):
-    # The label selects the scored matrix (Q scores as diag(i, -i)), so a
-    # label that disagrees with the angles would score some other move.
-    message = f"strategy label {label!r} does not name the move at alpha={float(alpha)}, theta={float(theta)}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        Strategy(alpha, theta, label)
+def test_a_named_moves_angles_are_that_move():
+    # Written as its angles, or with a decimal-rounded endpoint, a named move is that move: one ==, hash, name and q.
+    written = {label: [Strategy(*angles)] for label, angles in _NAMED_ANGLES.items()}
+    written["D"].append(Strategy(0.0, 3.1415927))
+    written["C"].append(Strategy(-5e-7, -5e-7))
+    for label, strategies in written.items():
+        named = NAMED_STRATEGIES[label]
+        for s in strategies:
+            assert s == named and hash(s) == hash(named) and str(s) == str(named) == label
+            assert s.q == named.q
+    assert NAMED_STRATEGIES["Q"].q == Strategy(math.pi / 2, 0.0).q == (0.0, 0.0, 1.0)
+    # Near Q's angles the move is a custom one, with the coordinates of its angles.
+    near = Strategy(math.nextafter(math.pi / 2, 0.0), 0.0)
+    assert str(near) == f"{near.alpha:.17g},0" and near.q[0] > 0.0
+
+
+def test_q_written_as_angles_scores_as_q_in_both_seats():
+    rng = random.Random(26)
+    q, q_as_angles = NAMED_STRATEGIES["Q"], Strategy(math.pi / 2, 0.0)
+    named = list(NAMED_STRATEGIES.values())
+    for _ in range(10_000):
+        table = PayoffTable.from_scalars(*(rng.uniform(-5.0, 5.0) for _ in range(4)))
+        setup = GameSetup(rng.uniform(0.0, GAMMA_MAX), rng.uniform(0.0, math.pi / 4), table)
+        other = rng.choice(named) if rng.random() < 0.2 else Strategy(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, math.pi))
+        for got, want in ((play(setup, q_as_angles, other), play(setup, q, other)),
+                          (play(setup, other, q_as_angles), play(setup, other, q))):
+            assert [x.hex() for x in got] == [x.hex() for x in want], (setup, other)
 
 
 def test_entangler_at_zero_is_exact_identity():

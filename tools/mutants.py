@@ -163,11 +163,14 @@ MUTANTS = [
     Mutant("clamp: the lower slack's sign flipped", GAME, "value < -EDGE_SLACK", "value < EDGE_SLACK", GAME_TESTS),
     # A Strategy's coordinates: Q's are diag(i, -i) exactly, not the rounded coordinates of its angles (pi/2, 0).
     Mutant("strategy: Q's coordinates from its angles", GAME,
-           '_Q_ENTRIES if label == "Q" else _move_entries(alpha, theta)', "_move_entries(alpha, theta)", GAME_TESTS),
+           "    if theta == 0.0 and alpha == _Q_ALPHA:\n        return _Q_ENTRIES\n", "", GAME_TESTS),
     # An unpickled Strategy is built through `__init__`, not from the pickled state as written.
     Mutant("strategy: unpickled from its state as written", GAME,
-           'self.__init__(state["alpha"], state["theta"], state.get("label", "custom"))', "self.__dict__.update(state)",
-           GAME_TESTS),
+           'self.__init__(state["alpha"], state["theta"])', "self.__dict__.update(state)", GAME_TESTS),
+    # A Strategy's name comes from its angles: a named move written as angles prints as that move.
+    Mutant("strategy: a named move's angles print as custom", GAME,
+           "return _NAMES.get((self.alpha, self.theta)) or",
+           "return next((k for k, v in NAMED_STRATEGIES.items() if v is self), None) or", GAME_TESTS),
     # The solution concepts: a gap of exactly DEVIATION_TOL is a tie, and the Pareto front's tie tolerance.
     Mutant("dominant: a gap at the tolerance is strict", EQUILIBRIUM,
            "if not any(gap <= DEVIATION_TOL for gap in gaps)", "if not any(gap < DEVIATION_TOL for gap in gaps)",
@@ -178,6 +181,8 @@ MUTANTS = [
     # The guards on the table functions' input: the strategy set read once and each cell finite.
     Mutant("strategy set: an iterator read twice", EQUILIBRIUM,
            "strategies = list(strategies or ())", "strategies = strategies or ()", EQUILIBRIUM_TESTS),
+    Mutant("strategy set: duplicates found by identity, not equality", EQUILIBRIUM,
+           "if s in seen:", "if any(s is t for t in seen):", EQUILIBRIUM_TESTS),
     Mutant("table cells: a non-finite number passes", EQUILIBRIUM,
            "isinstance(v, numbers.Real) and is_finite(v)", "isinstance(v, numbers.Real)", EQUILIBRIUM_TESTS),
     # verify's pass/fail: a NaN deviation after a finite one must be the worst.
