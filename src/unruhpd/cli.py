@@ -8,8 +8,8 @@ Subcommands:
   equilibria  analyze a finite strategy set at one configuration
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-All floating point output uses 17 significant digits so that reruns are
-byte-identical and values round-trip exactly.
+Text output prints each float with 17 significant digits, `play --json` its shortest
+round-trip repr: either way reruns are byte-identical and values round-trip exactly.
 """
 
 from __future__ import annotations

@@ -4,14 +4,14 @@ The game starts from |00> shared by Alice (most significant qubit) and Bob.
 An entangling unitary J(gamma) = cos(gamma/2) I + i sin(gamma/2) (D1 x D1)
 prepares cos(gamma/2)|00> + i sin(gamma/2)|11>; each player then applies a
 local move U(alpha, theta), and J is undone before measurement. A Strategy is
-its two angles; at a named move's angles it is that move.
+its two angles; at a named move's angles it is that move; its coordinates `q` are derived state, not a field.
 Strategies and move coordinates are Python floats: on them it makes no numpy call and loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 GAMMA_MAX = math.pi / 2.0
@@ -75,17 +75,16 @@ def _move_entries(alpha: float, theta: float) -> tuple:
 class Strategy:
     """A two-parameter local move U(alpha, theta), nothing more: at a named move's angles it is that move.
 
-    `q` holds the move's coordinates (q0, q1, q3), set once in `__init__`; repr, == and hash ignore it.
+    Its coordinates `q` = (q0, q1, q3) are derived state set in `__init__`, omitted by `fields`, `asdict`, repr, == and hash.
     """
 
     alpha: float
     theta: float
-    q: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, alpha: float, theta: float):
         alpha = clamp_to_domain(alpha, TWO_PI, "strategy alpha", "[0, 2*pi]")
         theta = clamp_to_domain(theta, math.pi, "strategy theta", "[0, pi]")
-        # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
+        # One item write per attribute to the instance dict: cheaper to build than `object.__setattr__` past the
         # frozen `__setattr__`, though on CPython 3.11 a written dict makes each later field read slower.
         fields = self.__dict__
         fields["alpha"] = alpha

@@ -72,10 +72,10 @@ class PayoffTable:
     numbers they were given.
     """
 
-    cc: tuple[float, float] = (3.0, 3.0)
-    cd: tuple[float, float] = (0.0, 5.0)
-    dc: tuple[float, float] = (5.0, 0.0)
-    dd: tuple[float, float] = (1.0, 1.0)
+    cc: tuple[float, float]
+    cd: tuple[float, float]
+    dc: tuple[float, float]
+    dd: tuple[float, float]
 
     def __init__(
         self,

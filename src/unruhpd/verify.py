@@ -89,7 +89,7 @@ class VerifyOutcome:
     max_abs_error: float
     discrepancy_notes: list[str]
     passed: bool
-    worst_at: WorstAt | None = None
+    worst_at: WorstAt
 
 
 def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> VerifyOutcome:

@@ -189,6 +189,8 @@ def assert_finite_floats(value):
         pass
     elif dataclasses.is_dataclass(value):
         assert_finite_floats(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+        if isinstance(value, unruhpd.Strategy):  # its coordinates are derived state, not a field
+            assert_finite_floats(value.q)
     elif isinstance(value, dict):
         assert_finite_floats(tuple(value.items()))
     elif isinstance(value, (tuple, list)):

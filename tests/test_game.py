@@ -122,8 +122,40 @@ def test_strategy_keeps_dataclass_behaviour():
         strategy.alpha = 0.5
 
 
+def coordinate_bits(strategy):
+    """A Strategy's coordinates `q` down to the sign of a zero: each float's hex form."""
+    return tuple(value.hex() for value in strategy.q)
+
+
+def rebuildable_moves():
+    rng = random.Random(27)
+    return [*NAMED_STRATEGIES.values(), *(Strategy(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, math.pi)) for _ in range(40))]
+
+
+def test_a_strategys_fields_are_its_two_angles_and_rebuild_it_as_a_dict_and_as_a_tuple():
+    assert [f.name for f in dataclasses.fields(Strategy)] == ["alpha", "theta"]
+    assert Strategy.__match_args__ == ("alpha", "theta")
+    for strategy in rebuildable_moves():
+        assert dataclasses.asdict(strategy) == {"alpha": strategy.alpha, "theta": strategy.theta}
+        assert dataclasses.astuple(strategy) == (strategy.alpha, strategy.theta)
+        for clone in (Strategy(**dataclasses.asdict(strategy)), Strategy(*dataclasses.astuple(strategy))):
+            assert clone == strategy and str(clone) == str(strategy)
+            assert coordinate_bits(clone) == coordinate_bits(strategy)
+
+
+def test_a_strategys_coordinates_are_derived_state_that_stays_frozen():
+    strategy = Strategy(1.0, 2.0)
+    assert coordinate_bits(strategy) == coordinate_bits(dataclasses.replace(strategy))
+    with pytest.raises(TypeError, match="'q'"):
+        dataclasses.replace(strategy, q=(1.0, 0.0, 0.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        strategy.q = (1.0, 0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del strategy.q
+
+
 def test_a_strategy_pickled_without_its_coordinates_unpickles_with_them():
-    # A pickle as written before `Strategy.q` existed: the state holds the three fields only.
+    # A pickle as written before `Strategy.q` existed: the state holds the angles only.
     for strategy in (Strategy(1.0, 2.0), NAMED_STRATEGIES["Q"]):
         old = copy.copy(strategy)
         del old.__dict__["q"]

@@ -16,10 +16,13 @@ gamma = pi/2, (cos g/2, sin g/2) = (1/sqrt 2, 1/sqrt 2) is taken as (1, 1)
 and the probabilities, homogeneous of degree 4 in that pair, are scaled by
 1/4. The miracle move's coordinates (0, 1/sqrt 2, 1/sqrt 2) are taken as
 (0, 1, 1), with a further 1/2: the probabilities are of degree 2 in each
-player's move. Every comparison is `==`. Both sides are polynomials of
-bounded degree in the seeded rationals, so equality at 200 random points per
-form proves the identity with overwhelming probability (Schwartz, JACM 27,
-701, 1980).
+player's move. The two discrepancy notes `verify` prints about these forms
+are exact statements about the kernel too: at r = pi/4 the pair (cos r,
+sin r) = (1/sqrt 2, 1/sqrt 2) is taken as (1, 1), and at gamma = 0 the
+probabilities, of degree 2 in that pair, are scaled by 1/2. Every
+comparison is `==`. Both sides are polynomials of bounded degree in the
+seeded rationals, so equality at 200 random points per form proves the
+identity with overwhelming probability (Schwartz, JACM 27, 701, 1980).
 """
 
 import functools
@@ -34,6 +37,7 @@ import pytest
 from rational import circle_point
 from unruhpd import closed_forms
 from unruhpd.payoff import PayoffTable, _coefficients, _expected, _probabilities
+from unruhpd.verify import NOTE_EQ13_INVERSION, NOTE_TABLE2_MISPRINT
 
 POINTS = 200
 SEED = 24
@@ -94,6 +98,8 @@ C, D, Q = fractions(1, 0, 0), fractions(0, 1, 0), fractions(0, 0, 1)
 M_SCALED = fractions(0, 1, 1)  # the miracle move U(pi/2, pi/2) times sqrt 2
 MOVES = {"C": C, "D": D}
 UNENTANGLED, MAX_ENTANGLED = fractions(1, 0), fractions(1, 1)  # (cos g/2, sin g/2), the latter times sqrt 2
+INERTIAL = Angle(0, 0)  # r = 0: (cos r, sin r) = (1, 0)
+QUARTER_PI = SimpleNamespace(point=fractions(1, 1))  # r = pi/4: (cos r, sin r) times sqrt 2
 TABLE = SimpleNamespace(entries=lambda: tuple(fractions(*pair) for pair in PayoffTable().entries()))
 
 
@@ -163,3 +169,15 @@ def test_miracle_vs_classical_is_the_kernel_for_m_against_u_zero_theta(exact_clo
         r, half_theta_b = Angle(2, next(ts)), Angle(1, next(ts))
         want = kernel(M_SCALED, bob_move(Angle(0, 0), half_theta_b), MAX_ENTANGLED, r, Fraction(1, 8))
         assert exact(closed_forms.miracle_vs_classical(r, 2.0 * half_theta_b)) == want
+
+
+def test_table2_misprint_the_kernel_gives_three_and_a_half_for_dc_and_dd_at_r_quarter_pi():
+    assert "(D,C) = (D,D) = (3,3/2)" in NOTE_TABLE2_MISPRINT and "give (3,1/2)" in NOTE_TABLE2_MISPRINT
+    for bob in (C, D):
+        assert kernel(D, bob, UNENTANGLED, QUARTER_PI, Fraction(1, 2)) == (3, Fraction(1, 2))
+
+
+def test_eq13_inversion_the_kernel_gives_a_half_and_three_for_m_against_c_and_d_at_r_zero():
+    assert "at r = 0 the miracle-move closed forms give (1/2, 3)" in NOTE_EQ13_INVERSION
+    for bob in (C, D):
+        assert kernel(M_SCALED, bob, MAX_ENTANGLED, INERTIAL, Fraction(1, 8)) == (Fraction(1, 2), 3)

@@ -40,6 +40,15 @@ def test_default_table_and_scalar_constructor():
     assert rebuilt == table
 
 
+def test_a_table_states_its_defaults_in_its_constructor_only():
+    assert [f.name for f in dataclasses.fields(PayoffTable)] == ["cc", "cd", "dc", "dd"]
+    for f in dataclasses.fields(PayoffTable):
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        assert f.name not in vars(PayoffTable)
+    assert PayoffTable().entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
+    assert PayoffTable(**dataclasses.asdict(PayoffTable())) == PayoffTable()
+
+
 def test_setup_validation():
     with pytest.raises(ValueError):
         GameSetup(gamma=2.0, r=0.0)

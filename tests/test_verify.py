@@ -1,5 +1,6 @@
 """Verification-suite plumbing: pass/fail logic and discrepancy notes."""
 
+import dataclasses
 import math
 import sys
 
@@ -12,7 +13,16 @@ from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
 from unruhpd.game import NAMED_STRATEGIES
 from unruhpd.payoff import Payoffs, PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
-from unruhpd.verify import DEFAULT_TOL, MAX_GRID, NOTE_EQ13_ORDERING, SUITE_NAMES, WorstAt, _worst, run_suite
+from unruhpd.verify import (
+    DEFAULT_TOL,
+    MAX_GRID,
+    NOTE_EQ13_ORDERING,
+    SUITE_NAMES,
+    VerifyOutcome,
+    WorstAt,
+    _worst,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -122,6 +132,13 @@ def test_worst_at_is_set_by_every_suite():
         assert at.suite == name
     assert run_suite("commutators").worst_at.label in ("CC", "DD")
     assert run_suite("eq11").worst_at.r is not None
+
+
+def test_an_outcome_cannot_be_built_without_where_its_worst_deviation_was():
+    for f in dataclasses.fields(VerifyOutcome):
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError, match="worst_at"):
+        VerifyOutcome("eq8", 1, 0.0, [], True)
 
 
 def test_non_finite_engine_values_fail_the_suite(monkeypatch):

@@ -171,6 +171,16 @@ MUTANTS = [
     Mutant("strategy: a named move's angles print as custom", GAME,
            "return _NAMES.get((self.alpha, self.theta)) or",
            "return next((k for k, v in NAMED_STRATEGIES.items() if v is self), None) or", GAME_TESTS),
+    # Record types declare only what their constructors take: a Strategy's coordinates are no field, a table's
+    # defaults live in its `__init__` only, and an outcome always says where its worst deviation was.
+    Mutant("strategy: the coordinates declared as a field", GAME,
+           "    theta: float\n\n",
+           '    theta: float\n    q: tuple = __import__("dataclasses").field(init=False, repr=False, compare=False)\n\n',
+           GAME_TESTS),
+    Mutant("table: a class-body default that disagrees with __init__", PAYOFF,
+           "    dd: tuple[float, float]\n", "    dd: tuple[float, float] = (1.0, 2.0)\n", ("tests/test_payoff.py",)),
+    Mutant("verify: worst_at optional", "src/unruhpd/verify.py",
+           "    worst_at: WorstAt\n", "    worst_at: WorstAt | None = None\n", VERIFY_TESTS),
     # The solution concepts: a gap of exactly DEVIATION_TOL is a tie, and the Pareto front's tie tolerance.
     Mutant("dominant: a gap at the tolerance is strict", EQUILIBRIUM,
            "if not any(gap <= DEVIATION_TOL for gap in gaps)", "if not any(gap < DEVIATION_TOL for gap in gaps)",
