@@ -10,7 +10,7 @@ refines it by coordinate descent, scoring on Python floats through one
 with the trig and the responder's payoffs read once. The grid is prefiltered
 through the responder's quadratic form, `_reply_form`, so the scorer sees only
 the grid points near the form's maximum, and the descent scores only the moves
-that the form says can beat its best.
+that the form says can beat its best, each built from the trig of the angle it keeps.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, is_finite, safe_repr
+from .game import Strategy, TWO_PI, _Q_ALPHA, _Q_ENTRIES, _move_entries, is_finite, safe_repr
 from .payoff import GameSetup, Payoffs, _reply_scorer, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -153,8 +153,10 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
     Only the grid's `_candidates` under the responder's quadratic form are scored,
     one by one on Python floats. The descent scores a step only where the form is
-    at least the best value less the margin `delta`: the form stays within delta / 4
-    of the scorer, so no step that the scorer would accept is skipped.
+    at least the best value less the margin `delta` (1e-10 of the largest |payoff|):
+    the form stays within delta / 4 of the scorer, so no step that the scorer would
+    accept is skipped. A step keeps one angle, and its coordinates are those of
+    `_move_entries` built from the cos and sin of the kept angle at the best point.
     Deterministic: only strict improvements are accepted and grid ties
     resolve to the lexicographically smallest (alpha, theta).
     """
@@ -166,7 +168,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form = _reply_form(score)
     alphas, thetas, products = _search_grid()
     weight = max(abs(pair[player]) for pair in setup.table.entries())
-    delta = 1e-9 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
+    delta = 1e-10 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
     best, best_value = -1, -math.inf
     for k in _candidates(form, products, delta):
         value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
@@ -175,21 +177,39 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     i, j = divmod(best, GRID_POINTS)
     best_alpha, best_theta = alphas[i], thetas[j]
 
+    # Each step keeps one angle and reuses its trig: the cos and sin of the best alpha (wrapped as a theta step
+    # wraps it) and of half the best theta.
+    cos_a, sin_a = math.cos(best_alpha), math.sin(best_alpha)
+    cos_t, sin_t = math.cos(best_theta / 2.0), math.sin(best_theta / 2.0)
     step_a, step_t = alphas[1], thetas[1]  # the grid's spacing
     for _ in range(REFINE_ROUNDS):
         if max(step_a, step_t) < REFINE_MIN_STEP:
             break
         improved = False
-        for da, dt in ((-step_a, 0.0), (step_a, 0.0), (0.0, -step_t), (0.0, step_t)):
-            alpha = (best_alpha + da) % TWO_PI  # U(0, theta) = U(2*pi, theta): alpha wraps, it is not clamped
-            theta = min(max(best_theta + dt, 0.0), math.pi)
-            q0, q1, q3 = q = _move_entries(alpha, theta)
+        for steps_alpha, step in ((True, -step_a), (True, step_a), (False, -step_t), (False, step_t)):
+            if steps_alpha:  # U(0, theta) = U(2*pi, theta): alpha wraps, it is not clamped
+                alpha, theta = (best_alpha + step) % TWO_PI, best_theta
+                c, s = math.cos(alpha), math.sin(alpha)
+                q = (c * cos_t, sin_t, s * cos_t)
+            else:
+                alpha, theta = (best_alpha + 0.0) % TWO_PI, min(max(best_theta + step, 0.0), math.pi)
+                if alpha != best_alpha:  # 2*pi wrapped to 0.0, whose trig is not that of 2*pi
+                    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+                c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+                q = (cos_a * c, s, sin_a * c)
+            if theta == 0.0 and alpha == _Q_ALPHA:  # Q's exact entries, as `_move_entries` gives them
+                q = _Q_ENTRIES
+            q0, q1, q3 = q
             if (a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3) + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3)
                     + a13 * (2.0 * q1 * q3) < best_value - delta):  # the form, in `_candidates`' term order
                 continue
             value = score(q)
             if value > best_value:
                 best_alpha, best_theta, best_value = alpha, theta, value
+                if steps_alpha:  # the step's new angle is the best one now, and its trig the pair to reuse
+                    cos_a, sin_a = c, s
+                else:
+                    cos_t, sin_t = c, s
                 improved = True
         if not improved:
             step_a /= 2.0
@@ -216,8 +236,8 @@ def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
 def _candidates(form: tuple, products, delta: float) -> list[int]:
     """Row-major indices of the grid points whose `form` value, from `_search_grid`'s `products`, is near its maximum.
 
-    The margin `delta` from `best_response` is 1e-9 of the largest |payoff| of the responder's column, plus 1e-300,
-    which covers tables of subnormal entries, where 1e-9 of them rounds to 0. The form differs from
+    The margin `delta` from `best_response` is 1e-10 of the largest |payoff| of the responder's column, plus 1e-300,
+    which covers tables of subnormal entries, where 1e-10 of them rounds to 0. The form differs from
     the scorer by about 1e-15 of that payoff, far inside the margin, so the scorer's maximum is always
     among these points. The values are finite: the form's coefficients are at most max/4 (the bound
     `PAYOFF_ENTRY_MAX`) up to rounding, and the products' sizes sum to at most 3.

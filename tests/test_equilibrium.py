@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from unruhpd import equilibrium
 from unruhpd.closed_forms import miracle_vs_classical
 from unruhpd.equilibrium import (
     DEVIATION_TOL,
@@ -265,10 +266,15 @@ def test_best_response_argument_validation():
         best_response(classical_setup(), C, "carol")
 
 
-def reference_best_response(setup, opponent, responder, grid=32, refine=100):
-    """The per-game search `best_response` replaced: one `Strategy` and one `play` per evaluation."""
+def reference_best_response(setup, opponent, responder, grid=32, refine=100, seen=None):
+    """The per-game search `best_response` replaced: one `Strategy` and one `play` per evaluation.
+
+    Each scored (alpha, theta) is appended, in order, to the list `seen` when one is given.
+    """
 
     def score(alpha: float, theta: float) -> float:
+        if seen is not None:
+            seen.append((alpha, theta))
         mover = Strategy(alpha, theta)
         if responder == "alice":
             return play(setup, mover, opponent).alice
@@ -391,7 +397,7 @@ def test_reply_scorer_equals_play_entries_bit_for_bit(table):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-9
+# The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-10
 # of the largest entry rounds to 0, and only the margin's 1e-300 floor keeps the scorer's maximum a candidate.
 PREFILTER_TABLES = SCORER_TABLES + [
     PayoffTable(cc=(0.0, 0.0), cd=(0.0, 0.0), dc=(0.0, 0.0), dd=(0.0, 0.0)),
@@ -417,7 +423,7 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
                 values = np.einsum("...i,ij,...j->...", q, matrix, q)
                 kernel = score(tuple(q.T))
                 weight = max(abs(pair[player]) for pair in table.entries())
-                delta = 1e-9 * weight + 1e-300
+                delta = 1e-10 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
                 candidates = _candidates(form, products, delta)
                 assert all(type(k) is int for k in candidates)
@@ -499,7 +505,7 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
         for opponent in OPPONENTS:
             for player in (0, 1):
                 score = _reply_scorer(gamma, r, opponent.q, player, table)
-                delta = 1e-9 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
+                delta = 1e-10 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
                 with np.errstate(over="raise", invalid="raise"):
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
                     form = (
@@ -511,7 +517,7 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
                     assert np.abs(form - kernel).max() <= delta / 4
 
 
-# Replies on tables of entries near 1e-320, where 1e-9 of the largest entry rounds to 0: at some step of each
+# Replies on tables of entries near 1e-320, where 1e-10 of the largest entry rounds to 0: at some step of each
 # descent the scorer beats the best value while the form, a few units of 5e-324 off, falls below it. Only the
 # margin's 1e-300 floor keeps the prune from skipping that step.
 SUBNORMAL_REPLIES = [
@@ -533,6 +539,141 @@ def test_the_prune_keeps_each_step_the_scorer_accepts_on_subnormal_tables(setup,
         for reply, value in (f(setup, opponent, responder) for f in (best_response, reference_best_response))
     ]
     assert bits[0] == bits[1]
+
+
+def hexes(values) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in values)
+
+
+def record_scored_moves(monkeypatch) -> list:
+    """Patch `best_response`'s scorer so that each move (q0, q1, q3) it scores is appended to the returned list."""
+    scored = []
+    scorer = equilibrium._reply_scorer
+
+    def recording_scorer(*args):
+        score = scorer(*args)
+
+        def record(q):
+            scored.append(q)
+            return score(q)
+
+        return record
+
+    monkeypatch.setattr(equilibrium, "_reply_scorer", recording_scorer)
+    return scored
+
+
+def assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder):
+    """`best_response` gives the per-game search's bits, and scores only moves that search scores, in its order.
+
+    The descent builds each neighbour's coordinates from the cos and sin it keeps of the best point, so every
+    move the scorer sees must be, bit for bit, `_move_entries` of a point on the reference's path.
+    """
+    seen = []
+    want = reference_best_response(setup, opponent, responder, seen=seen)
+    scored = record_scored_moves(monkeypatch)
+    got = best_response(setup, opponent, responder)
+    monkeypatch.undo()
+    assert hexes((got[0].alpha, got[0].theta, got[1])) == hexes((want[0].alpha, want[0].theta, want[1]))
+    path = iter([hexes(_move_entries(alpha, theta)) for alpha, theta in seen])
+    # The first 6 calls are `_reply_form`'s probes; `in` consumes the iterator, so this tests for a subsequence.
+    assert all(hexes(q) in path for q in scored[6:])
+    return got
+
+
+def test_replies_ending_at_q_score_its_exact_entries(monkeypatch):
+    # Against C, D and Q with Prisoner's-Dilemma-like tables the descent often stops at (pi/2, 0), reached from
+    # the grid as (8h - h/4) % 2*pi == pi/2 for the grid's alpha spacing h. There `_move_entries` gives Q's exact
+    # (0, 0, 1), not (cos(pi/2), 0, 1); the descent, which builds its neighbours from kept trig, must too.
+    rng = np.random.default_rng(28)
+    at_q = 0
+    for k in range(60):
+        table = PayoffTable.from_scalars(*rng.normal(0.0, 3.0, 4))
+        setup = GameSetup(float(rng.uniform(0.0, math.pi / 2)), float(rng.uniform(0.0, math.pi / 4)), table)
+        opponent, responder = (C, D, Q)[k % 3], ("alice", "bob")[k % 2]
+        reply, _ = assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder)
+        at_q += (reply.alpha, reply.theta) == (math.pi / 2, 0.0)
+    assert at_q >= 10, at_q
+
+
+# Replies whose grid maximum lies in the alpha = 2*pi column: a theta step from there wraps alpha to 0.0, whose
+# cos and sin are not those of 2*pi (sin(2*pi) is -2.4e-16), so the descent must not reuse the trig of 2*pi.
+TWO_PI_COLUMN_REPLIES = [
+    (GameSetup(0.6647827677704942, 0.013437752210979061), Strategy(6.179109574382424, 2.6909736925585936), "bob"),
+    (GameSetup(1.2345735635821855, 0.17528755393991094), Strategy(1.405398278466647, 2.4227789814658363), "alice"),
+    (GameSetup(1.0461802878630289, 0.06381950494325994,
+               PayoffTable.from_scalars(2.3205915672791226, 1.595816657603451, 5.3558705123691235, -6.696557744441968)),
+     Strategy(2.774653646180262, 1.5520655727683927), "bob"),
+    (GameSetup(1.5250439779327856, 0.21521277230897382,
+               PayoffTable.from_scalars(-0.898137055478094, -4.79343349121966, 3.2386063426290805, -5.289903338846528)),
+     Strategy(0.5274671710190749, 2.208800480204055), "bob"),
+]
+
+
+@pytest.mark.parametrize("setup,opponent,responder", TWO_PI_COLUMN_REPLIES, ids=range(len(TWO_PI_COLUMN_REPLIES)))
+def test_a_theta_step_from_the_two_pi_column_takes_the_trig_of_zero(monkeypatch, setup, opponent, responder):
+    player = ("alice", "bob").index(responder)
+    kernel = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)(tuple(grid_points().T))
+    assert int(np.argmax(kernel)) // GRID_POINTS == GRID_POINTS - 1  # the grid's first maximum is at alpha = 2*pi
+    assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder)
+
+
+def best_reply_tasks(seed):
+    """The benchmark's best-reply tasks of one seed: 3 (gamma, r) points, each against C, D, Q, M and 8 seeded
+    custom moves, for both players, 72 in all (in the benchmark's draw order, not its shuffled order)."""
+    rng = np.random.default_rng([seed, 2])
+    tasks = []
+    for _ in range(3):
+        setup = GameSetup(float(rng.uniform(0.0, math.pi / 2)), float(rng.uniform(0.0, math.pi / 4)))
+        opponents = [C, D, Q, M]
+        opponents += [Strategy(float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(0.0, math.pi))) for _ in range(8)]
+        tasks += [(setup, opponent, responder) for opponent in opponents for responder in ("alice", "bob")]
+    return tasks
+
+
+def test_the_work_per_reply_is_pinned(monkeypatch):
+    # Scorer calls, with `_reply_form`'s 6 probes: 78.8 a reply with a 1e-9 margin, 71.1 with 1e-10. Coordinates
+    # come from `_move_entries` only at the grid's candidates; the descent builds its own from kept trig.
+    tasks = best_reply_tasks(1)
+    alphas, thetas, _ = _search_grid()  # built, and cached, before `_move_entries` is counted
+    entries, candidates = [], []
+    move_entries, grid_candidates = equilibrium._move_entries, equilibrium._candidates
+
+    def recording_move_entries(alpha, theta):
+        entries.append((alpha, theta))
+        return move_entries(alpha, theta)
+
+    def recording_candidates(*args):
+        found = grid_candidates(*args)
+        candidates.extend((alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]) for k in found)
+        return found
+
+    calls = record_scored_moves(monkeypatch)
+    monkeypatch.setattr(equilibrium, "_move_entries", recording_move_entries)
+    monkeypatch.setattr(equilibrium, "_candidates", recording_candidates)
+    for task in tasks:
+        best_response(*task)
+    assert len(tasks) == 72
+    assert len(calls) / len(tasks) <= 72
+    assert entries == candidates
+    assert len(entries) / len(tasks) < 12
+
+
+def test_a_reply_to_c_d_or_q_is_never_below_the_best_of_c_d_and_q():
+    # Against an axis move the reply form is diagonal (tests/test_axis_replies.py), so the best of C, D and Q is the
+    # best reply over the whole move space: the search must reach it, with no tolerance.
+    rng = np.random.default_rng(16)
+    replies = 0
+    for k in range(500):
+        table = PayoffTable.from_scalars(*rng.normal(0.0, 3.0, 4)) if k % 2 else PayoffTable()
+        setup = GameSetup(float(rng.uniform(0.0, math.pi / 2)), float(rng.uniform(0.0, math.pi / 4)), table)
+        for opponent in (C, D, Q):
+            for responder, player in (("alice", 0), ("bob", 1)):
+                moves = [(own, opponent) if player == 0 else (opponent, own) for own in (C, D, Q)]
+                best_axis = max(play(setup, *pair)[player] for pair in moves)
+                assert best_response(setup, opponent, responder)[1] >= best_axis, (setup, opponent, responder)
+                replies += 1
+    assert replies == 3000
 
 
 def test_search_grid_is_built_once_and_read_only():

@@ -109,9 +109,11 @@ MUTANTS = [
     # The margin that equilibrium._candidates and the descent's prune share, its floor for subnormal tables, and the
     # first maximum among the grid's candidates.
     Mutant("margin: no 1e-300 floor", EQUILIBRIUM,
-           "delta = 1e-9 * weight + 1e-300", "delta = 1e-9 * weight", EQUILIBRIUM_TESTS),
+           "delta = 1e-10 * weight + 1e-300", "delta = 1e-10 * weight", EQUILIBRIUM_TESTS),
     Mutant("margin: none", EQUILIBRIUM,
-           "delta = 1e-9 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
+           "delta = 1e-10 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
+    Mutant("margin: back at 1e-9", EQUILIBRIUM,
+           "delta = 1e-10 * weight + 1e-300", "delta = 1e-9 * weight + 1e-300", EQUILIBRIUM_TESTS),
     Mutant("prefilter: the last maximum among the candidates", EQUILIBRIUM,
            "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
            EQUILIBRIUM_TESTS),
@@ -119,11 +121,21 @@ MUTANTS = [
     Mutant("prune: the margin added instead of subtracted", EQUILIBRIUM,
            "< best_value - delta):", "< best_value + delta):", EQUILIBRIUM_TESTS),
     Mutant("prune: no 1e-300 floor", EQUILIBRIUM,
-           "< best_value - delta):", "< best_value - 1e-9 * weight):", EQUILIBRIUM_TESTS),
+           "< best_value - delta):", "< best_value - 1e-10 * weight):", EQUILIBRIUM_TESTS),
     Mutant("prune: the comparison reversed", EQUILIBRIUM,
            "< best_value - delta):", ">= best_value - delta):", EQUILIBRIUM_TESTS),
     Mutant("descent: alpha clamped to [0, 2*pi], not wrapped", EQUILIBRIUM,
-           "alpha = (best_alpha + da) % TWO_PI", "alpha = min(max(best_alpha + da, 0.0), TWO_PI)", EQUILIBRIUM_TESTS),
+           "alpha, theta = (best_alpha + step) % TWO_PI,", "alpha, theta = min(max(best_alpha + step, 0.0), TWO_PI),",
+           EQUILIBRIUM_TESTS),
+    # The descent's kept trig: recomputed where alpha wraps from 2*pi to 0, renewed by each accepted step, and
+    # Q's exact entries where a step lands on (pi/2, 0).
+    Mutant("descent: a theta step reuses the trig of the unwrapped alpha", EQUILIBRIUM,
+           "if alpha != best_alpha:", "if False:", EQUILIBRIUM_TESTS),
+    Mutant("descent: an accepted step keeps the stale trig", EQUILIBRIUM,
+           "cos_a, sin_a = c, s\n                else:\n                    cos_t, sin_t = c, s",
+           "pass\n                else:\n                    pass", EQUILIBRIUM_TESTS),
+    Mutant("descent: Q's exact entries lost", EQUILIBRIUM,
+           "if theta == 0.0 and alpha == _Q_ALPHA:", "if False:", EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
     Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
            "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
