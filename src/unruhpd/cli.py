@@ -27,7 +27,7 @@ from .equilibrium import analyze
 from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, validate_gamma
 from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, play, play_entries
 from .unruh import R_MAX, validate_r
-from .verify import DEFAULT_GRID, DEFAULT_TOL, SUITE_NAMES, run_suite
+from .verify import DEFAULT_GRID, DEFAULT_TOL, MAX_GRID, SUITE_NAMES, run_suite
 
 # Grid points built and scored per engine call in sweep and fig2, so that
 # memory stays bounded however large --steps is.
@@ -271,8 +271,8 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    if not 2 <= args.steps <= MAX_GRID:
+        raise ValueError(f"--steps must be at least 2 and at most {MAX_GRID}")
     if args.r_start > args.r_end:
         raise ValueError("--r-start must not exceed --r-end")
     gamma = validate_gamma(args.gamma)
@@ -298,8 +298,8 @@ FIG2_TEMPLATE = ",".join(["%.17g"] * (1 + len(FIG2_PROFILES))) + "\n"
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
+    if not 2 <= args.steps <= MAX_GRID:
+        raise ValueError(f"--steps must be at least 2 and at most {MAX_GRID}")
     table = resolve_table(args)
     lines = (
         line

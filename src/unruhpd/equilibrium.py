@@ -147,18 +147,20 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     Takes the first maximum, in row-major order, of the payoff over the
     GRID_POINTS x GRID_POINTS grid of `_search_grid` over [0, 2*pi] x [0, pi]
     (inclusive endpoints), then runs at most REFINE_ROUNDS rounds of coordinate
-    descent from it, halving the step until it drops below REFINE_MIN_STEP.
-    The descent takes alpha modulo 2*pi, where the moves repeat, and clamps theta to [0, pi].
-    Every payoff is a call of the reply's `payoff._reply_scorer`, which gives
-    what `payoff.play_entries` gives, so grid and steps agree bit for bit with `play`.
-    Only the grid's `_candidates` under the responder's quadratic form are scored,
-    one by one on Python floats. The descent scores a step only where the form is
-    at least the best value less the margin `delta` (1e-10 of the largest |payoff|):
-    the form stays within delta / 4 of the scorer, so no step that the scorer would
-    accept is skipped. A step keeps one angle, and its coordinates are those of
-    `_move_entries` built from the cos and sin of the kept angle at the best point.
-    Deterministic: only strict improvements are accepted and grid ties
-    resolve to the lexicographically smallest (alpha, theta).
+    descent from it. A round steps alpha by -step and +step, then theta by half of
+    each, as the grid's spacings are; a round that accepts no step halves the step,
+    until it drops below REFINE_MIN_STEP. Alpha is taken modulo 2*pi, where the
+    moves repeat, and theta is clamped to [0, pi]. Every payoff is a call of the
+    reply's `payoff._reply_scorer`, which gives what `payoff.play_entries` gives,
+    so grid and steps agree bit for bit with `play`. Only the grid's `_candidates`
+    under the responder's quadratic form are scored, one by one on Python floats.
+    The descent scores a step only where the form is at least the best value less
+    the margin `delta` (1e-10 of the largest |payoff|): the form stays within
+    delta / 4 of the scorer, so no step that the scorer would accept is skipped.
+    A step keeps one angle and its cos and sin at the best point; its coordinates
+    are `_move_entries`' one formula, with Q's exact entries kept, and a theta
+    step from alpha = 2*pi takes the trig of 0.0. Deterministic: only strict improvements
+    are accepted and grid ties resolve to the lexicographically smallest (alpha, theta).
     """
     player = _check_player("responder", responder)
     _check_setup(setup)
@@ -169,51 +171,42 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     alphas, thetas, products = _search_grid()
     weight = max(abs(pair[player]) for pair in setup.table.entries())
     delta = 1e-10 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
-    best, best_value = -1, -math.inf
+    best_value = -math.inf
     for k in _candidates(form, products, delta):
-        value = score(_move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]))  # the grid's point k
+        alpha, theta = alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]  # the grid's point k
+        value = score(_move_entries(alpha, theta))
         if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
-            best, best_value = k, value
-    i, j = divmod(best, GRID_POINTS)
-    best_alpha, best_theta = alphas[i], thetas[j]
+            best_alpha, best_theta, best_value = alpha, theta, value
 
-    # Each step keeps one angle and reuses its trig: the cos and sin of the best alpha (wrapped as a theta step
-    # wraps it) and of half the best theta.
+    # Each step keeps one angle and reuses its trig: the cos and sin of the best alpha and of half the best theta.
     cos_a, sin_a = math.cos(best_alpha), math.sin(best_alpha)
     cos_t, sin_t = math.cos(best_theta / 2.0), math.sin(best_theta / 2.0)
-    step_a, step_t = alphas[1], thetas[1]  # the grid's spacing
+    step = alphas[1]  # the grid's alpha spacing; theta's is exactly half of it, at every halving
     for _ in range(REFINE_ROUNDS):
-        if max(step_a, step_t) < REFINE_MIN_STEP:
+        if step < REFINE_MIN_STEP:
             break
-        improved = False
-        for steps_alpha, step in ((True, -step_a), (True, step_a), (False, -step_t), (False, step_t)):
+        round_value = best_value
+        for steps_alpha, move in ((True, -step), (True, step), (False, -step / 2.0), (False, step / 2.0)):
             if steps_alpha:  # U(0, theta) = U(2*pi, theta): alpha wraps, it is not clamped
-                alpha, theta = (best_alpha + step) % TWO_PI, best_theta
-                c, s = math.cos(alpha), math.sin(alpha)
-                q = (c * cos_t, sin_t, s * cos_t)
+                alpha, theta = (best_alpha + move) % TWO_PI, best_theta
+                ca, sa = math.cos(alpha), math.sin(alpha)
+                ct, st = cos_t, sin_t
             else:
-                alpha, theta = (best_alpha + 0.0) % TWO_PI, min(max(best_theta + step, 0.0), math.pi)
-                if alpha != best_alpha:  # 2*pi wrapped to 0.0, whose trig is not that of 2*pi
-                    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-                c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-                q = (cos_a * c, s, sin_a * c)
-            if theta == 0.0 and alpha == _Q_ALPHA:  # Q's exact entries, as `_move_entries` gives them
-                q = _Q_ENTRIES
-            q0, q1, q3 = q
+                alpha, theta = best_alpha % TWO_PI, min(max(best_theta + move, 0.0), math.pi)
+                # 2*pi wrapped to 0.0, whose trig is not that of 2*pi
+                ca, sa = (cos_a, sin_a) if alpha == best_alpha else (math.cos(alpha), math.sin(alpha))
+                ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            # Q's exact entries, as `_move_entries` gives them
+            q0, q1, q3 = _Q_ENTRIES if theta == 0.0 and alpha == _Q_ALPHA else (ca * ct, st, sa * ct)
             if (a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3) + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3)
                     + a13 * (2.0 * q1 * q3) < best_value - delta):  # the form, in `_candidates`' term order
                 continue
-            value = score(q)
-            if value > best_value:
+            value = score((q0, q1, q3))
+            if value > best_value:  # the step's angles are the best now, and their trig the pairs to reuse
                 best_alpha, best_theta, best_value = alpha, theta, value
-                if steps_alpha:  # the step's new angle is the best one now, and its trig the pair to reuse
-                    cos_a, sin_a = c, s
-                else:
-                    cos_t, sin_t = c, s
-                improved = True
-        if not improved:
-            step_a /= 2.0
-            step_t /= 2.0
+                cos_a, sin_a, cos_t, sin_t = ca, sa, ct, st
+        if best_value == round_value:  # no step was accepted: only strict improvements are, and values are finite
+            step /= 2.0
 
     return Strategy(best_alpha, best_theta), best_value
 

@@ -1,5 +1,7 @@
 """End-to-end command line behavior via subprocess."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,10 +10,12 @@ import sys
 import numpy as np
 import pytest
 
+from unruhpd import cli
 from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser, parse_angle
 from unruhpd.game import NAMED_STRATEGIES
 from unruhpd.payoff import PayoffTable, play_entries
 from unruhpd.unruh import R_MAX
+from unruhpd.verify import MAX_GRID
 
 
 def run_cli(*args, **kwargs):
@@ -178,6 +182,24 @@ def test_fig2_rerun_is_byte_identical(tmp_path):
 
 def test_fig2_rejects_single_step():
     assert run_cli("fig2", "--steps", "1").returncode == 2
+
+
+# A count too large for a float, and the first count above the largest grid np.linspace takes.
+@pytest.mark.parametrize("steps", ["9" * 400, str(MAX_GRID + 1)], ids=["too_large_for_a_float", "one_above_the_cap"])
+@pytest.mark.parametrize("command", [("sweep", "--gamma", "0"), ("fig2",)], ids=["sweep", "fig2"])
+def test_a_step_count_above_the_grid_cap_is_refused_before_the_header(command, steps, monkeypatch):
+    argv = [*command, "--steps", steps]
+    # In process first, with a writer that fails at once: a count let through would stream rows without end.
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_csv", lambda *args: pytest.fail("the CSV was written"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 2
+        assert out.getvalue() == ""
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    assert f"--steps must be at least 2 and at most {MAX_GRID}" in result.stderr
 
 
 def test_verify_all_passes():

@@ -24,8 +24,8 @@ ANGLES = (
      "1e309", "", " ", "x", "1,2", "١", "٣pi/٤", "0.78539866", "1.5707968", "-0.0"],
 )
 STRATEGIES = (["C", "D", "Q", "M", "0,0", "pi,pi", "1,2", "١,٠"], ["X", "", "c", "nan,0", "0,inf", "pi/0,0", "1,2,3"])
-# Valid counts stay small: any count of at least 2 is valid, and sweep and fig2 stream that many rows.
-STEPS = (["2", "3", "17", "64", "٣"], ["1", "0", "-1", str(-(2**64)), "", "nan", "1e3", "2.5", "0x10"])
+# Valid counts stay small: any count from 2 to MAX_GRID is valid, and sweep and fig2 stream that many rows.
+STEPS = (["2", "3", "17", "64", "٣"], ["1", "0", "-1", str(-(2**64)), "", "nan", "1e3", "2.5", "0x10", "9" * 400])
 # Grids above the cap are refused before numpy sees them; valid ones stay small.
 GRIDS = (["3", "5", "64", "٥"], ["2", "0", "-1", "", "x", "3.0", str(MAX_GRID + 1), str(sys.maxsize), "9" * 40])
 TOLS = (["1e-12", "1e-300", "1e308", "0.5"], ["0", "-1", "nan", "inf", "1e-400", "", "x"])

@@ -457,11 +457,12 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
         for opponent in OPPONENTS:
             for player in (0, 1):
                 score = _reply_scorer(gamma, r, opponent.q, player, table)
+                delta = 1e-10 * max(abs(pair[player]) for pair in table.entries()) + 1e-300  # best_response's margin
                 with np.errstate(over="raise", invalid="raise"):
                     form = _reply_form(score)
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
                     values = sum(a * row for a, row in zip((a00, a11, a33, a01, a03, a13), products))
-                    candidates = _candidates(form, products, 1e-9 * PAYOFF_ENTRY_MAX + 1e-300)
+                    candidates = _candidates(form, products, delta)
                     kernel = score(tuple(q.T))
                 assert np.isfinite(values).all()
                 assert np.abs(values).max() <= PAYOFF_ENTRY_MAX * (1.0 + 1e-14)
@@ -618,6 +619,21 @@ def test_a_theta_step_from_the_two_pi_column_takes_the_trig_of_zero(monkeypatch,
     assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder)
 
 
+# Replies still improving when the REFINE_ROUNDS rounds run out: near theta = pi the payoff hardly depends on alpha,
+# so alpha creeps one step a round. Every round counts there, the first one at the grid's spacing included.
+ROUND_CAPPED_REPLIES = [
+    (GameSetup(0.04011837485156681, 0.5837922780808924), Strategy(0.0679467036373306, 3.048781079403662), "alice"),
+    (GameSetup(0.06491655849042766, 0.08088210321515703), Strategy(0.19756534493414107, 0.06170297193412431), "bob"),
+]
+
+
+@pytest.mark.parametrize("setup,opponent,responder", ROUND_CAPPED_REPLIES, ids=range(len(ROUND_CAPPED_REPLIES)))
+def test_a_reply_that_uses_every_round_equals_the_reference(setup, opponent, responder):
+    reply = best_response(setup, opponent, responder)
+    assert reply == reference_best_response(setup, opponent, responder)
+    assert reply != reference_best_response(setup, opponent, responder, refine=equilibrium.REFINE_ROUNDS + 1)
+
+
 def best_reply_tasks(seed):
     """The benchmark's best-reply tasks of one seed: 3 (gamma, r) points, each against C, D, Q, M and 8 seeded
     custom moves, for both players, 72 in all (in the benchmark's draw order, not its shuffled order)."""
@@ -683,6 +699,21 @@ def test_search_grid_is_built_once_and_read_only():
     assert products.shape == (6, GRID_POINTS**2)
     with pytest.raises(ValueError, match="read-only"):
         products[0, 0] = 0.0
+
+
+def test_the_theta_step_is_half_the_alpha_step_at_every_halving():
+    # The descent keeps one step, alpha's, steps theta by half of it and stops on alpha's step alone. That holds
+    # because the grid's spacings are in ratio 2 exactly and each halving keeps them so, down to REFINE_MIN_STEP.
+    alphas, thetas, _ = _search_grid()
+    step_a, step_t = alphas[1], thetas[1]
+    halvings = 0
+    while True:
+        assert step_t == step_a / 2.0 and max(step_a, step_t) == step_a
+        if step_a < REFINE_MIN_STEP:
+            break
+        step_a, step_t = step_a / 2.0, step_t / 2.0
+        halvings += 1
+    assert halvings == 18
 
 
 def test_search_grid_is_move_entries_at_each_point_and_the_former_per_axis_grid_bit_for_bit():

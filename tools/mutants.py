@@ -55,6 +55,10 @@ UNRUH = "src/unruhpd/unruh.py"
 UNRUH_TESTS = ("tests/test_unruh.py", "tests/test_linalg.py")
 CLI = "src/unruhpd/cli.py"
 CLI_TESTS = ("tests/test_cli.py",)
+# The check of sweep's and fig2's --steps, the same text in both.
+STEPS_CHECK = (
+    '    if not 2 <= args.steps <= MAX_GRID:\n        raise ValueError(f"--steps must be at least 2 and at most {MAX_GRID}")\n'
+)
 
 MUTANTS = [
     # Each closed form's formula: one term shifted so that a payoff moves by about 1e-11, above the tests' 1e-12
@@ -104,8 +108,7 @@ MUTANTS = [
     Mutant("grid: writable", EQUILIBRIUM, "    products.setflags(write=False)\n", "", EQUILIBRIUM_TESTS),
     Mutant("grid: alpha and theta axes swapped", EQUILIBRIUM,
            "for alpha in alphas for theta in thetas]", "for theta in thetas for alpha in alphas]", EQUILIBRIUM_TESTS),
-    Mutant("grid: descent steps swapped", EQUILIBRIUM,
-           "step_a, step_t = alphas[1], thetas[1]", "step_a, step_t = thetas[1], alphas[1]", EQUILIBRIUM_TESTS),
+    Mutant("grid: descent steps swapped", EQUILIBRIUM, "step = alphas[1]", "step = thetas[1]", EQUILIBRIUM_TESTS),
     # The margin that equilibrium._candidates and the descent's prune share, its floor for subnormal tables, and the
     # first maximum among the grid's candidates.
     Mutant("margin: no 1e-300 floor", EQUILIBRIUM,
@@ -125,17 +128,21 @@ MUTANTS = [
     Mutant("prune: the comparison reversed", EQUILIBRIUM,
            "< best_value - delta):", ">= best_value - delta):", EQUILIBRIUM_TESTS),
     Mutant("descent: alpha clamped to [0, 2*pi], not wrapped", EQUILIBRIUM,
-           "alpha, theta = (best_alpha + step) % TWO_PI,", "alpha, theta = min(max(best_alpha + step, 0.0), TWO_PI),",
+           "alpha, theta = (best_alpha + move) % TWO_PI,", "alpha, theta = min(max(best_alpha + move, 0.0), TWO_PI),",
            EQUILIBRIUM_TESTS),
+    # The descent's one step: theta's is half of alpha's, and a round that accepts no step halves it.
+    Mutant("descent: theta's step equal to alpha's", EQUILIBRIUM,
+           "(False, -step / 2.0), (False, step / 2.0)", "(False, -step), (False, step)", EQUILIBRIUM_TESTS),
+    Mutant("descent: a round never halves the step", EQUILIBRIUM, "            step /= 2.0\n", "", EQUILIBRIUM_TESTS),
     # The descent's kept trig: recomputed where alpha wraps from 2*pi to 0, renewed by each accepted step, and
     # Q's exact entries where a step lands on (pi/2, 0).
     Mutant("descent: a theta step reuses the trig of the unwrapped alpha", EQUILIBRIUM,
-           "if alpha != best_alpha:", "if False:", EQUILIBRIUM_TESTS),
+           "(cos_a, sin_a) if alpha == best_alpha else", "(cos_a, sin_a) if True else", EQUILIBRIUM_TESTS),
     Mutant("descent: an accepted step keeps the stale trig", EQUILIBRIUM,
-           "cos_a, sin_a = c, s\n                else:\n                    cos_t, sin_t = c, s",
-           "pass\n                else:\n                    pass", EQUILIBRIUM_TESTS),
+           "cos_a, sin_a, cos_t, sin_t = ca, sa, ct, st", "pass", EQUILIBRIUM_TESTS),
     Mutant("descent: Q's exact entries lost", EQUILIBRIUM,
-           "if theta == 0.0 and alpha == _Q_ALPHA:", "if False:", EQUILIBRIUM_TESTS),
+           "_Q_ENTRIES if theta == 0.0 and alpha == _Q_ALPHA else (ca * ct, st, sa * ct)", "(ca * ct, st, sa * ct)",
+           EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
     Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
            "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
@@ -210,10 +217,11 @@ MUTANTS = [
     # verify's pass/fail: a NaN deviation after a finite one must be the worst.
     Mutant("verify: a later NaN is not the worst", "src/unruhpd/verify.py",
            " or (math.isnan(value) and not math.isnan(worst))", "", VERIFY_TESTS),
-    # The CLI validators of sweep's grid.
+    # The CLI validators of sweep's and fig2's grids.
     Mutant("cli: one sweep step accepted", CLI,
-           "    if args.steps < 2:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start",
-           "    if args.steps < 1:\n        raise ValueError(\"--steps must be at least 2\")\n    if args.r_start", CLI_TESTS),
+           STEPS_CHECK + "    if args.r_start", STEPS_CHECK.replace("2 <=", "1 <=") + "    if args.r_start", CLI_TESTS),
+    Mutant("cli: fig2's --steps without its upper bound", CLI,
+           STEPS_CHECK + "    table", STEPS_CHECK.replace(" <= MAX_GRID:", ":") + "    table", CLI_TESTS),
     Mutant("cli: a reversed r range accepted", CLI,
            "if args.r_start > args.r_end:", "if args.r_start > args.r_end + 1.0:", CLI_TESTS),
     # The CLI's number text and its --config reader.
