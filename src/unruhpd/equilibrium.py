@@ -4,13 +4,12 @@ Nash, dominance and Pareto classification are exhaustive deviation checks on
 an explicit payoff table, each entry scored by `play`. Nash, dominance and
 within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
-continuous search finds the best point of an (alpha, theta) grid and then
-refines it by coordinate descent, scoring on Python floats through one
-`payoff._reply_scorer` per reply, which gives what `payoff.play_entries` gives
-with the trig and the responder's payoffs read once. The grid is prefiltered
-through the responder's quadratic form, `_reply_form`, so the scorer sees only
-the grid points near the form's maximum, and the descent scores only the moves
-that the form says can beat its best, each built from the trig of the angle it keeps.
+continuous search takes the best point of an (alpha, theta) grid and refines it
+by coordinate descent, in which a theta step keeps alpha. It scores each move on
+Python floats by one `payoff._reply_scorer` per reply, `payoff.play_entries`
+with the trig and the responder's payoffs read once, and only the moves that
+the responder's quadratic form, `_reply_form`, says can beat its best. The
+reply's value is `play` at the reply.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _Q_ALPHA, _Q_ENTRIES, _move_entries, is_finite, safe_repr
+from .game import Strategy, TWO_PI, _move_entries, is_finite, safe_repr
 from .payoff import GameSetup, Payoffs, _reply_scorer, play
 
 # Far above arithmetic noise, far below any payoff gap in this game.
@@ -38,7 +37,10 @@ _STRATEGY_TYPE = Strategy
 
 def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
     """The strategies as a new list, read once, so an iterator gives what its list gives."""
-    strategies = list(strategies or ())  # None and an empty container are refused as empty, below
+    try:
+        strategies = list(() if strategies is None else strategies)  # None is refused as empty, below
+    except TypeError:  # not iterable: a number, or a bare Strategy
+        raise ValueError(f"strategy set must be an iterable of Strategy objects, got {safe_repr(strategies)}") from None
     if not strategies:
         raise ValueError("strategy set must not be empty")
     seen: set[Strategy] = set()
@@ -149,18 +151,17 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     (inclusive endpoints), then runs at most REFINE_ROUNDS rounds of coordinate
     descent from it. A round steps alpha by -step and +step, then theta by half of
     each, as the grid's spacings are; a round that accepts no step halves the step,
-    until it drops below REFINE_MIN_STEP. Alpha is taken modulo 2*pi, where the
-    moves repeat, and theta is clamped to [0, pi]. Every payoff is a call of the
-    reply's `payoff._reply_scorer`, which gives what `payoff.play_entries` gives,
-    so grid and steps agree bit for bit with `play`. Only the grid's `_candidates`
-    under the responder's quadratic form are scored, one by one on Python floats.
-    The descent scores a step only where the form is at least the best value less
-    the margin `delta` (1e-10 of the largest |payoff|): the form stays within
-    delta / 4 of the scorer, so no step that the scorer would accept is skipped.
-    A step keeps one angle and its cos and sin at the best point; its coordinates
-    are `_move_entries`' one formula, with Q's exact entries kept, and a theta
-    step from alpha = 2*pi takes the trig of 0.0. Deterministic: only strict improvements
-    are accepted and grid ties resolve to the lexicographically smallest (alpha, theta).
+    until it drops below REFINE_MIN_STEP. An alpha step wraps modulo 2*pi, where
+    the moves repeat; a theta step keeps alpha and is clamped to [0, pi]. Payoffs
+    are scored one by one on Python floats by the reply's `payoff._reply_scorer`:
+    at `_move_entries` of the grid's `_candidates` under the responder's quadratic
+    form, and at each step whose form is at least the best value less the margin
+    `delta` (1e-10 of the largest |payoff|), which skips no step the scorer would
+    accept, as the form stays within delta / 4 of the scorer. A step's coordinates
+    are `_move_entries`' formula, without Q's exact entries, on the cos and sin of
+    its angles, one of them kept from the best point. The reply's value is `play`
+    at the reply. Deterministic: only strict improvements are accepted and grid
+    ties resolve to the lexicographically smallest (alpha, theta).
     """
     player = _check_player("responder", responder)
     _check_setup(setup)
@@ -192,12 +193,10 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
                 ca, sa = math.cos(alpha), math.sin(alpha)
                 ct, st = cos_t, sin_t
             else:
-                alpha, theta = best_alpha % TWO_PI, min(max(best_theta + move, 0.0), math.pi)
-                # 2*pi wrapped to 0.0, whose trig is not that of 2*pi
-                ca, sa = (cos_a, sin_a) if alpha == best_alpha else (math.cos(alpha), math.sin(alpha))
+                alpha, theta = best_alpha, min(max(best_theta + move, 0.0), math.pi)
+                ca, sa = cos_a, sin_a
                 ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-            # Q's exact entries, as `_move_entries` gives them
-            q0, q1, q3 = _Q_ENTRIES if theta == 0.0 and alpha == _Q_ALPHA else (ca * ct, st, sa * ct)
+            q0, q1, q3 = ca * ct, st, sa * ct
             if (a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3) + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3)
                     + a13 * (2.0 * q1 * q3) < best_value - delta):  # the form, in `_candidates`' term order
                 continue
@@ -208,7 +207,8 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
         if best_value == round_value:  # no step was accepted: only strict improvements are, and values are finite
             step /= 2.0
 
-    return Strategy(best_alpha, best_theta), best_value
+    reply = Strategy(best_alpha, best_theta)
+    return reply, play(setup, *((reply, opponent) if player == 0 else (opponent, reply)))[player]
 
 
 def _reply_form(score) -> tuple[tuple[float, float, float], ...]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from unruhpd.game import NAMED_STRATEGIES
 from unruhpd.payoff import PAYOFF_ENTRY_MAX, Payoffs
 
 HUGE_INT = 10**5000  # past Python's 4300-digit limit for int -> str, so it has no repr
@@ -56,3 +57,12 @@ SUITES = ["table2", "eq8", "eq11", "eq13", "commutators", "all", "", None, [], H
 GRIDS = [3, 4, 5, np.int64(4), 2, 0, -1, True, 3.0, "5", None, [], HUGE_INT, 2**61, 2**63 - 1]
 
 PROFILES = ["CC", "CD", "DC", "DD", np.str_("DD"), "QQ", "cc", "C", "", None, [], {}, ("C", "C"), 3, HUGE_INT]
+
+_C, _D, _Q, _M = (NAMED_STRATEGIES[k] for k in "CDQM")
+
+# Everything a caller might pass where a strategy set is wanted: valid sets, numbers, a bare move, other containers.
+STRATEGY_SETS = [
+    [_C, _D], (_Q, _M), [_C, _D, _Q, _M], {_M: 1}, np.array([_Q], dtype=object),
+    None, [], (), "", "CD", b"CD", 5, 0, 2.5, math.nan, HUGE_INT, _C, [_C, _C], [_C, None], [_C, 3.0], [[_C, _D]],
+    {0: _C}, np.array([1.0, 2.0]), np.array([_C, _D], dtype=object),
+]

@@ -249,9 +249,10 @@ move = st.tuples(angle, angle)
     angle, angle, st.lists(pair, max_size=4), move, move, st.sampled_from(hostile.PLAYERS),
     st.sampled_from(hostile.SUITES), st.sampled_from(hostile.GRIDS), positive, st.tuples(positive, positive, positive),
     st.sampled_from(hostile.PROFILES), angle, st.sampled_from(["scalar", "list", "array"]),
+    st.sampled_from(hostile.STRATEGY_SETS),
 )
 def test_every_api_call_raises_value_error_or_returns_finite_floats(
-    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile, form_r, form_r_kind
+    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile, form_r, form_r_kind, strategy_set
 ):
     """The input contract of the Python API: hostile values into every entry point give a ValueError or finite floats."""
     table = finite_or_value_error(unruhpd.PayoffTable, *pairs)
@@ -261,6 +262,8 @@ def test_every_api_call_raises_value_error_or_returns_finite_floats(
     if setup is not None:
         finite_or_value_error(unruhpd.play, setup, *moves)
         finite_or_value_error(unruhpd.analyze, setup, moves)
+        finite_or_value_error(unruhpd.analyze, setup, strategy_set)
+        finite_or_value_error(unruhpd.payoff_table, setup, strategy_set)
         finite_or_value_error(unruhpd.best_response, setup, moves[1], player)
     # The closed forms take a hostile r, alone or in a list or an array, and Bob's hostile angles as his move.
     form_r = shaped(form_r, form_r_kind)

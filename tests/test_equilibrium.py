@@ -266,15 +266,10 @@ def test_best_response_argument_validation():
         best_response(classical_setup(), C, "carol")
 
 
-def reference_best_response(setup, opponent, responder, grid=32, refine=100, seen=None):
-    """The per-game search `best_response` replaced: one `Strategy` and one `play` per evaluation.
-
-    Each scored (alpha, theta) is appended, in order, to the list `seen` when one is given.
-    """
+def reference_best_response(setup, opponent, responder, grid=32, refine=100):
+    """The per-game search `best_response` replaced: one `Strategy` and one `play` per evaluation."""
 
     def score(alpha: float, theta: float) -> float:
-        if seen is not None:
-            seen.append((alpha, theta))
         mover = Strategy(alpha, theta)
         if responder == "alice":
             return play(setup, mover, opponent).alice
@@ -564,41 +559,44 @@ def record_scored_moves(monkeypatch) -> list:
     return scored
 
 
-def assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder):
-    """`best_response` gives the per-game search's bits, and scores only moves that search scores, in its order.
+def assert_the_value_is_play_at_the_reply(setup, opponent, responder) -> tuple[Strategy, float]:
+    """`best_response`'s (reply, value), after checking that the value is, bit for bit, `play` at the reply."""
+    reply, value = best_response(setup, opponent, responder)
+    profile = (reply, opponent) if responder == "alice" else (opponent, reply)
+    assert value.hex() == getattr(play(setup, *profile), responder).hex(), (setup, opponent, responder)
+    return reply, value
 
-    The descent builds each neighbour's coordinates from the cos and sin it keeps of the best point, so every
-    move the scorer sees must be, bit for bit, `_move_entries` of a point on the reference's path.
-    """
-    seen = []
-    want = reference_best_response(setup, opponent, responder, seen=seen)
-    scored = record_scored_moves(monkeypatch)
-    got = best_response(setup, opponent, responder)
-    monkeypatch.undo()
+
+def assert_the_reply_is_the_references(setup, opponent, responder) -> Strategy:
+    """`best_response`'s reply, after checking that it gives the per-game search's bits and `play` at the reply."""
+    got = assert_the_value_is_play_at_the_reply(setup, opponent, responder)
+    want = reference_best_response(setup, opponent, responder)
     assert hexes((got[0].alpha, got[0].theta, got[1])) == hexes((want[0].alpha, want[0].theta, want[1]))
-    path = iter([hexes(_move_entries(alpha, theta)) for alpha, theta in seen])
-    # The first 6 calls are `_reply_form`'s probes; `in` consumes the iterator, so this tests for a subsequence.
-    assert all(hexes(q) in path for q in scored[6:])
-    return got
+    return got[0]
 
 
-def test_replies_ending_at_q_score_its_exact_entries(monkeypatch):
-    # Against C, D and Q with Prisoner's-Dilemma-like tables the descent often stops at (pi/2, 0), reached from
-    # the grid as (8h - h/4) % 2*pi == pi/2 for the grid's alpha spacing h. There `_move_entries` gives Q's exact
-    # (0, 0, 1), not (cos(pi/2), 0, 1); the descent, which builds its neighbours from kept trig, must too.
-    rng = np.random.default_rng(28)
-    at_q = 0
-    for k in range(60):
+def seeded_axis_replies(seed: int, n: int):
+    """n seeded replies to C, D and Q on `from_scalars` tables, both players in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
         table = PayoffTable.from_scalars(*rng.normal(0.0, 3.0, 4))
         setup = GameSetup(float(rng.uniform(0.0, math.pi / 2)), float(rng.uniform(0.0, math.pi / 4)), table)
-        opponent, responder = (C, D, Q)[k % 3], ("alice", "bob")[k % 2]
-        reply, _ = assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder)
+        yield setup, (C, D, Q)[k % 3], ("alice", "bob")[k % 2]
+
+
+def test_a_reply_ending_at_q_equals_the_reference():
+    # Against C, D and Q with Prisoner's-Dilemma-like tables the descent often stops at (pi/2, 0), reached from
+    # the grid as (8h - h/4) % 2*pi == pi/2 for the grid's alpha spacing h. There the descent, which builds its
+    # moves from kept trig, scores (cos(pi/2), 0, 1), while `play` and the reference take Q's exact (0, 0, 1).
+    at_q = 0
+    for setup, opponent, responder in seeded_axis_replies(28, 60):
+        reply = assert_the_reply_is_the_references(setup, opponent, responder)
         at_q += (reply.alpha, reply.theta) == (math.pi / 2, 0.0)
     assert at_q >= 10, at_q
 
 
-# Replies whose grid maximum lies in the alpha = 2*pi column: a theta step from there wraps alpha to 0.0, whose
-# cos and sin are not those of 2*pi (sin(2*pi) is -2.4e-16), so the descent must not reuse the trig of 2*pi.
+# Replies whose grid maximum lies in the alpha = 2*pi column. A theta step from there keeps alpha = 2*pi, whose
+# move differs from that of the reference's wrapped alpha = 0.0 by sin(2*pi) = -2.4e-16 in one coordinate.
 TWO_PI_COLUMN_REPLIES = [
     (GameSetup(0.6647827677704942, 0.013437752210979061), Strategy(6.179109574382424, 2.6909736925585936), "bob"),
     (GameSetup(1.2345735635821855, 0.17528755393991094), Strategy(1.405398278466647, 2.4227789814658363), "alice"),
@@ -612,11 +610,45 @@ TWO_PI_COLUMN_REPLIES = [
 
 
 @pytest.mark.parametrize("setup,opponent,responder", TWO_PI_COLUMN_REPLIES, ids=range(len(TWO_PI_COLUMN_REPLIES)))
-def test_a_theta_step_from_the_two_pi_column_takes_the_trig_of_zero(monkeypatch, setup, opponent, responder):
+def test_a_reply_from_the_two_pi_column_equals_the_reference(setup, opponent, responder):
     player = ("alice", "bob").index(responder)
     kernel = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)(tuple(grid_points().T))
     assert int(np.argmax(kernel)) // GRID_POINTS == GRID_POINTS - 1  # the grid's first maximum is at alpha = 2*pi
-    assert_the_search_follows_the_reference(monkeypatch, setup, opponent, responder)
+    assert_the_reply_is_the_references(setup, opponent, responder)
+
+
+# Replies ending at Q against moves within 1e-7 of it, on tables that pay the responder 0 at CC and less elsewhere,
+# so that its payoff at Q is about -1e-17. There the descent's (cos(pi/2), 0, 1) scores up to 6e-8 of the payoff
+# away from Q's exact (0, 0, 1). Against C, D and Q the reply form is diagonal, and q0 = cos(pi/2) enters the payoff
+# only as its square, so it moves no bit.
+NEAR_Q_REPLIES = [
+    (GameSetup(math.pi / 2, 0.0, PayoffTable((1.0, 0.0), (1.0, -3.699985992092315), (1.0, -2.8747956163082664),
+                                             (1.0, -4.800057266997334))),
+     Strategy(1.5707963248335866, 0.0), "bob"),
+    (GameSetup(math.pi / 2, 0.0, PayoffTable((0.0, 1.0), (-3.544340423868647, 1.0), (-2.2141256935370524, 1.0),
+                                             (-3.296918289109219, 1.0))),
+     Strategy(math.pi / 2, 1.2224122184498477e-09), "alice"),
+    (GameSetup(math.pi / 2, 0.0, PayoffTable((1.0, 0.0), (1.0, -4.728269536305678), (1.0, -5.20058875683932),
+                                             (1.0, -1.0434311099656064))),
+     Strategy(1.57079629140747, 0.0), "bob"),
+    (GameSetup(math.pi / 2, 0.0, PayoffTable((0.0, 1.0), (-4.471920485573971, 1.0), (-1.5814243743729757, 1.0),
+                                             (-0.9874647918760768, 1.0))),
+     Strategy(math.pi / 2, 6.0795354631842263e-09), "alice"),
+]
+
+
+def test_a_reply_value_is_play_at_the_reply():
+    # The reported value is `play` at the reply, not the descent's own best value, which it scored on coordinates
+    # built from kept trig: at (pi/2, 0) they are not Q's exact entries, which `play` takes.
+    at_q = 0
+    for setup, opponent, responder in seeded_axis_replies(30, 600):
+        reply, _ = assert_the_value_is_play_at_the_reply(setup, opponent, responder)
+        at_q += (reply.alpha, reply.theta) == (math.pi / 2, 0.0)
+    assert at_q >= 10, at_q
+    for setup, opponent, responder in TWO_PI_COLUMN_REPLIES:
+        assert_the_value_is_play_at_the_reply(setup, opponent, responder)
+    for setup, opponent, responder in NEAR_Q_REPLIES:
+        assert assert_the_reply_is_the_references(setup, opponent, responder) == Q
 
 
 # Replies still improving when the REFINE_ROUNDS rounds run out: near theta = pi the payoff hardly depends on alpha,
@@ -768,6 +800,10 @@ REFUSED_SETS = {
     "iter([])": (lambda: iter([]), "must not be empty"),
     "[C, D, C]": (lambda: [C, D, Strategy(0.0, 0.0)], "duplicate strategy in set"),
     "iter([Q, Q])": (lambda: iter([Q, Q]), "duplicate strategy in set: Q"),
+    # 5 and C used to raise TypeError from list() ("'int' object is not iterable"); 0 was refused as empty.
+    "5": (lambda: 5, "must be an iterable of Strategy objects, got 5"),
+    "0": (lambda: 0, "must be an iterable of Strategy objects, got 0"),
+    "C": (lambda: C, r"must be an iterable of Strategy objects, got Strategy\(alpha=0.0"),
 }
 
 

@@ -134,14 +134,12 @@ MUTANTS = [
     Mutant("descent: theta's step equal to alpha's", EQUILIBRIUM,
            "(False, -step / 2.0), (False, step / 2.0)", "(False, -step), (False, step)", EQUILIBRIUM_TESTS),
     Mutant("descent: a round never halves the step", EQUILIBRIUM, "            step /= 2.0\n", "", EQUILIBRIUM_TESTS),
-    # The descent's kept trig: recomputed where alpha wraps from 2*pi to 0, renewed by each accepted step, and
-    # Q's exact entries where a step lands on (pi/2, 0).
-    Mutant("descent: a theta step reuses the trig of the unwrapped alpha", EQUILIBRIUM,
-           "(cos_a, sin_a) if alpha == best_alpha else", "(cos_a, sin_a) if True else", EQUILIBRIUM_TESTS),
+    # The descent's kept trig, renewed by each accepted step.
     Mutant("descent: an accepted step keeps the stale trig", EQUILIBRIUM,
            "cos_a, sin_a, cos_t, sin_t = ca, sa, ct, st", "pass", EQUILIBRIUM_TESTS),
-    Mutant("descent: Q's exact entries lost", EQUILIBRIUM,
-           "_Q_ENTRIES if theta == 0.0 and alpha == _Q_ALPHA else (ca * ct, st, sa * ct)", "(ca * ct, st, sa * ct)",
+    # A reply's value is `play` at the reply, not the descent's best value, which it scored on kept trig.
+    Mutant("reply value: the descent's best value returned, not play at the reply", EQUILIBRIUM,
+           "play(setup, *((reply, opponent) if player == 0 else (opponent, reply)))[player]", "best_value",
            EQUILIBRIUM_TESTS),
     # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
     Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
@@ -209,7 +207,10 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     # The guards on the table functions' input: the strategy set read once and each cell finite.
     Mutant("strategy set: an iterator read twice", EQUILIBRIUM,
-           "strategies = list(strategies or ())", "strategies = strategies or ()", EQUILIBRIUM_TESTS),
+           "strategies = list(() if strategies is None else strategies)",
+           "strategies = () if strategies is None else strategies", EQUILIBRIUM_TESTS),
+    Mutant("strategy set: a non-iterable set reaching list()", EQUILIBRIUM,
+           "except TypeError:  # not iterable", "except ():  # not iterable", EQUILIBRIUM_TESTS + ("tests/test_api.py",)),
     Mutant("strategy set: duplicates found by identity, not equality", EQUILIBRIUM,
            "if s in seen:", "if any(s is t for t in seen):", EQUILIBRIUM_TESTS),
     Mutant("table cells: a non-finite number passes", EQUILIBRIUM,
