@@ -25,7 +25,7 @@ import sys
 
 from .equilibrium import analyze
 from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, validate_gamma
-from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, play, play_entries
+from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, coefficients, play, play_entries
 from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, MAX_GRID, SUITE_NAMES, run_suite
 
@@ -266,8 +266,8 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
         block = (index * step if step != 0.0 else index / (steps - 1) * delta) + r_start
         if lo + GRID_BLOCK >= steps:
             block[-1] = r_end
-        scored = np.clip(block, 0.0, R_MAX)
-        yield block.tolist(), [[v.tolist() for v in play_entries(gamma, scored, *move, table)] for move in moves]
+        block_coefficients = coefficients(gamma, np.clip(block, 0.0, R_MAX))  # shared by every profile
+        yield block.tolist(), [[v.tolist() for v in play_entries(block_coefficients, *move, table)] for move in moves]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -6,8 +6,8 @@ within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search takes the best point of an (alpha, theta) grid and refines it
 by coordinate descent, in which a theta step keeps alpha. It scores each move on
-Python floats by one `payoff._reply_scorer` per reply, `payoff.play_entries`
-with the trig and the responder's payoffs read once, and only the moves that
+Python floats through `payoff.play_entries`, the engine's one entry, with the
+coefficients of gamma and r computed once per reply, and only the moves that
 the responder's quadratic form, `_reply_form`, says can beat its best. The
 reply's value is `play` at the reply.
 """
@@ -20,8 +20,8 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .game import Strategy, TWO_PI, _move_entries, is_finite, safe_repr
-from .payoff import GameSetup, Payoffs, _reply_scorer, play
+from .game import _STRATEGY_TYPE, Strategy, TWO_PI, _move_entries, is_finite, safe_repr
+from .payoff import GameSetup, Payoffs, coefficients, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -30,10 +30,6 @@ DEVIATION_TOL = 1e-9
 GRID_POINTS = 32
 REFINE_ROUNDS = 100
 REFINE_MIN_STEP = 1e-6
-
-# The class itself, bound at import: benchmarks/tracer.py rebinds the name `Strategy` here to a wrapper function.
-_STRATEGY_TYPE = Strategy
-
 
 def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
     """The strategies as a new list, read once, so an iterator gives what its list gives."""
@@ -153,11 +149,12 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     each, as the grid's spacings are; a round that accepts no step halves the step,
     until it drops below REFINE_MIN_STEP. An alpha step wraps modulo 2*pi, where
     the moves repeat; a theta step keeps alpha and is clamped to [0, pi]. Payoffs
-    are scored one by one on Python floats by the reply's `payoff._reply_scorer`:
+    are scored one by one on Python floats as `payoff.play_entries(...)[player]`,
+    with the players in order and the coefficients of gamma and r computed once:
     at `_move_entries` of the grid's `_candidates` under the responder's quadratic
     form, and at each step whose form is at least the best value less the margin
-    `delta` (1e-10 of the largest |payoff|), which skips no step the scorer would
-    accept, as the form stays within delta / 4 of the scorer. A step's coordinates
+    `delta` (1e-12 of the largest |payoff|), which skips no step the engine would
+    accept, as the form stays within delta / 4 of the engine. A step's coordinates
     are `_move_entries`' formula, without Q's exact entries, on the cos and sin of
     its angles, one of them kept from the best point. The reply's value is `play`
     at the reply. Deterministic: only strict improvements are accepted and grid
@@ -167,11 +164,13 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     _check_setup(setup)
     if not isinstance(opponent, _STRATEGY_TYPE):
         raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
-    score = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)
+    coeffs, other, table = coefficients(setup.gamma, setup.r), opponent.q, setup.table
+    score = ((lambda own: play_entries(coeffs, own, other, table)[0]) if player == 0
+             else (lambda own: play_entries(coeffs, other, own, table)[1]))
     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form = _reply_form(score)
     alphas, thetas, products = _search_grid()
-    weight = max(abs(pair[player]) for pair in setup.table.entries())
-    delta = 1e-10 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
+    weight = max(abs(pair[player]) for pair in table.entries())
+    delta = 1e-12 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
     best_value = -math.inf
     for k in _candidates(form, products, delta):
         alpha, theta = alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]  # the grid's point k
@@ -229,9 +228,9 @@ def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
 def _candidates(form: tuple, products, delta: float) -> list[int]:
     """Row-major indices of the grid points whose `form` value, from `_search_grid`'s `products`, is near its maximum.
 
-    The margin `delta` from `best_response` is 1e-10 of the largest |payoff| of the responder's column, plus 1e-300,
-    which covers tables of subnormal entries, where 1e-10 of them rounds to 0. The form differs from
-    the scorer by about 1e-15 of that payoff, far inside the margin, so the scorer's maximum is always
+    The margin `delta` from `best_response` is 1e-12 of the largest |payoff| of the responder's column, plus 1e-300,
+    which covers tables of subnormal entries, where 1e-12 of them rounds to 0. The form differs from
+    the engine by at most about 1e-15 of that payoff, inside a quarter of the margin, so the engine's maximum is always
     among these points. The values are finite: the form's coefficients are at most max/4 (the bound
     `PAYOFF_ENTRY_MAX`) up to rounding, and the products' sizes sum to at most 3.
     """

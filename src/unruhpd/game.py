@@ -99,6 +99,9 @@ class Strategy:
         return _NAMES.get((self.alpha, self.theta)) or f"{self.alpha:.17g},{self.theta:.17g}"
 
 
+# The class itself, bound at import: benchmarks/tracer.py rebinds the name `Strategy` in modules to a wrapper function.
+_STRATEGY_TYPE = Strategy
+
 NAMED_STRATEGIES = {label: Strategy(*angles) for label, angles in _NAMED_ANGLES.items()}
 
 
@@ -107,6 +110,8 @@ def named_strategy_matrix(strategy: Strategy) -> np.ndarray:
 
     A custom move is [[e^{ia} cos(t/2), i sin(t/2)], [i sin(t/2), e^{-ia} cos(t/2)]]; Q is diag(i, -i).
     """
+    if not isinstance(strategy, _STRATEGY_TYPE):
+        raise ValueError(f"strategy must be a Strategy, got {safe_repr(strategy)}")
     import numpy as np
     q0, q1, q3 = strategy.q
     return np.array([[complex(q0, q3), complex(0.0, q1)], [complex(0.0, q1), complex(q0, -q3)]])

@@ -11,14 +11,12 @@ as UA Phi UB^T.
 The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
 (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
-through six coefficients, which `_coefficients` computes from the cos and
-sin of gamma/2 and r. Its entry is `play_entries`, which takes the moves as
-`Strategy.q` holds them and computes the coefficients once per call.
+through six coefficients, which `coefficients` computes from the cos and sin
+of gamma/2 and r. Its one entry, `play_entries`, takes them, the moves as
+`Strategy.q` holds them and the table. Every payoff is scored through it: by
+`play`, over the r grids of the CLI and `verify`, and in `equilibrium.best_response`.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
-Its second caller, `_reply_scorer`, scores one player's moves against a fixed
-opponent for `equilibrium.best_response`, with the coefficients and that
-player's payoffs computed once per reply; it gives bit for bit what `play_entries` gives.
 Each real operation rounds once, in the same order on floats and on arrays,
 and the cos and sin of a Python-float gamma or r come from `math` in both, so
 a game scores bit for bit the same through `play` as in any batch at the same
@@ -39,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .game import Strategy, entangler, safe_repr, validate_gamma
+from .game import _STRATEGY_TYPE, Strategy, entangler, safe_repr, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -142,19 +140,26 @@ class GameSetup:
         fields["table"] = table
 
 
+# The class itself, bound at import: benchmarks/tracer.py rebinds the name `GameSetup` here to a wrapper function.
+_GAME_SETUP_TYPE = GameSetup
+
+
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
     """Expected payoffs for one strategy profile, scored on Python floats."""
-    return play_entries(setup.gamma, setup.r, alice.q, bob.q, setup.table)
+    if not isinstance(setup, _GAME_SETUP_TYPE):
+        raise ValueError(f"setup must be a GameSetup, got {safe_repr(setup)}")
+    if not isinstance(alice, _STRATEGY_TYPE):
+        raise ValueError(f"alice must be a Strategy, got {safe_repr(alice)}")
+    if not isinstance(bob, _STRATEGY_TYPE):
+        raise ValueError(f"bob must be a Strategy, got {safe_repr(bob)}")
+    return Payoffs(*play_entries(coefficients(setup.gamma, setup.r), alice.q, bob.q, setup.table))
 
 
-def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payoffs:
-    """Expected payoffs of two moves given by their coordinates, as `Strategy.q` holds them.
+def coefficients(gamma, r) -> tuple:
+    """`_coefficients` of `gamma` in [0, pi/2] and `r` in [0, pi/4], Python floats or arrays broadcast together.
 
-    `gamma`, `r` and every coordinate are Python floats or arrays, all broadcast
-    together; each payoff is a float or an array of the broadcast shape.
-    Inputs are taken as valid: gamma in [0, pi/2], r in [0, pi/4], unitary moves.
+    A Python-float angle takes its cos and sin from `math`, with no numpy call; an array angle from numpy.
     """
-    # A Python-float angle takes its cos and sin from `math`, with no numpy call; an array angle from numpy.
     if isinstance(gamma, (float, int)):
         half = gamma / 2.0
         cos_g, sin_g = math.cos(half), math.sin(half)
@@ -167,7 +172,23 @@ def play_entries(gamma, r, alice: tuple, bob: tuple, table: PayoffTable) -> Payo
     else:
         import numpy as np
         cos_r, sin_r = np.cos(r), np.sin(r)
-    return Payoffs(*_expected(_probabilities(alice, bob, _coefficients(cos_g, sin_g, cos_r, sin_r)), table))
+    return _coefficients(cos_g, sin_g, cos_r, sin_r)
+
+
+def play_entries(coefficients: tuple, alice: tuple, bob: tuple, table: PayoffTable) -> tuple:
+    """(alice, bob) expected payoffs of two moves given by their coordinates, as `Strategy.q` holds them.
+
+    The `coefficients` of gamma and r are as `coefficients` gives them. They and every coordinate are Python floats
+    or arrays, all broadcast together; each payoff is a float or an array of the broadcast shape, summed over the
+    outcomes in CC, CD, DC, DD order, as in `payoffs`. The moves are taken as unitary, and the table is read only
+    through `entries()`.
+    """
+    p_cc, p_cd, p_dc, p_dd = _probabilities(alice, bob, coefficients)
+    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = table.entries()
+    return (
+        p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
+        p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
+    )
 
 
 def _coefficients(cos_g, sin_g, cos_r, sin_r) -> tuple:
@@ -223,40 +244,6 @@ def _probabilities(a, b, coefficients) -> tuple:
     lr, li = e * a1b3 + f * a0b1, e * a1b0 + f * a3b1
     p_dd = kr * kr + ki * ki + (lr * lr + li * li)
     return p_cc, p_cd, p_dc, p_dd
-
-
-def _expected(probs: tuple, table: PayoffTable) -> tuple:
-    """(alice, bob) expected payoffs, each summed over the outcomes in CC, CD, DC, DD order, as in `payoffs`."""
-    p_cc, p_cd, p_dc, p_dd = probs
-    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = table.entries()
-    return (
-        p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
-        p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
-    )
-
-
-def _reply_scorer(gamma: float, r: float, opponent: tuple, player: int, table: PayoffTable):
-    """`score(own)`: the payoff of `player` (0 Alice, 1 Bob) for own move coordinates against `opponent`'s.
-
-    `gamma` and `r` are Python floats, and `score` takes Python floats or
-    arrays of coordinates. It equals `play_entries(gamma, r, ..., table)[player]`
-    with the moves in the players' order bit for bit: the cos and sin come
-    from `math`, as `play_entries` takes them for a Python float, and the sum
-    over the player's payoff column runs in `_expected`'s order. What does not
-    change during a reply (the coefficients, the column, the opponent) is computed here once.
-    """
-    half = gamma / 2.0
-    coefficients = _coefficients(math.cos(half), math.sin(half), math.cos(r), math.sin(r))
-    w_cc, w_cd, w_dc, w_dd = (pair[player] for pair in table.entries())
-    alice = player == 0
-
-    def score(own):
-        p_cc, p_cd, p_dc, p_dd = (
-            _probabilities(own, opponent, coefficients) if alice else _probabilities(opponent, own, coefficients)
-        )
-        return p_cc * w_cc + p_cd * w_cd + p_dc * w_dc + p_dd * w_dd
-
-    return score
 
 
 def _density_4x4(rho) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import closed_forms
 from .game import NAMED_STRATEGIES, Strategy, entangler, is_finite, named_strategy_matrix, safe_repr
-from .payoff import Payoffs, PayoffTable, play_entries
+from .payoff import Payoffs, PayoffTable, coefficients, play_entries
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
 
@@ -114,7 +114,7 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
 def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
     """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
     import numpy as np
-    return np.stack(play_entries(gamma, rs, alice.q, bob.q, DEFAULT_TABLE), axis=-1)
+    return np.stack(play_entries(coefficients(gamma, rs), alice.q, bob.q, DEFAULT_TABLE), axis=-1)
 
 
 def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:

@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,4 +66,11 @@ STRATEGY_SETS = [
     [_C, _D], (_Q, _M), [_C, _D, _Q, _M], {_M: 1}, np.array([_Q], dtype=object),
     None, [], (), "", "CD", b"CD", 5, 0, 2.5, math.nan, HUGE_INT, _C, [_C, _C], [_C, None], [_C, 3.0], [[_C, _D]],
     {0: _C}, np.array([1.0, 2.0]), np.array([_C, _D], dtype=object),
+]
+
+# Everything a caller might pass where one move is wanted: valid moves, labels, angles and coordinates as tuples, and
+# stand-ins that carry a move's attributes without being one.
+MOVES = [
+    _C, _Q, "C", "Q", None, 0, 2.5, math.nan, HUGE_INT, (0.0, 0.0), (1.0, 0.0, 0.0), _C.q, [_C],
+    SimpleNamespace(q=(math.nan, 0.0, 0.0)), SimpleNamespace(q=(1.0, 0.0, 0.0)), SimpleNamespace(alpha=0.0, theta=0.0),
 ]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ def test_package_root_exports_exactly_the_public_names():
     for name in PUBLIC_NAMES:
         assert getattr(unruhpd, name) is not None
 
+
+CD = (unruhpd.NAMED_STRATEGIES["C"], unruhpd.NAMED_STRATEGIES["D"])
 
 # Each call is a bad value given to the Python API; every one must be refused with a ValueError.
 BAD_API_CALLS = [
@@ -119,6 +122,20 @@ BAD_API_CALLS = [
         lambda: unruhpd.best_response(unruhpd.GameSetup(0.1, 0.1), "C", "alice"),
         re.escape("opponent must be a Strategy, got 'C'"),
     ),
+    # Each used to raise AttributeError; the stand-in move, a namespace with a move's coordinates, scored NaN.
+    ("play setup None", lambda: unruhpd.play(None, *CD), "^setup must be a GameSetup, got None$"),
+    ("play setup 10**5000", lambda: unruhpd.play(HUGE_INT, *CD), "^setup must be a GameSetup, got <unprintable int>$"),
+    (
+        "play alice 'C'",
+        lambda: unruhpd.play(unruhpd.GameSetup(0.1, 0.1), "C", CD[1]),
+        "^alice must be a Strategy, got 'C'$",
+    ),
+    (
+        "play bob stand-in",
+        lambda: unruhpd.play(unruhpd.GameSetup(0.1, 0.1), CD[0], SimpleNamespace(q=(math.nan, 0.0, 0.0))),
+        re.escape("bob must be a Strategy, got namespace(q=(nan, 0.0, 0.0))"),
+    ),
+    ("named_strategy_matrix 'C'", lambda: unruhpd.named_strategy_matrix("C"), "^strategy must be a Strategy, got 'C'$"),
     # A table or a row with no length used to raise TypeError.
     ("find_nash [1, 2]", lambda: unruhpd.find_nash([1, 2]), "^payoff table must be square and nonempty$"),
     ("find_nash None", lambda: unruhpd.find_nash(None), "^payoff table must be square and nonempty$"),
@@ -249,10 +266,11 @@ move = st.tuples(angle, angle)
     angle, angle, st.lists(pair, max_size=4), move, move, st.sampled_from(hostile.PLAYERS),
     st.sampled_from(hostile.SUITES), st.sampled_from(hostile.GRIDS), positive, st.tuples(positive, positive, positive),
     st.sampled_from(hostile.PROFILES), angle, st.sampled_from(["scalar", "list", "array"]),
-    st.sampled_from(hostile.STRATEGY_SETS),
+    st.sampled_from(hostile.STRATEGY_SETS), st.sampled_from(hostile.MOVES),
 )
 def test_every_api_call_raises_value_error_or_returns_finite_floats(
-    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile, form_r, form_r_kind, strategy_set
+    gamma, r, pairs, alice, bob, player, suite, grid, tol, acceleration, profile, form_r, form_r_kind, strategy_set,
+    hostile_move,
 ):
     """The input contract of the Python API: hostile values into every entry point give a ValueError or finite floats."""
     table = finite_or_value_error(unruhpd.PayoffTable, *pairs)
@@ -261,6 +279,8 @@ def test_every_api_call_raises_value_error_or_returns_finite_floats(
     moves = [finite_or_value_error(unruhpd.Strategy, *m) or unruhpd.NAMED_STRATEGIES[k] for m, k in zip((alice, bob), "MQ")]
     if setup is not None:
         finite_or_value_error(unruhpd.play, setup, *moves)
+        finite_or_value_error(unruhpd.play, setup, hostile_move, moves[1])
+        finite_or_value_error(unruhpd.play, setup, moves[0], hostile_move)
         finite_or_value_error(unruhpd.analyze, setup, moves)
         finite_or_value_error(unruhpd.analyze, setup, strategy_set)
         finite_or_value_error(unruhpd.payoff_table, setup, strategy_set)

@@ -1,4 +1,4 @@
-"""Replies to the axis moves C, D and Q as exact statements: `payoff._probabilities` on Fractions.
+"""Replies to the axis moves C, D and Q as exact statements: `payoff.play_entries` on Fractions.
 
 A player's payoff against a fixed opponent is a quadratic form q^T A q in the
 player's own move coordinates q = (q0, q1, q3); the kernel is a polynomial, so
@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from rational import circle_point
-from unruhpd.payoff import PayoffTable, _coefficients, _expected, _probabilities
+from unruhpd.payoff import PayoffTable, _coefficients, play_entries
 
 SEED = 26
 FORM_POINTS = 50
@@ -40,7 +40,7 @@ PLAYERS = (0, 1)  # Alice, Bob
 
 
 def table_of(pairs):
-    """A payoff table of exact entries, read through `entries()` as the kernel reads a PayoffTable."""
+    """A payoff table of exact entries, read through `entries()` as the engine reads a PayoffTable."""
     entries = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
     return SimpleNamespace(entries=lambda: entries)
 
@@ -54,7 +54,7 @@ def scorer(t_gamma, t_r, opponent, player, table):
 
     def score(own):
         moves = (own, opponent) if player == 0 else (opponent, own)
-        return _expected(_probabilities(*moves, coefficients), table)[player]
+        return play_entries(coefficients, *moves, table)[player]
 
     return score
 

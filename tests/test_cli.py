@@ -13,7 +13,7 @@ import pytest
 from unruhpd import cli
 from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser, parse_angle
 from unruhpd.game import NAMED_STRATEGIES
-from unruhpd.payoff import PayoffTable, play_entries
+from unruhpd.payoff import PayoffTable, coefficients, play_entries
 from unruhpd.unruh import R_MAX
 from unruhpd.verify import MAX_GRID
 
@@ -481,7 +481,7 @@ def reference_rows(gamma, r_start, r_end, steps, profiles, table):
     """Per-field '.17g' rows, r-major, from play_entries over the clamped r grid."""
     rs = np.linspace(r_start, r_end, steps)
     scores = [
-        play_entries(gamma, np.clip(rs, 0.0, R_MAX), *(NAMED_STRATEGIES[m].q for m in profile), table)
+        play_entries(coefficients(gamma, np.clip(rs, 0.0, R_MAX)), *(NAMED_STRATEGIES[m].q for m in profile), table)
         for profile in profiles
     ]
     return rs.tolist(), [np.stack(score, axis=-1).tolist() for score in scores]

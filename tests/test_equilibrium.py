@@ -27,7 +27,7 @@ from unruhpd.equilibrium import (
     validate_strategy_set,
 )
 from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries
-from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, _reply_scorer, play, play_entries
+from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, coefficients, play, play_entries
 
 C = NAMED_STRATEGIES["C"]
 D = NAMED_STRATEGIES["D"]
@@ -338,7 +338,7 @@ WRAPPING_REPLIES = [
 def test_the_descent_wraps_alpha_past_zero_to_the_optimum(setup, opponent):
     # The moves cover the unit sphere of coordinates up to sign, so the optimum is the top eigenvalue of the form.
     reply, value = best_response(setup, opponent, "alice")
-    score = _reply_scorer(setup.gamma, setup.r, opponent.q, 0, setup.table)
+    score = reply_scorer(setup.gamma, setup.r, opponent.q, 0, setup.table)
     optimum = np.linalg.eigvalsh(np.array(_reply_form(score))).max()
     assert 6.0 < reply.alpha < TWO_PI
     assert value >= optimum - 1e-9
@@ -359,40 +359,24 @@ SCORER_TABLES = [
 ]
 
 
+def reply_scorer(gamma, r, opponent, player, table):
+    """`score(own)`: the payoff of `player` (0 Alice, 1 Bob) for own move coordinates against `opponent`'s.
+
+    Built as `best_response` builds its scorer: the coefficients once, then `play_entries` with the players in order.
+    """
+    coeffs = coefficients(gamma, r)
+    if player == 0:
+        return lambda own: play_entries(coeffs, own, opponent, table)[0]
+    return lambda own: play_entries(coeffs, opponent, own, table)[1]
+
+
 def grid_points():
     """The search grid's (q0, q1, q3) of each point in row-major order, as (GRID_POINTS**2, 3), built per point here."""
     alphas, thetas, _ = _search_grid()
     return np.array([_move_entries(alpha, theta) for alpha in alphas for theta in thetas])
 
 
-@pytest.mark.parametrize("table", SCORER_TABLES, ids=range(len(SCORER_TABLES)))
-def test_reply_scorer_equals_play_entries_bit_for_bit(table):
-    # The search's scorer must give what the engine entry gives, on floats and on arrays of the grid's points,
-    # for each player: best_response's replies rest on it.
-    grid = tuple(grid_points().T)
-    rng = np.random.default_rng(17)
-    moves = [s.q for s in OPPONENTS] + [_move_entries(*rng.uniform((0.0, 0.0), (TWO_PI, math.pi)))]
-    for gamma, r in CONFIGS:
-        setup = GameSetup(gamma, r, table)
-        for opponent in OPPONENTS:
-            other = opponent.q
-            for player in (0, 1):
-                score = _reply_scorer(setup.gamma, setup.r, other, player, table)
-
-                def engine(own):
-                    alice, bob = (own, other) if player == 0 else (other, own)
-                    return play_entries(gamma, r, alice, bob, table)[player]
-
-                for own in moves:
-                    got, want = score(own), engine(own)
-                    assert type(got) is type(want) is float
-                    assert got.hex() == want.hex()
-                got, want = score(grid), engine(grid)
-                assert got.shape == want.shape == (GRID_POINTS**2,)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-# The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-10
+# The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-12
 # of the largest entry rounds to 0, and only the margin's 1e-300 floor keeps the scorer's maximum a candidate.
 PREFILTER_TABLES = SCORER_TABLES + [
     PayoffTable(cc=(0.0, 0.0), cd=(0.0, 0.0), dc=(0.0, 0.0), dd=(0.0, 0.0)),
@@ -411,14 +395,14 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
-                score = _reply_scorer(gamma, r, opponent.q, player, table)
+                score = reply_scorer(gamma, r, opponent.q, player, table)
                 form = _reply_form(score)
                 matrix = np.array(form)
                 assert np.array_equal(matrix, matrix.T)
                 values = np.einsum("...i,ij,...j->...", q, matrix, q)
                 kernel = score(tuple(q.T))
                 weight = max(abs(pair[player]) for pair in table.entries())
-                delta = 1e-10 * weight + 1e-300
+                delta = 1e-12 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
                 candidates = _candidates(form, products, delta)
                 assert all(type(k) is int for k in candidates)
@@ -451,8 +435,8 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
-                score = _reply_scorer(gamma, r, opponent.q, player, table)
-                delta = 1e-10 * max(abs(pair[player]) for pair in table.entries()) + 1e-300  # best_response's margin
+                score = reply_scorer(gamma, r, opponent.q, player, table)
+                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300  # best_response's margin
                 with np.errstate(over="raise", invalid="raise"):
                     form = _reply_form(score)
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
@@ -500,8 +484,8 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
             for player in (0, 1):
-                score = _reply_scorer(gamma, r, opponent.q, player, table)
-                delta = 1e-10 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
+                score = reply_scorer(gamma, r, opponent.q, player, table)
+                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
                 with np.errstate(over="raise", invalid="raise"):
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
                     form = (
@@ -513,7 +497,7 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
                     assert np.abs(form - kernel).max() <= delta / 4
 
 
-# Replies on tables of entries near 1e-320, where 1e-10 of the largest entry rounds to 0: at some step of each
+# Replies on tables of entries near 1e-320, where 1e-12 of the largest entry rounds to 0: at some step of each
 # descent the scorer beats the best value while the form, a few units of 5e-324 off, falls below it. Only the
 # margin's 1e-300 floor keeps the prune from skipping that step.
 SUBNORMAL_REPLIES = [
@@ -542,20 +526,14 @@ def hexes(values) -> tuple[str, ...]:
 
 
 def record_scored_moves(monkeypatch) -> list:
-    """Patch `best_response`'s scorer so that each move (q0, q1, q3) it scores is appended to the returned list."""
+    """Patch `best_response`'s engine entry: each profile (alice, bob) it scores is appended to the list returned."""
     scored = []
-    scorer = equilibrium._reply_scorer
 
-    def recording_scorer(*args):
-        score = scorer(*args)
+    def recording_entry(coeffs, alice, bob, table):
+        scored.append((alice, bob))
+        return play_entries(coeffs, alice, bob, table)
 
-        def record(q):
-            scored.append(q)
-            return score(q)
-
-        return record
-
-    monkeypatch.setattr(equilibrium, "_reply_scorer", recording_scorer)
+    monkeypatch.setattr(equilibrium, "play_entries", recording_entry)
     return scored
 
 
@@ -612,7 +590,7 @@ TWO_PI_COLUMN_REPLIES = [
 @pytest.mark.parametrize("setup,opponent,responder", TWO_PI_COLUMN_REPLIES, ids=range(len(TWO_PI_COLUMN_REPLIES)))
 def test_a_reply_from_the_two_pi_column_equals_the_reference(setup, opponent, responder):
     player = ("alice", "bob").index(responder)
-    kernel = _reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)(tuple(grid_points().T))
+    kernel = reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)(tuple(grid_points().T))
     assert int(np.argmax(kernel)) // GRID_POINTS == GRID_POINTS - 1  # the grid's first maximum is at alpha = 2*pi
     assert_the_reply_is_the_references(setup, opponent, responder)
 
@@ -680,8 +658,8 @@ def best_reply_tasks(seed):
 
 
 def test_the_work_per_reply_is_pinned(monkeypatch):
-    # Scorer calls, with `_reply_form`'s 6 probes: 78.8 a reply with a 1e-9 margin, 71.1 with 1e-10. Coordinates
-    # come from `_move_entries` only at the grid's candidates; the descent builds its own from kept trig.
+    # Engine calls, with `_reply_form`'s 6 probes: 78.8 a reply with a 1e-9 margin, 71.1 with 1e-10, 55.4 with 1e-12.
+    # Coordinates come from `_move_entries` only at the grid's candidates; the descent builds its own from kept trig.
     tasks = best_reply_tasks(1)
     alphas, thetas, _ = _search_grid()  # built, and cached, before `_move_entries` is counted
     entries, candidates = [], []
@@ -702,7 +680,7 @@ def test_the_work_per_reply_is_pinned(monkeypatch):
     for task in tasks:
         best_response(*task)
     assert len(tasks) == 72
-    assert len(calls) / len(tasks) <= 72
+    assert len(calls) / len(tasks) <= 56
     assert entries == candidates
     assert len(entries) / len(tasks) < 12
 

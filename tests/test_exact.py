@@ -1,11 +1,13 @@
-"""Exact certificates for the payoff kernel: `payoff._probabilities` on rational numbers.
+"""Exact certificates for the payoff entry: `payoff.play_entries` on rational numbers.
 
-The kernel uses only +, - and *, so on `fractions.Fraction` inputs it computes
-its polynomial exactly. Rational points of the unit circle and of the unit
+The entry uses only +, - and *, so on `fractions.Fraction` inputs it computes
+its polynomial exactly. It reads the outcome probabilities here through two
+tables of exact indicator entries, each paying one outcome to Alice and one
+to Bob. Rational points of the unit circle and of the unit
 sphere give exact cosines, sines and unit moves, and every check here is `==`:
 the outcome probabilities sum to exactly 1, none is negative, they equal an
 exact Kraus-form reference written below, and at r = 0 swapping the players
-swaps CD and DC. gamma and r reach the kernel through `payoff._coefficients`,
+swaps CD and DC. gamma and r reach the entry through `payoff._coefficients`,
 as in the engine.
 
 The last test runs the engine's float path on the Fractions of its own float
@@ -18,10 +20,11 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 from rational import circle_point, sphere_point
 from unruhpd.game import GAMMA_MAX, TWO_PI, _move_entries
-from unruhpd.payoff import PayoffTable, _coefficients, _probabilities, play_entries
+from unruhpd.payoff import PayoffTable, _coefficients, coefficients, play_entries
 from unruhpd.unruh import R_MAX
 
 GAMES = 300
@@ -51,9 +54,18 @@ def games(seed):
         yield alice, bob, cos_g, sin_g, cos_r, sin_r
 
 
+# Tables read through `entries()`, as the engine reads a PayoffTable. Each pays one outcome to Alice and one to Bob,
+# in the ints 1 and 0, exact on Fractions and on floats: the entry's payoffs are those two probabilities exactly.
+INDICATOR_TABLES = (
+    SimpleNamespace(entries=lambda: ((1, 0), (0, 1), (0, 0), (0, 0))),
+    SimpleNamespace(entries=lambda: ((0, 0), (0, 0), (1, 0), (0, 1))),
+)
+
+
 def probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
-    """The kernel's outcome probabilities, with gamma and r folded in by `_coefficients` as the engine folds them."""
-    return _probabilities(alice, bob, _coefficients(cos_g, sin_g, cos_r, sin_r))
+    """The entry's outcome probabilities, with gamma and r folded in by `_coefficients` as the engine folds them."""
+    coeffs = _coefficients(cos_g, sin_g, cos_r, sin_r)
+    return tuple(p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table))
 
 
 # Complex numbers as (real, imaginary) pairs of Fractions; 2x2 and 4x4 matrices as lists of rows.
@@ -133,7 +145,7 @@ def test_float_rounding_stays_within_its_budget():
         exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
         for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):
             worst_probability = max(worst_probability, abs(Fraction(got) - want))
-        for player, got in enumerate(play_entries(gamma, r, alice, bob, table)):
+        for player, got in enumerate(play_entries(coefficients(gamma, r), alice, bob, table)):
             want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries()))
             worst_payoff = max(worst_payoff, abs(Fraction(got) - want))
     assert worst_probability <= 3 * Fraction(EPS), float(worst_probability / Fraction(EPS))

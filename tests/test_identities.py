@@ -10,9 +10,9 @@ those three names are replaced by exact stand-ins:
 - every cos and sin is an `Exact`, a Fraction that takes a float constant of
   the formulas (0.25, 1.25, 17.0, ...) at its exact value.
 
-The kernel runs through `payoff._coefficients` and `payoff._expected` on the
-same cos and sin, with the default table's entries as Fractions. Where
-gamma = pi/2, (cos g/2, sin g/2) = (1/sqrt 2, 1/sqrt 2) is taken as (1, 1)
+The engine runs through its entry `payoff.play_entries`, with gamma and r
+folded in by `payoff._coefficients` from the same cos and sin, and with the
+default table's entries as Fractions. Where gamma = pi/2, (cos g/2, sin g/2) = (1/sqrt 2, 1/sqrt 2) is taken as (1, 1)
 and the probabilities, homogeneous of degree 4 in that pair, are scaled by
 1/4. The miracle move's coordinates (0, 1/sqrt 2, 1/sqrt 2) are taken as
 (0, 1, 1), with a further 1/2: the probabilities are of degree 2 in each
@@ -36,7 +36,7 @@ import pytest
 
 from rational import circle_point
 from unruhpd import closed_forms
-from unruhpd.payoff import PayoffTable, _coefficients, _expected, _probabilities
+from unruhpd.payoff import PayoffTable, _coefficients, play_entries
 from unruhpd.verify import NOTE_EQ13_INVERSION, NOTE_TABLE2_MISPRINT
 
 POINTS = 200
@@ -120,8 +120,8 @@ def kernel(alice, bob, entangled, r, scale):
     """The engine's expected payoffs, as Fractions, times `scale`."""
     cos_g, sin_g = entangled
     cos_r, sin_r = fractions(*r.point)
-    probs = _probabilities(alice, bob, _coefficients(cos_g, sin_g, cos_r, sin_r))
-    return tuple(scale * payoff for payoff in _expected(tuple(probs), TABLE))
+    coeffs = _coefficients(cos_g, sin_g, cos_r, sin_r)
+    return tuple(scale * payoff for payoff in play_entries(coeffs, alice, bob, TABLE))
 
 
 def exact(pair):

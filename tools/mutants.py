@@ -112,11 +112,11 @@ MUTANTS = [
     # The margin that equilibrium._candidates and the descent's prune share, its floor for subnormal tables, and the
     # first maximum among the grid's candidates.
     Mutant("margin: no 1e-300 floor", EQUILIBRIUM,
-           "delta = 1e-10 * weight + 1e-300", "delta = 1e-10 * weight", EQUILIBRIUM_TESTS),
+           "delta = 1e-12 * weight + 1e-300", "delta = 1e-12 * weight", EQUILIBRIUM_TESTS),
     Mutant("margin: none", EQUILIBRIUM,
-           "delta = 1e-10 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
-    Mutant("margin: back at 1e-9", EQUILIBRIUM,
-           "delta = 1e-10 * weight + 1e-300", "delta = 1e-9 * weight + 1e-300", EQUILIBRIUM_TESTS),
+           "delta = 1e-12 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
+    Mutant("margin: back at 1e-10", EQUILIBRIUM,
+           "delta = 1e-12 * weight + 1e-300", "delta = 1e-10 * weight + 1e-300", EQUILIBRIUM_TESTS),
     Mutant("prefilter: the last maximum among the candidates", EQUILIBRIUM,
            "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
            EQUILIBRIUM_TESTS),
@@ -124,7 +124,7 @@ MUTANTS = [
     Mutant("prune: the margin added instead of subtracted", EQUILIBRIUM,
            "< best_value - delta):", "< best_value + delta):", EQUILIBRIUM_TESTS),
     Mutant("prune: no 1e-300 floor", EQUILIBRIUM,
-           "< best_value - delta):", "< best_value - 1e-10 * weight):", EQUILIBRIUM_TESTS),
+           "< best_value - delta):", "< best_value - 1e-12 * weight):", EQUILIBRIUM_TESTS),
     Mutant("prune: the comparison reversed", EQUILIBRIUM,
            "< best_value - delta):", ">= best_value - delta):", EQUILIBRIUM_TESTS),
     Mutant("descent: alpha clamped to [0, 2*pi], not wrapped", EQUILIBRIUM,
@@ -141,19 +141,18 @@ MUTANTS = [
     Mutant("reply value: the descent's best value returned, not play at the reply", EQUILIBRIUM,
            "play(setup, *((reply, opponent) if player == 0 else (opponent, reply)))[player]", "best_value",
            EQUILIBRIUM_TESTS),
-    # payoff._reply_scorer, the search's scorer: operand order, weight column, the four-term sum and the trig of r.
-    Mutant("scorer: Bob's operands in Alice's order", PAYOFF,
-           "else _probabilities(opponent, own,", "else _probabilities(own, opponent,", EQUILIBRIUM_TESTS),
-    Mutant("scorer: the other player's weight column", PAYOFF,
-           "(pair[player] for pair", "(pair[1 - player] for pair", EQUILIBRIUM_TESTS),
-    Mutant("scorer: dd term dropped", PAYOFF, " + p_dd * w_dd", "", EQUILIBRIUM_TESTS),
-    Mutant("scorer: cos(r) of the half angle", PAYOFF,
-           "math.sin(half), math.cos(r), math.sin(r))", "math.sin(half), math.cos(r / 2.0), math.sin(r))",
+    # best_response's scorer: `play_entries` with the players in order, and the responder's payoff taken.
+    Mutant("scorer: Bob's operands in Alice's order", EQUILIBRIUM,
+           "play_entries(coeffs, other, own, table)[1]", "play_entries(coeffs, own, other, table)[1]",
+           EQUILIBRIUM_TESTS),
+    Mutant("scorer: the other player's payoff taken", EQUILIBRIUM,
+           "play_entries(coeffs, own, other, table)[0]", "play_entries(coeffs, own, other, table)[1]",
            EQUILIBRIUM_TESTS),
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
            "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", VERIFY_TESTS),
-    # The kernel: one flipped sign and one dropped term; its coefficients: M's sign flipped, e and f swapped.
+    # The kernel: one flipped sign and one dropped term; its coefficients: M's sign flipped, e and f swapped, and the
+    # trig of half of r taken.
     Mutant("kernel: the T term of CD's kept amplitude sign flipped", PAYOFF,
            "M * a0b1 + T * a1b3", "M * a0b1 - T * a1b3", KERNEL_TESTS),
     Mutant("kernel: the e term dropped from DC's lost amplitude", PAYOFF,
@@ -161,6 +160,21 @@ MUTANTS = [
     Mutant("coefficients: M's sign flipped", PAYOFF, "q + s2, q - s2,", "q + s2, s2 - q,", KERNEL_TESTS),
     Mutant("coefficients: e and f swapped", PAYOFF,
            "cos_g * c1, sin_g * c1", "sin_g * c1, cos_g * c1", KERNEL_TESTS),
+    Mutant("coefficients: cos(r / 2) taken for cos(r)", PAYOFF,
+           "cos_r, sin_r = math.cos(r), math.sin(r)", "cos_r, sin_r = math.cos(r / 2.0), math.sin(r)", KERNEL_TESTS),
+    # The entry's sums: Bob's payoff weighted by his own column of the table.
+    Mutant("entry: Bob's sum weighted by Alice's column", PAYOFF,
+           "p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd",
+           "p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd", KERNEL_TESTS),
+    # `play` and `named_strategy_matrix` refuse arguments of the wrong type.
+    Mutant("play: a setup that is no GameSetup accepted", PAYOFF,
+           "if not isinstance(setup, _GAME_SETUP_TYPE):", "if False:", ("tests/test_api.py",)),
+    Mutant("play: an alice that is no Strategy accepted", PAYOFF,
+           "if not isinstance(alice, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
+    Mutant("play: a bob that is no Strategy accepted", PAYOFF,
+           "if not isinstance(bob, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
+    Mutant("move matrix: a strategy that is no Strategy accepted", GAME,
+           "if not isinstance(strategy, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
     # The channel: Rindler-mode amplitudes of Bob's |0> swapped; region I traced in place of region II; the
     # conjugate dropped from M M^dag; the norm check that a NaN or inf entry passes, and a norm that reads inf as nan.
     Mutant("channel: cos(r) and sin(r) swapped", UNRUH,
