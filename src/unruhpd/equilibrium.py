@@ -1,7 +1,8 @@
 """Solution concepts over finite strategy sets plus a continuous best response.
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
-an explicit payoff table, each entry scored by `play`. Nash, dominance and
+an explicit payoff table, each entry `play` of one profile, all scored through
+the engine's entry after one check of the setup and the set. Nash, dominance and
 within-set best replies read it through one player view, `_own_payoffs`, and
 Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search takes the best point of an (alpha, theta) grid and refines it
@@ -21,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .game import _STRATEGY_TYPE, Strategy, TWO_PI, _move_entries, is_finite, safe_repr
-from .payoff import GameSetup, Payoffs, coefficients, play, play_entries
+from .payoff import GameSetup, Payoffs, _check_setup, coefficients, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -52,8 +53,13 @@ def validate_strategy_set(strategies: Iterable[Strategy]) -> list[Strategy]:
 def payoff_table(setup: GameSetup, strategies: Iterable[Strategy]) -> list[list[Payoffs]]:
     """Full |set| x |set| table; entry [i][j] is `play` of strategies[i] vs strategies[j]."""
     _check_setup(setup)
-    strategies = validate_strategy_set(strategies)
-    return [[play(setup, a, b) for b in strategies] for a in strategies]
+    return _score_table(setup, validate_strategy_set(strategies))
+
+
+def _score_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payoffs]]:
+    """`payoff_table` of a checked setup and set: `play`'s entry, with the coefficients of gamma and r computed once."""
+    coeffs, table = coefficients(setup.gamma, setup.r), setup.table
+    return [[Payoffs(*play_entries(coeffs, a.q, b.q, table)) for b in strategies] for a in strategies]
 
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
@@ -126,7 +132,7 @@ class EquilibriumReport:
 
 def analyze(setup: GameSetup, strategies: Iterable[Strategy]) -> EquilibriumReport:
     strategies = validate_strategy_set(strategies)
-    table = payoff_table(setup, strategies)
+    table = _score_table(_check_setup(setup), strategies)
     return EquilibriumReport(
         strategies=strategies,
         table=table,
@@ -151,14 +157,17 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     the moves repeat; a theta step keeps alpha and is clamped to [0, pi]. Payoffs
     are scored one by one on Python floats as `payoff.play_entries(...)[player]`,
     with the players in order and the coefficients of gamma and r computed once:
-    at `_move_entries` of the grid's `_candidates` under the responder's quadratic
-    form, and at each step whose form is at least the best value less the margin
-    `delta` (1e-12 of the largest |payoff|), which skips no step the engine would
-    accept, as the form stays within delta / 4 of the engine. A step's coordinates
-    are `_move_entries`' formula, without Q's exact entries, on the cos and sin of
-    its angles, one of them kept from the best point. The reply's value is `play`
-    at the reply. Deterministic: only strict improvements are accepted and grid
-    ties resolve to the lexicographically smallest (alpha, theta).
+    at the grid's `_candidates` under the responder's quadratic form, one
+    matrix-vector product on the grid's monomials, each at the coordinates the
+    grid keeps for it; and at each step whose form is at least the best value less
+    the margin `delta` (1e-12 of the largest |payoff|), which skips no step the
+    engine would accept, as the form stays within delta / 4 of the engine. A theta
+    step that the clamp sends back onto the best theta is skipped: it would score
+    the best point itself. A step's coordinates are `_move_entries`' formula,
+    without Q's exact entries, on the cos and sin of its angles, one of them kept
+    from the best point. The reply's value is `play` at the reply. Deterministic:
+    only strict improvements are accepted and grid ties resolve to the
+    lexicographically smallest (alpha, theta).
     """
     player = _check_player("responder", responder)
     _check_setup(setup)
@@ -167,16 +176,19 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     coeffs, other, table = coefficients(setup.gamma, setup.r), opponent.q, setup.table
     score = ((lambda own: play_entries(coeffs, own, other, table)[0]) if player == 0
              else (lambda own: play_entries(coeffs, other, own, table)[1]))
-    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form = _reply_form(score)
-    alphas, thetas, products = _search_grid()
+    (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
+    # The form's weights on `_search_grid`'s monomials, off the diagonal doubled once: 2.0 * a is exact.
+    form_weights = (a00, a11, a33, 2.0 * a01, 2.0 * a03, 2.0 * a13)
+    w00, w11, w33, w01, w03, w13 = form_weights
+    alphas, thetas, points, products = _search_grid()
     weight = max(abs(pair[player]) for pair in table.entries())
     delta = 1e-12 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
     best_value = -math.inf
-    for k in _candidates(form, products, delta):
-        alpha, theta = alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]  # the grid's point k
-        value = score(_move_entries(alpha, theta))
+    for k in _candidates(form_weights, products, delta):
+        value = score(points[k])
         if value > best_value:  # the first maximum in row-major order: the smallest (alpha, theta)
-            best_alpha, best_theta, best_value = alpha, theta, value
+            best_k, best_value = k, value
+    best_alpha, best_theta = alphas[best_k // GRID_POINTS], thetas[best_k % GRID_POINTS]  # the grid's point best_k
 
     # Each step keeps one angle and reuses its trig: the cos and sin of the best alpha and of half the best theta.
     cos_a, sin_a = math.cos(best_alpha), math.sin(best_alpha)
@@ -193,11 +205,13 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
                 ct, st = cos_t, sin_t
             else:
                 alpha, theta = best_alpha, min(max(best_theta + move, 0.0), math.pi)
+                if theta == best_theta:  # clamped back onto the best point, which it cannot strictly beat
+                    continue
                 ca, sa = cos_a, sin_a
                 ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
             q0, q1, q3 = ca * ct, st, sa * ct
-            if (a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3) + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3)
-                    + a13 * (2.0 * q1 * q3) < best_value - delta):  # the form, in `_candidates`' term order
+            if (w00 * (q0 * q0) + w11 * (q1 * q1) + w33 * (q3 * q3) + w01 * (q0 * q1) + w03 * (q0 * q3)
+                    + w13 * (q1 * q3) < best_value - delta):  # the form, in `_search_grid`'s monomial order
                 continue
             value = score((q0, q1, q3))
             if value > best_value:  # the step's angles are the best now, and their trig the pairs to reuse
@@ -225,32 +239,33 @@ def _reply_form(score) -> tuple[tuple[float, float, float], ...]:
     return (a00, a01, a03), (a01, a11, a13), (a03, a13, a33)
 
 
-def _candidates(form: tuple, products, delta: float) -> list[int]:
-    """Row-major indices of the grid points whose `form` value, from `_search_grid`'s `products`, is near its maximum.
+def _candidates(weights: tuple, products, delta: float) -> list[int]:
+    """Row-major indices of the grid points whose form value, `products @ weights`, is near its maximum.
 
-    The margin `delta` from `best_response` is 1e-12 of the largest |payoff| of the responder's column, plus 1e-300,
-    which covers tables of subnormal entries, where 1e-12 of them rounds to 0. The form differs from
-    the engine by at most about 1e-15 of that payoff, inside a quarter of the margin, so the engine's maximum is always
-    among these points. The values are finite: the form's coefficients are at most max/4 (the bound
-    `PAYOFF_ENTRY_MAX`) up to rounding, and the products' sizes sum to at most 3.
+    `weights` are the responder's form on `_search_grid`'s six monomials, as `best_response` builds them. The margin
+    `delta` from `best_response` is 1e-12 of the largest |payoff| of the responder's column, plus 1e-300, which covers
+    tables of subnormal entries, where 1e-12 of them rounds to 0. The form differs from the engine by at most about
+    1e-15 of that payoff, inside a quarter of the margin, so the engine's maximum is always among these points. The
+    values are finite: the form's coefficients are at most max/4 (the bound `PAYOFF_ENTRY_MAX`) up to rounding, so
+    each value is at most max/4 times (|q0| + |q1| + |q3|)^2 <= 3.
     """
     import numpy as np
-    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
-    q00, q11, q33, q01, q03, q13 = products
-    values = a00 * q00 + a11 * q11 + a33 * q33 + a01 * q01 + a03 * q03 + a13 * q13
+    values = products @ weights
     return np.flatnonzero(values >= values.max() - delta).tolist()
 
 
 @functools.cache
 def _search_grid() -> tuple:
-    """The best reply's grid, built once: alphas, thetas, and the read-only monomial rows of its points, row-major."""
+    """The best reply's grid, built once, row-major: alphas, thetas, each point's `_move_entries` on Python floats,
+    and their monomials q0^2, q1^2, q3^2, q0 q1, q0 q3, q1 q3 as a read-only C-contiguous (GRID_POINTS**2, 6) array."""
     import numpy as np
     alphas = tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
     thetas = tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
-    q0, q1, q3 = np.array([_move_entries(alpha, theta) for alpha in alphas for theta in thetas]).T
-    products = np.array((q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3))
+    points = tuple(_move_entries(alpha, theta) for alpha in alphas for theta in thetas)
+    q0, q1, q3 = np.array(points).T
+    products = np.stack((q0 * q0, q1 * q1, q3 * q3, q0 * q1, q0 * q3, q1 * q3), axis=1)
     products.setflags(write=False)
-    return alphas, thetas, products
+    return alphas, thetas, points, products
 
 
 def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:
@@ -297,11 +312,6 @@ def _payoff_cell(cell) -> tuple[float, float]:
     if not ok:
         raise ValueError(f"payoff table cells must be pairs of finite real numbers, got {safe_repr(cell)}")
     return float(alice), float(bob)
-
-
-def _check_setup(setup: GameSetup) -> None:
-    if not isinstance(setup, GameSetup):
-        raise ValueError(f"setup must be a GameSetup, got {safe_repr(setup)}")
 
 
 def _check_player(name: str, player: str) -> int:

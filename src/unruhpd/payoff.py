@@ -144,10 +144,16 @@ class GameSetup:
 _GAME_SETUP_TYPE = GameSetup
 
 
-def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
-    """Expected payoffs for one strategy profile, scored on Python floats."""
+def _check_setup(setup: GameSetup) -> GameSetup:
+    """`setup`, or ValueError if it is not a `GameSetup`."""
     if not isinstance(setup, _GAME_SETUP_TYPE):
         raise ValueError(f"setup must be a GameSetup, got {safe_repr(setup)}")
+    return setup
+
+
+def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
+    """Expected payoffs for one strategy profile, scored on Python floats."""
+    _check_setup(setup)
     if not isinstance(alice, _STRATEGY_TYPE):
         raise ValueError(f"alice must be a Strategy, got {safe_repr(alice)}")
     if not isinstance(bob, _STRATEGY_TYPE):

@@ -98,6 +98,25 @@ def test_payoff_table_equals_per_game_play_exactly(seed):
     assert all(type(entry) is Payoffs for row in table for entry in row)
 
 
+def test_a_table_checks_its_input_once_and_takes_the_coefficients_once(monkeypatch):
+    # `payoff_table` and `analyze` check the setup and the set once and score every profile through `play`'s entry
+    # with one set of coefficients, not through n x n calls of `play`, each of which checks the setup again.
+    counts = {}
+
+    def counted(name, f):
+        def counting(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return f(*args)
+        return counting
+
+    for name in ("validate_strategy_set", "_check_setup", "coefficients", "play"):
+        monkeypatch.setattr(equilibrium, name, counted(name, getattr(equilibrium, name)))
+    for table_of in (payoff_table, analyze):
+        counts.clear()
+        table_of(GameSetup(0.7, 0.2), [C, D, Q, M])
+        assert counts == {"validate_strategy_set": 1, "_check_setup": 1, "coefficients": 1}
+
+
 def test_nash_inertial_classical_game():
     table = payoff_table(classical_setup(), CLASSICAL_SET)
     assert find_nash(table) == [(1, 1)]
@@ -372,8 +391,14 @@ def reply_scorer(gamma, r, opponent, player, table):
 
 def grid_points():
     """The search grid's (q0, q1, q3) of each point in row-major order, as (GRID_POINTS**2, 3), built per point here."""
-    alphas, thetas, _ = _search_grid()
+    alphas, thetas, _, _ = _search_grid()
     return np.array([_move_entries(alpha, theta) for alpha in alphas for theta in thetas])
+
+
+def monomial_weights(form) -> tuple:
+    """The form's weights on `_search_grid`'s monomials, as `best_response` builds them: off the diagonal doubled."""
+    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
+    return a00, a11, a33, 2.0 * a01, 2.0 * a03, 2.0 * a13
 
 
 # The scorer's tables, an all-zero table, and tables scaled down to and near the subnormal range: at 5e-324, 1e-12
@@ -389,8 +414,9 @@ REFERENCE_REPLIES = [(config, OPPONENTS[k % len(OPPONENTS)]) for k, config in en
 @pytest.mark.parametrize("table", PREFILTER_TABLES, ids=range(len(PREFILTER_TABLES)))
 def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table):
     # The responder's quadratic form must track the scorer on the whole grid to within a quarter of the
-    # margin, so the scorer's first maximum (the grid point best_response takes) is always a candidate.
-    products = _search_grid()[2]
+    # margin, so the scorer's first maximum (the grid point best_response takes) is always a candidate. That holds
+    # for the form summed as the einsum sums it and for the prefilter's own matrix-vector product.
+    products = _search_grid()[3]
     q = grid_points()
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
@@ -404,7 +430,9 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
                 weight = max(abs(pair[player]) for pair in table.entries())
                 delta = 1e-12 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
-                candidates = _candidates(form, products, delta)
+                weights = monomial_weights(form)
+                assert np.abs(products @ weights - kernel).max() <= delta / 4
+                candidates = _candidates(weights, products, delta)
                 assert all(type(k) is int for k in candidates)
                 assert candidates == sorted(set(candidates))
                 assert int(np.argmax(kernel)) in candidates
@@ -428,9 +456,9 @@ EXTREME_TABLES = [SCORER_TABLES[3]] + [
 @pytest.mark.parametrize("table", EXTREME_TABLES, ids=range(len(EXTREME_TABLES)))
 def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
     # _candidates has no fallback for a form that is not finite: its coefficients are at most PAYOFF_ENTRY_MAX
-    # up to rounding and the products' sizes sum to at most 3, so no value may overflow, and the scorer's first
+    # up to rounding and (|q0| + |q1| + |q3|)^2 is at most 3, so no value may overflow, and the scorer's first
     # maximum must still be a candidate.
-    products = _search_grid()[2]
+    products = _search_grid()[3]
     q = grid_points()
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
@@ -438,10 +466,9 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
                 score = reply_scorer(gamma, r, opponent.q, player, table)
                 delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300  # best_response's margin
                 with np.errstate(over="raise", invalid="raise"):
-                    form = _reply_form(score)
-                    (a00, a01, a03), (_, a11, a13), (_, _, a33) = form
-                    values = sum(a * row for a, row in zip((a00, a11, a33, a01, a03, a13), products))
-                    candidates = _candidates(form, products, delta)
+                    weights = monomial_weights(_reply_form(score))
+                    values = products @ weights  # the prefilter's values, as `_candidates` computes them
+                    candidates = _candidates(weights, products, delta)
                     kernel = score(tuple(q.T))
                 assert np.isfinite(values).all()
                 assert np.abs(values).max() <= PAYOFF_ENTRY_MAX * (1.0 + 1e-14)
@@ -455,7 +482,7 @@ def descent_points():
     step from the grid's spacing down to REFINE_MIN_STEP, wrapped and clamped as `best_response` takes them.
     """
     rng = np.random.default_rng(25)
-    alphas, thetas, _ = _search_grid()
+    alphas, thetas, _, _ = _search_grid()
     below_two_pi = math.nextafter(TWO_PI, 0.0)
     bases = [tuple(rng.uniform((0.0, 0.0), (TWO_PI, math.pi))) for _ in range(24)]
     bases += [(float(rng.uniform(0.0, TWO_PI)), edge) for edge in (0.0, math.pi)]
@@ -478,8 +505,9 @@ BOUND_TABLES = PREFILTER_TABLES + EXTREME_TABLES[1:]  # EXTREME_TABLES[0] is SCO
 @pytest.mark.parametrize("table", BOUND_TABLES, ids=range(len(BOUND_TABLES)))
 def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
     # The descent skips a step whose form value is below best_value - delta. That skips no step the scorer would
-    # accept only while the form, summed in the descent's term order, stays within delta / 4 of the scorer at every
-    # point the descent reaches, not only on the grid; and no value may overflow for the largest entries.
+    # accept only while the form, summed in the descent's term order on its weights, stays within delta / 4 of the
+    # scorer at every point the descent reaches, not only on the grid; and no value may overflow for the largest
+    # entries.
     q0, q1, q3 = descent_points().T
     for gamma, r in CONFIGS:
         for opponent in OPPONENTS:
@@ -487,11 +515,18 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
                 score = reply_scorer(gamma, r, opponent.q, player, table)
                 delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
                 with np.errstate(over="raise", invalid="raise"):
-                    (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
+                    (a00, a01, a03), (_, a11, a13), (_, _, a33) = matrix = _reply_form(score)
+                    w00, w11, w33, w01, w03, w13 = monomial_weights(matrix)
                     form = (
+                        w00 * (q0 * q0) + w11 * (q1 * q1) + w33 * (q3 * q3)
+                        + w01 * (q0 * q1) + w03 * (q0 * q3) + w13 * (q1 * q3)
+                    )
+                    # Doubling the weight, not the monomial, moves no bit: 2.0 * x is exact.
+                    doubled_monomials = (
                         a00 * (q0 * q0) + a11 * (q1 * q1) + a33 * (q3 * q3)
                         + a01 * (2.0 * q0 * q1) + a03 * (2.0 * q0 * q3) + a13 * (2.0 * q1 * q3)
                     )
+                    assert np.array_equal(form.view(np.int64), doubled_monomials.view(np.int64))
                     kernel = score((q0, q1, q3))
                     assert np.isfinite(form).all() and np.isfinite(kernel).all()
                     assert np.abs(form - kernel).max() <= delta / 4
@@ -657,32 +692,71 @@ def best_reply_tasks(seed):
     return tasks
 
 
+def record_candidates(monkeypatch) -> list:
+    """Patch `best_response`'s grid prefilter: the candidate indices of each reply are appended to the list returned."""
+    found, grid_candidates = [], equilibrium._candidates
+
+    def recording_candidates(*args):
+        found.append(grid_candidates(*args))
+        return found[-1]
+
+    monkeypatch.setattr(equilibrium, "_candidates", recording_candidates)
+    return found
+
+
 def test_the_work_per_reply_is_pinned(monkeypatch):
-    # Engine calls, with `_reply_form`'s 6 probes: 78.8 a reply with a 1e-9 margin, 71.1 with 1e-10, 55.4 with 1e-12.
-    # Coordinates come from `_move_entries` only at the grid's candidates; the descent builds its own from kept trig.
+    # Engine calls, with `_reply_form`'s 6 probes: 78.8 a reply with a 1e-9 margin, 71.1 with 1e-10, 55.4 with 1e-12,
+    # 49.8 once a theta step clamped back onto the best theta is skipped. `_move_entries` only builds the grid: each
+    # candidate is scored at the grid's kept coordinates, and the descent builds its own from kept trig.
     tasks = best_reply_tasks(1)
-    alphas, thetas, _ = _search_grid()  # built, and cached, before `_move_entries` is counted
-    entries, candidates = [], []
-    move_entries, grid_candidates = equilibrium._move_entries, equilibrium._candidates
+    alphas, thetas, _, _ = _search_grid()  # built, and cached, before `_move_entries` is counted
+    entries, move_entries = [], equilibrium._move_entries
 
     def recording_move_entries(alpha, theta):
         entries.append((alpha, theta))
         return move_entries(alpha, theta)
 
-    def recording_candidates(*args):
-        found = grid_candidates(*args)
-        candidates.extend((alphas[k // GRID_POINTS], thetas[k % GRID_POINTS]) for k in found)
-        return found
-
     calls = record_scored_moves(monkeypatch)
+    found = record_candidates(monkeypatch)
     monkeypatch.setattr(equilibrium, "_move_entries", recording_move_entries)
-    monkeypatch.setattr(equilibrium, "_candidates", recording_candidates)
-    for task in tasks:
-        best_response(*task)
-    assert len(tasks) == 72
-    assert len(calls) / len(tasks) <= 56
-    assert entries == candidates
-    assert len(entries) / len(tasks) < 12
+    for setup, opponent, responder in tasks:
+        start = len(calls)
+        best_response(setup, opponent, responder)
+        player = ("alice", "bob").index(responder)
+        # After the form's 6 probes the candidates are scored in row-major order, each at `_move_entries` of its point.
+        scored = [hexes(pair[player]) for pair in calls[start + 6:start + 6 + len(found[-1])]]
+        assert scored == [hexes(move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS])) for k in found[-1]]
+    assert len(tasks) == len(found) == 72
+    assert len(calls) / len(tasks) <= 50
+    assert entries == []
+    assert sum(map(len, found)) / len(tasks) < 12
+
+
+def test_no_descent_step_scores_the_best_point(monkeypatch):
+    # A theta step that the clamp to [0, pi] sends back onto the best theta is skipped before its trig: it would score
+    # the best point's own coordinates, which cannot strictly beat the best value. Checked on the replies that end at
+    # theta = 0 or pi, where a descent that scored it did so in every round from its arrival there on.
+    calls = record_scored_moves(monkeypatch)
+    found = record_candidates(monkeypatch)
+    at_edge = 0
+    for setup, opponent, responder in best_reply_tasks(1) + best_reply_tasks(2):
+        start = len(calls)
+        reply, _ = best_response(setup, opponent, responder)
+        if reply.theta not in (0.0, math.pi):
+            continue
+        at_edge += 1
+        player = ("alice", "bob").index(responder)
+        score = reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)
+        best, best_value = None, -math.inf
+        for n, pair in enumerate(calls[start + 6:]):  # the grid's candidates, then the descent's steps
+            if n >= len(found[-1]):
+                assert pair[player] != best, (setup, opponent, responder)
+            value = score(pair[player])
+            if value > best_value:
+                best, best_value = pair[player], value
+        # At Q the descent scores (cos(pi/2), 0, 1), not Q's exact coordinates.
+        assert best == reply.q or (reply.alpha, reply.theta) == (math.pi / 2, 0.0)
+    assert at_edge >= 40, at_edge
 
 
 def test_a_reply_to_c_d_or_q_is_never_below_the_best_of_c_d_and_q():
@@ -704,9 +778,11 @@ def test_a_reply_to_c_d_or_q_is_never_below_the_best_of_c_d_and_q():
 
 def test_search_grid_is_built_once_and_read_only():
     assert _search_grid() is _search_grid()
-    alphas, thetas, products = _search_grid()
-    assert type(alphas) is type(thetas) is tuple and len(alphas) == len(thetas) == GRID_POINTS
-    assert products.shape == (6, GRID_POINTS**2)
+    alphas, thetas, points, products = _search_grid()
+    assert type(alphas) is type(thetas) is type(points) is tuple and len(alphas) == len(thetas) == GRID_POINTS
+    assert len(points) == GRID_POINTS**2
+    assert all(type(q) is tuple and len(q) == 3 and all(type(x) is float for x in q) for q in points)
+    assert products.shape == (GRID_POINTS**2, 6) and products.flags.c_contiguous
     with pytest.raises(ValueError, match="read-only"):
         products[0, 0] = 0.0
 
@@ -714,7 +790,7 @@ def test_search_grid_is_built_once_and_read_only():
 def test_the_theta_step_is_half_the_alpha_step_at_every_halving():
     # The descent keeps one step, alpha's, steps theta by half of it and stops on alpha's step alone. That holds
     # because the grid's spacings are in ratio 2 exactly and each halving keeps them so, down to REFINE_MIN_STEP.
-    alphas, thetas, _ = _search_grid()
+    alphas, thetas, _, _ = _search_grid()
     step_a, step_t = alphas[1], thetas[1]
     halvings = 0
     while True:
@@ -727,21 +803,21 @@ def test_the_theta_step_is_half_the_alpha_step_at_every_halving():
 
 
 def test_search_grid_is_move_entries_at_each_point_and_the_former_per_axis_grid_bit_for_bit():
-    alphas, thetas, products = _search_grid()
+    alphas, thetas, points, products = _search_grid()
     assert alphas == tuple(min(i * (TWO_PI / (GRID_POINTS - 1)), TWO_PI) for i in range(GRID_POINTS))
     assert thetas == tuple(min(j * (math.pi / (GRID_POINTS - 1)), math.pi) for j in range(GRID_POINTS))
+    assert [hexes(q) for q in points] == [hexes(_move_entries(alpha, theta)) for alpha in alphas for theta in thetas]
 
     def monomials(q0, q1, q3):
-        return np.array((q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3))
+        return np.array((q0 * q0, q1 * q1, q3 * q3, q0 * q1, q0 * q3, q1 * q3)).T
 
     got = products.view(np.int64)
-    points = grid_points()
-    assert np.array_equal(got, monomials(*points.T).view(np.int64))
+    assert np.array_equal(got, monomials(*grid_points().T).view(np.int64))
     # One point at a time on Python floats: row-major order puts alpha along the rows.
     for k in (0, 1, GRID_POINTS, GRID_POINTS**2 - 1, 517):
         q0, q1, q3 = _move_entries(alphas[k // GRID_POINTS], thetas[k % GRID_POINTS])
-        want = (q0 * q0, q1 * q1, q3 * q3, 2.0 * q0 * q1, 2.0 * q0 * q3, 2.0 * q1 * q3)
-        assert [x.hex() for x in products[:, k].tolist()] == [x.hex() for x in want]
+        want = (q0 * q0, q1 * q1, q3 * q3, q0 * q1, q0 * q3, q1 * q3)
+        assert [x.hex() for x in products[k].tolist()] == [x.hex() for x in want]
     # The grid best_response built on every call before: per-axis cos and sin from `math`, multiplied by numpy.
     cos_a, sin_a = (np.array([f(a) for a in alphas])[:, None] for f in (math.cos, math.sin))
     cos_t, sin_t = (np.array([f(t / 2.0) for t in thetas]) for f in (math.cos, math.sin))

@@ -102,13 +102,23 @@ MUTANTS = [
            "np.clip(values, 0.0, R_MAX, dtype=float)", "values.astype(float)", CLOSED_FORM_TESTS),
     Mutant("domain: the clip keeps a float32 array's precision", CLOSED_FORMS,
            "np.clip(values, 0.0, R_MAX, dtype=float)", "np.clip(values, 0.0, R_MAX)", CLOSED_FORM_TESTS),
-    # equilibrium._search_grid: built once, its products read-only, alpha along the rows.
+    # equilibrium._search_grid: built once, its products read-only, alpha along the rows, and each candidate scored
+    # at its own cached coordinates.
     Mutant("grid: rebuilt on every call", EQUILIBRIUM,
            "@functools.cache\ndef _search_grid", "def _search_grid", EQUILIBRIUM_TESTS),
     Mutant("grid: writable", EQUILIBRIUM, "    products.setflags(write=False)\n", "", EQUILIBRIUM_TESTS),
     Mutant("grid: alpha and theta axes swapped", EQUILIBRIUM,
-           "for alpha in alphas for theta in thetas]", "for theta in thetas for alpha in alphas]", EQUILIBRIUM_TESTS),
+           "for alpha in alphas for theta in thetas)", "for theta in thetas for alpha in alphas)", EQUILIBRIUM_TESTS),
     Mutant("grid: descent steps swapped", EQUILIBRIUM, "step = alphas[1]", "step = thetas[1]", EQUILIBRIUM_TESTS),
+    Mutant("grid: a candidate scored at the previous point's cached coordinates", EQUILIBRIUM,
+           "value = score(points[k])", "value = score(points[k - 1])", EQUILIBRIUM_TESTS),
+    # The form's weights on the grid's monomials: the off-diagonal ones doubled, and in the monomials' order in the
+    # prefilter's matrix-vector product.
+    Mutant("weights: the off-diagonal weights not doubled", EQUILIBRIUM,
+           "2.0 * a01, 2.0 * a03, 2.0 * a13", "a01, a03, a13", EQUILIBRIUM_TESTS),
+    Mutant("prefilter: the q0 q1 and q0 q3 weights swapped in the matrix-vector product", EQUILIBRIUM,
+           "values = products @ weights", "values = products @ (*weights[:3], weights[4], weights[3], weights[5])",
+           EQUILIBRIUM_TESTS),
     # The margin that equilibrium._candidates and the descent's prune share, its floor for subnormal tables, and the
     # first maximum among the grid's candidates.
     Mutant("margin: no 1e-300 floor", EQUILIBRIUM,
@@ -134,6 +144,13 @@ MUTANTS = [
     Mutant("descent: theta's step equal to alpha's", EQUILIBRIUM,
            "(False, -step / 2.0), (False, step / 2.0)", "(False, -step), (False, step)", EQUILIBRIUM_TESTS),
     Mutant("descent: a round never halves the step", EQUILIBRIUM, "            step /= 2.0\n", "", EQUILIBRIUM_TESTS),
+    # A theta step that the clamp sends back onto the best theta is skipped: kept as it is, the replies do not move
+    # but the work pin fails; skipping every other theta step moves them.
+    Mutant("descent: a theta step clamped onto the best theta scored", EQUILIBRIUM,
+           "                if theta == best_theta:  # clamped back onto the best point, which it cannot strictly beat\n"
+           "                    continue\n", "", EQUILIBRIUM_TESTS),
+    Mutant("descent: every theta step skipped but the clamped one", EQUILIBRIUM,
+           "if theta == best_theta:", "if theta != best_theta:", EQUILIBRIUM_TESTS),
     # The descent's kept trig, renewed by each accepted step.
     Mutant("descent: an accepted step keeps the stale trig", EQUILIBRIUM,
            "cos_a, sin_a, cos_t, sin_t = ca, sa, ct, st", "pass", EQUILIBRIUM_TESTS),
@@ -219,6 +236,13 @@ MUTANTS = [
     Mutant("pareto: no tie tolerance", EQUILIBRIUM,
            "no_worse = qa >= pa - DEVIATION_TOL and qb >= pb - DEVIATION_TOL", "no_worse = qa >= pa and qb >= pb",
            EQUILIBRIUM_TESTS),
+    # The table of a finite set: `play`'s entry with the players in order, and analyze's setup checked once.
+    Mutant("payoff table: the moves in Bob's order", EQUILIBRIUM,
+           "Payoffs(*play_entries(coeffs, a.q, b.q, table))", "Payoffs(*play_entries(coeffs, b.q, a.q, table))",
+           EQUILIBRIUM_TESTS),
+    Mutant("analyze: the setup unchecked", EQUILIBRIUM,
+           "_score_table(_check_setup(setup), strategies)", "_score_table(setup, strategies)",
+           EQUILIBRIUM_TESTS + ("tests/test_api.py",)),
     # The guards on the table functions' input: the strategy set read once and each cell finite.
     Mutant("strategy set: an iterator read twice", EQUILIBRIUM,
            "strategies = list(() if strategies is None else strategies)",
