@@ -204,7 +204,11 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
                 ca, sa = math.cos(alpha), math.sin(alpha)
                 ct, st = cos_t, sin_t
             else:
-                alpha, theta = best_alpha, min(max(best_theta + move, 0.0), math.pi)
+                alpha, theta = best_alpha, best_theta + move
+                if theta < 0.0:  # the sum is finite and never -0.0: `min(max(theta, 0.0), math.pi)` to the bit
+                    theta = 0.0
+                elif theta > math.pi:
+                    theta = math.pi
                 if theta == best_theta:  # clamped back onto the best point, which it cannot strictly beat
                     continue
                 ca, sa = cos_a, sin_a

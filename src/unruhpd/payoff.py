@@ -67,7 +67,9 @@ class PayoffTable:
     temptation 5, punishment 1. Every entry must be a pair of finite numbers of
     magnitude at most `PAYOFF_ENTRY_MAX`; it is stored as a tuple of two Python
     floats, so tables hash, compare and score as floats whatever sequence of
-    numbers they were given.
+    numbers they were given. The four pairs are also held once as one tuple, which
+    `entries()` returns: derived state set in `__init__`, omitted by `fields`,
+    `asdict`, repr, == and hash.
     """
 
     cc: tuple[float, float]
@@ -84,11 +86,14 @@ class PayoffTable:
     ):
         # One item write per field to the instance dict: cheaper to build than `object.__setattr__` past the
         # frozen `__setattr__`, though on CPython 3.11 a written dict makes each later field read slower.
+        entries = (_payoff_pair("cc", cc), _payoff_pair("cd", cd), _payoff_pair("dc", dc), _payoff_pair("dd", dd))
         fields = self.__dict__
-        fields["cc"] = _payoff_pair("cc", cc)
-        fields["cd"] = _payoff_pair("cd", cd)
-        fields["dc"] = _payoff_pair("dc", dc)
-        fields["dd"] = _payoff_pair("dd", dd)
+        fields["cc"], fields["cd"], fields["dc"], fields["dd"] = entries
+        fields["_entries"] = entries
+
+    def __setstate__(self, state: dict) -> None:
+        # Through `__init__`: the pairs are checked again and the tuple is set, also for a pickle written without it.
+        self.__init__(state["cc"], state["cd"], state["dc"], state["dd"])
 
     @classmethod
     def from_scalars(cls, reward: float, sucker: float, temptation: float, punishment: float) -> "PayoffTable":
@@ -100,7 +105,7 @@ class PayoffTable:
         )
 
     def entries(self) -> tuple[tuple[float, float], ...]:
-        return (self.cc, self.cd, self.dc, self.dd)
+        return self._entries
 
 
 def _payoff_pair(profile: str, pair) -> tuple[float, float]:
@@ -138,6 +143,10 @@ class GameSetup:
         if not isinstance(table, _PAYOFF_TABLE_TYPE):
             raise ValueError(f"table must be a PayoffTable, got {safe_repr(table)}")
         fields["table"] = table
+
+    def __setstate__(self, state: dict) -> None:
+        # Through `__init__`: gamma, r and the table are checked again, as when the setup was built.
+        self.__init__(state["gamma"], state["r"], state["table"])
 
 
 # The class itself, bound at import: benchmarks/tracer.py rebinds the name `GameSetup` here to a wrapper function.

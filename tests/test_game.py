@@ -182,6 +182,47 @@ def test_a_pickled_strategy_with_an_angle_out_of_its_domain_is_refused():
         pickle.loads(data)
 
 
+def test_a_table_pickled_without_its_entries_tuple_unpickles_with_it_and_scores_bit_for_bit():
+    # A pickle as written before a PayoffTable held its entries as one tuple: the state holds the four pairs only.
+    moves = [*NAMED_STRATEGIES.values(), Strategy(1.0, 2.0)]
+    for table in (PayoffTable(), PayoffTable.from_scalars(-0.0, 1, 2.5, -3)):
+        old = copy.copy(table)
+        del old.__dict__["_entries"]
+        clone = pickle.loads(pickle.dumps(old))
+        assert clone == table and vars(clone) == vars(table)
+        assert clone.entries() == (clone.cc, clone.cd, clone.dc, clone.dd)
+        setup, cloned = GameSetup(0.3, 0.2, table), GameSetup(0.3, 0.2, clone)
+        for alice in moves:
+            for bob in moves:
+                want, got = play(setup, alice, bob), play(cloned, alice, bob)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (table, alice, bob)
+
+
+@pytest.mark.parametrize(
+    "value, field, bad",
+    [
+        (GameSetup(0.3, 0.2), "r", 5.0),
+        (GameSetup(0.3, 0.2), "r", math.nan),
+        (GameSetup(0.3, 0.2), "gamma", math.inf),
+        (GameSetup(0.3, 0.2), "table", ((3.0, 3.0),) * 4),
+        (PayoffTable(), "cc", (math.nan, 3.0)),
+        (PayoffTable(), "dd", (1.0, -math.inf)),
+        (PayoffTable(), "cd", (0.0,)),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, (GameSetup, PayoffTable)) else repr(v),
+)
+def test_a_pickled_setup_or_table_out_of_its_domain_is_refused_with_its_constructors_message(
+    value, field, bad
+):
+    broken = copy.copy(value)
+    broken.__dict__[field] = bad
+    data = pickle.dumps(broken)
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(value, **{field: bad})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+        pickle.loads(data)
+
+
 def test_strategy_labels_and_custom_rendering():
     assert str(NAMED_STRATEGIES["C"]) == "C"
     for label, strategy in NAMED_STRATEGIES.items():

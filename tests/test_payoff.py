@@ -49,6 +49,32 @@ def test_a_table_states_its_defaults_in_its_constructor_only():
     assert PayoffTable(**dataclasses.asdict(PayoffTable())) == PayoffTable()
 
 
+def test_a_table_holds_its_entries_once_as_one_tuple():
+    table = PayoffTable(cc=[1, -0.0], dd=(2, 2))
+    fields = (table.cc, table.cd, table.dc, table.dd)
+    assert table.entries() is table.entries()
+    assert table.entries() == fields and all(got is field for got, field in zip(table.entries(), fields))
+    rebuilt = dataclasses.replace(table, cd=(7, 8))
+    assert rebuilt.entries() == (table.cc, (7.0, 8.0), table.dc, table.dd)
+
+
+def test_a_tables_entries_tuple_is_derived_state_that_stays_frozen():
+    table = PayoffTable(cc=[1, -0.0], dd=(2, 2))
+    assert [f.name for f in dataclasses.fields(PayoffTable)] == ["cc", "cd", "dc", "dd"]
+    assert dataclasses.asdict(table) == {"cc": (1.0, -0.0), "cd": (0.0, 5.0), "dc": (5.0, 0.0), "dd": (2.0, 2.0)}
+    assert repr(table) == "PayoffTable(cc=(1.0, -0.0), cd=(0.0, 5.0), dc=(5.0, 0.0), dd=(2.0, 2.0))"
+    # A table whose tuple says otherwise still compares and hashes by its four fields alone.
+    other = PayoffTable(cc=[1, -0.0], dd=(2, 2))
+    other.__dict__["_entries"] = PayoffTable().entries()
+    assert other == table and hash(other) == hash(table) == hash((table.cc, table.cd, table.dc, table.dd))
+    with pytest.raises(TypeError, match="'_entries'"):
+        dataclasses.replace(table, _entries=PayoffTable().entries())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table._entries = PayoffTable().entries()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del table._entries
+
+
 def test_setup_validation():
     with pytest.raises(ValueError):
         GameSetup(gamma=2.0, r=0.0)

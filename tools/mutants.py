@@ -151,6 +151,11 @@ MUTANTS = [
            "                    continue\n", "", EQUILIBRIUM_TESTS),
     Mutant("descent: every theta step skipped but the clamped one", EQUILIBRIUM,
            "if theta == best_theta:", "if theta != best_theta:", EQUILIBRIUM_TESTS),
+    # The theta step's clamp to [0, pi], by comparison: each bound in turn deleted or moved out of reach.
+    Mutant("descent: theta not clamped at 0", EQUILIBRIUM,
+           "                    theta = 0.0\n", "                    pass\n", EQUILIBRIUM_TESTS),
+    Mutant("descent: theta clamped at 2*pi, not pi", EQUILIBRIUM,
+           "elif theta > math.pi:", "elif theta > TWO_PI:", EQUILIBRIUM_TESTS),
     # The descent's kept trig, renewed by each accepted step.
     Mutant("descent: an accepted step keeps the stale trig", EQUILIBRIUM,
            "cos_a, sin_a, cos_t, sin_t = ca, sa, ct, st", "pass", EQUILIBRIUM_TESTS),
@@ -212,9 +217,20 @@ MUTANTS = [
     # A Strategy's coordinates: Q's are diag(i, -i) exactly, not the rounded coordinates of its angles (pi/2, 0).
     Mutant("strategy: Q's coordinates from its angles", GAME,
            "    if theta == 0.0 and alpha == _Q_ALPHA:\n        return _Q_ENTRIES\n", "", GAME_TESTS),
-    # An unpickled Strategy is built through `__init__`, not from the pickled state as written.
+    # An unpickled Strategy, PayoffTable or GameSetup is built through `__init__`, not from its state as written.
     Mutant("strategy: unpickled from its state as written", GAME,
            'self.__init__(state["alpha"], state["theta"])', "self.__dict__.update(state)", GAME_TESTS),
+    Mutant("table: unpickled from its state as written", PAYOFF,
+           'self.__init__(state["cc"], state["cd"], state["dc"], state["dd"])', "self.__dict__.update(state)",
+           GAME_TESTS),
+    Mutant("setup: unpickled from its state as written", PAYOFF,
+           'self.__init__(state["gamma"], state["r"], state["table"])', "self.__dict__.update(state)", GAME_TESTS),
+    # A table holds its pairs once, in CC, CD, DC, DD order, and `entries()` returns that one tuple.
+    Mutant("table: the held tuple with cd and dc swapped", PAYOFF,
+           'fields["_entries"] = entries', 'fields["_entries"] = (entries[0], entries[2], entries[1], entries[3])',
+           KERNEL_TESTS),
+    Mutant("table: entries() rebuilt on every call", PAYOFF,
+           "return self._entries", "return (self.cc, self.cd, self.dc, self.dd)", ("tests/test_payoff.py",)),
     # A Strategy's name comes from its angles: a named move written as angles prints as that move.
     Mutant("strategy: a named move's angles print as custom", GAME,
            "return _NAMES.get((self.alpha, self.theta)) or",
