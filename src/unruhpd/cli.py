@@ -267,7 +267,7 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
         if lo + GRID_BLOCK >= steps:
             block[-1] = r_end
         block_coefficients = coefficients(gamma, np.clip(block, 0.0, R_MAX))  # shared by every profile
-        yield block.tolist(), [[v.tolist() for v in play_entries(block_coefficients, *move, table)] for move in moves]
+        yield block.tolist(), [[v.tolist() for v in play_entries(block_coefficients, *move, table.entries)] for move in moves]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

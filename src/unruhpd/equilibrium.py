@@ -8,9 +8,9 @@ Nash and those replies share one tolerant reply rule, `_replies`. The
 continuous search takes the best point of an (alpha, theta) grid and refines it
 by coordinate descent, in which a theta step keeps alpha. It scores each move on
 Python floats through `payoff.play_entries`, the engine's one entry, with the
-coefficients of gamma and r computed once per reply, and only the moves that
-the responder's quadratic form, `_reply_form`, says can beat its best. The
-reply's value is `play` at the reply.
+coefficients of gamma and r and the table's pairs that the setup holds, and only
+the moves that the responder's quadratic form, `_reply_form`, says can beat its
+best. The reply's value is `play` at the reply.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .game import _STRATEGY_TYPE, Strategy, TWO_PI, _move_entries, is_finite, safe_repr
-from .payoff import GameSetup, Payoffs, _check_setup, coefficients, play, play_entries
+from .payoff import GameSetup, Payoffs, _check_setup, play, play_entries
 
 # Far above arithmetic noise, far below any payoff gap in this game.
 DEVIATION_TOL = 1e-9
@@ -57,9 +57,9 @@ def payoff_table(setup: GameSetup, strategies: Iterable[Strategy]) -> list[list[
 
 
 def _score_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payoffs]]:
-    """`payoff_table` of a checked setup and set: `play`'s entry, with the coefficients of gamma and r computed once."""
-    coeffs, table = coefficients(setup.gamma, setup.r), setup.table
-    return [[Payoffs(*play_entries(coeffs, a.q, b.q, table)) for b in strategies] for a in strategies]
+    """`payoff_table` of a checked setup and set: `play`'s entry, on the coefficients and pairs the setup holds."""
+    coeffs, pairs = setup.coefficients, setup.table.entries
+    return [[Payoffs(*play_entries(coeffs, a.q, b.q, pairs)) for b in strategies] for a in strategies]
 
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
@@ -156,7 +156,7 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     until it drops below REFINE_MIN_STEP. An alpha step wraps modulo 2*pi, where
     the moves repeat; a theta step keeps alpha and is clamped to [0, pi]. Payoffs
     are scored one by one on Python floats as `payoff.play_entries(...)[player]`,
-    with the players in order and the coefficients of gamma and r computed once:
+    with the players in order, on the coefficients and pairs the setup holds:
     at the grid's `_candidates` under the responder's quadratic form, one
     matrix-vector product on the grid's monomials, each at the coordinates the
     grid keeps for it; and at each step whose form is at least the best value less
@@ -173,15 +173,15 @@ def best_response(setup: GameSetup, opponent: Strategy, responder: str) -> tuple
     _check_setup(setup)
     if not isinstance(opponent, _STRATEGY_TYPE):
         raise ValueError(f"opponent must be a Strategy, got {safe_repr(opponent)}")
-    coeffs, other, table = coefficients(setup.gamma, setup.r), opponent.q, setup.table
-    score = ((lambda own: play_entries(coeffs, own, other, table)[0]) if player == 0
-             else (lambda own: play_entries(coeffs, other, own, table)[1]))
+    coeffs, other, pairs = setup.coefficients, opponent.q, setup.table.entries
+    score = ((lambda own: play_entries(coeffs, own, other, pairs)[0]) if player == 0
+             else (lambda own: play_entries(coeffs, other, own, pairs)[1]))
     (a00, a01, a03), (_, a11, a13), (_, _, a33) = _reply_form(score)
     # The form's weights on `_search_grid`'s monomials, off the diagonal doubled once: 2.0 * a is exact.
     form_weights = (a00, a11, a33, 2.0 * a01, 2.0 * a03, 2.0 * a13)
     w00, w11, w33, w01, w03, w13 = form_weights
     alphas, thetas, points, products = _search_grid()
-    weight = max(abs(pair[player]) for pair in table.entries())
+    weight = max(abs(pair[player]) for pair in pairs)
     delta = 1e-12 * weight + 1e-300  # the margin of `_candidates` and of the descent's prune
     best_value = -math.inf
     for k in _candidates(form_weights, products, delta):

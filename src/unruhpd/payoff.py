@@ -12,9 +12,10 @@ The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
 (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
 through six coefficients, which `coefficients` computes from the cos and sin
-of gamma/2 and r. Its one entry, `play_entries`, takes them, the moves as
-`Strategy.q` holds them and the table. Every payoff is scored through it: by
-`play`, over the r grids of the CLI and `verify`, and in `equilibrium.best_response`.
+of gamma/2 and r; a `GameSetup` holds them. Its one entry, `play_entries`,
+takes numbers only: those six, the moves as `Strategy.q` holds them and the
+table's pairs as `PayoffTable.entries` holds them. Every payoff is scored
+through it: by `play`, over the r grids of the CLI and `verify`, and in `equilibrium`.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Each real operation rounds once, in the same order on floats and on arrays,
@@ -67,9 +68,9 @@ class PayoffTable:
     temptation 5, punishment 1. Every entry must be a pair of finite numbers of
     magnitude at most `PAYOFF_ENTRY_MAX`; it is stored as a tuple of two Python
     floats, so tables hash, compare and score as floats whatever sequence of
-    numbers they were given. The four pairs are also held once as one tuple, which
-    `entries()` returns: derived state set in `__init__`, omitted by `fields`,
-    `asdict`, repr, == and hash.
+    numbers they were given. The four pairs are also held once as one tuple,
+    `entries`, in CC, CD, DC, DD order: derived state set in `__init__`, omitted
+    by `fields`, `asdict`, repr, == and hash.
     """
 
     cc: tuple[float, float]
@@ -89,7 +90,7 @@ class PayoffTable:
         entries = (_payoff_pair("cc", cc), _payoff_pair("cd", cd), _payoff_pair("dc", dc), _payoff_pair("dd", dd))
         fields = self.__dict__
         fields["cc"], fields["cd"], fields["dc"], fields["dd"] = entries
-        fields["_entries"] = entries
+        fields["entries"] = entries
 
     def __setstate__(self, state: dict) -> None:
         # Through `__init__`: the pairs are checked again and the tuple is set, also for a pickle written without it.
@@ -103,9 +104,6 @@ class PayoffTable:
             dc=(temptation, sucker),
             dd=(punishment, punishment),
         )
-
-    def entries(self) -> tuple[tuple[float, float], ...]:
-        return self._entries
 
 
 def _payoff_pair(profile: str, pair) -> tuple[float, float]:
@@ -138,14 +136,15 @@ class GameSetup:
 
     def __init__(self, gamma: float, r: float, table: PayoffTable = PayoffTable()):
         fields = self.__dict__
-        fields["gamma"] = validate_gamma(gamma)
-        fields["r"] = validate_r(r)
+        fields["gamma"] = gamma = validate_gamma(gamma)
+        fields["r"] = r = validate_r(r)
         if not isinstance(table, _PAYOFF_TABLE_TYPE):
             raise ValueError(f"table must be a PayoffTable, got {safe_repr(table)}")
         fields["table"] = table
+        fields["coefficients"] = coefficients(gamma, r)  # derived state, as `Strategy.q` is: no field
 
     def __setstate__(self, state: dict) -> None:
-        # Through `__init__`: gamma, r and the table are checked again, as when the setup was built.
+        # Through `__init__`: gamma, r and the table are checked again and the coefficients set, as when it was built.
         self.__init__(state["gamma"], state["r"], state["table"])
 
 
@@ -167,7 +166,7 @@ def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
         raise ValueError(f"alice must be a Strategy, got {safe_repr(alice)}")
     if not isinstance(bob, _STRATEGY_TYPE):
         raise ValueError(f"bob must be a Strategy, got {safe_repr(bob)}")
-    return Payoffs(*play_entries(coefficients(setup.gamma, setup.r), alice.q, bob.q, setup.table))
+    return Payoffs(*play_entries(setup.coefficients, alice.q, bob.q, setup.table.entries))
 
 
 def coefficients(gamma, r) -> tuple:
@@ -190,16 +189,16 @@ def coefficients(gamma, r) -> tuple:
     return _coefficients(cos_g, sin_g, cos_r, sin_r)
 
 
-def play_entries(coefficients: tuple, alice: tuple, bob: tuple, table: PayoffTable) -> tuple:
+def play_entries(coefficients: tuple, alice: tuple, bob: tuple, pairs: tuple) -> tuple:
     """(alice, bob) expected payoffs of two moves given by their coordinates, as `Strategy.q` holds them.
 
-    The `coefficients` of gamma and r are as `coefficients` gives them. They and every coordinate are Python floats
+    The `coefficients` of gamma and r are as `coefficients` gives them and a `GameSetup` holds them; the table's
+    `pairs` as `PayoffTable.entries` holds them, in CC, CD, DC, DD order. They and every coordinate are Python floats
     or arrays, all broadcast together; each payoff is a float or an array of the broadcast shape, summed over the
-    outcomes in CC, CD, DC, DD order, as in `payoffs`. The moves are taken as unitary, and the table is read only
-    through `entries()`.
+    outcomes in that order, as in `payoffs`. The moves are taken as unitary.
     """
     p_cc, p_cd, p_dc, p_dd = _probabilities(alice, bob, coefficients)
-    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = table.entries()
+    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = pairs
     return (
         p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
         p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
@@ -291,6 +290,6 @@ def payoffs(rho_final: np.ndarray, table: PayoffTable) -> Payoffs:
     import numpy as np
     rho_final = _density_4x4(rho_final)
     diag = np.real(np.diag(rho_final))
-    alice = float(sum(pair[0] * p for pair, p in zip(table.entries(), diag)))
-    bob = float(sum(pair[1] * p for pair, p in zip(table.entries(), diag)))
+    alice = float(sum(pair[0] * p for pair, p in zip(table.entries, diag)))
+    bob = float(sum(pair[1] * p for pair, p in zip(table.entries, diag)))
     return Payoffs(alice, bob)

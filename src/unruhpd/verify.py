@@ -114,7 +114,7 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
 def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
     """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
     import numpy as np
-    return np.stack(play_entries(coefficients(gamma, rs), alice.q, bob.q, DEFAULT_TABLE), axis=-1)
+    return np.stack(play_entries(coefficients(gamma, rs), alice.q, bob.q, DEFAULT_TABLE.entries), axis=-1)
 
 
 def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:

@@ -25,7 +25,6 @@ probability (Schwartz, JACM 27, 701, 1980).
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 from rational import circle_point
 from unruhpd.payoff import PayoffTable, _coefficients, play_entries
@@ -40,12 +39,11 @@ PLAYERS = (0, 1)  # Alice, Bob
 
 
 def table_of(pairs):
-    """A payoff table of exact entries, read through `entries()` as the engine reads a PayoffTable."""
-    entries = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
-    return SimpleNamespace(entries=lambda: entries)
+    """A payoff table of exact entries: its four pairs, as a PayoffTable holds them in `entries`."""
+    return tuple((Fraction(a), Fraction(b)) for a, b in pairs)
 
 
-DEFAULT_TABLE = table_of(PayoffTable().entries())
+DEFAULT_TABLE = table_of(PayoffTable().entries)
 
 
 def scorer(t_gamma, t_r, opponent, player, table):
@@ -82,7 +80,7 @@ def test_the_reply_form_against_c_d_and_q_is_diagonal():
             for player in PLAYERS:
                 for opponent in (C, D, Q):
                     values = off_diagonal(scorer(t_gamma, t_r, opponent, player, table))
-                    assert values == [0, 0, 0], (t_gamma, t_r, opponent, player, table.entries())
+                    assert values == [0, 0, 0], (t_gamma, t_r, opponent, player, table)
                     entries += len(values)
     assert entries == FORM_POINTS * 2 * len(PLAYERS) * 3 * 3
 

@@ -481,7 +481,7 @@ def reference_rows(gamma, r_start, r_end, steps, profiles, table):
     """Per-field '.17g' rows, r-major, from play_entries over the clamped r grid."""
     rs = np.linspace(r_start, r_end, steps)
     scores = [
-        play_entries(coefficients(gamma, np.clip(rs, 0.0, R_MAX)), *(NAMED_STRATEGIES[m].q for m in profile), table)
+        play_entries(coefficients(gamma, np.clip(rs, 0.0, R_MAX)), *(NAMED_STRATEGIES[m].q for m in profile), table.entries)
         for profile in profiles
     ]
     return rs.tolist(), [np.stack(score, axis=-1).tolist() for score in scores]

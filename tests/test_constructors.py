@@ -58,7 +58,7 @@ class ParentPayoffTable:
     dd: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        for profile, pair in zip(PROFILE_ORDER, self.entries()):
+        for profile, pair in zip(PROFILE_ORDER, self.entries):
             try:  # NaN fails the comparison; math.fabs refuses complex numbers, strings and None
                 ok = len(pair) == 2 and math.fabs(pair[0]) <= PAYOFF_ENTRY_MAX and math.fabs(pair[1]) <= PAYOFF_ENTRY_MAX
             except (TypeError, OverflowError):
@@ -71,6 +71,7 @@ class ParentPayoffTable:
             if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
                 object.__setattr__(self, profile.lower(), (float(pair[0]), float(pair[1])))
 
+    @property
     def entries(self):
         return (self.cc, self.cd, self.dc, self.dd)
 
@@ -120,7 +121,7 @@ def stored(value):
     if isinstance(value, tuple):
         return type(value), tuple(stored(v) for v in value)
     if isinstance(value, (PayoffTable, ParentPayoffTable)):
-        return "table", stored(value.entries())
+        return "table", stored(value.entries)
     return type(value), value
 
 
@@ -163,7 +164,7 @@ def test_payoff_table_matches_the_parent_on_a_hostile_pool():
     # Every shape in every position, then seeded mixes, passed positionally, by keyword or left at the default.
     for i, profile in enumerate(PROFILE_ORDER):
         calls += [((), {profile.lower(): pair}) for pair in pairs]
-        calls += [((*PayoffTable().entries()[:i], pair), {}) for pair in PAIR_SHAPES]
+        calls += [((*PayoffTable().entries[:i], pair), {}) for pair in PAIR_SHAPES]
     for _ in range(DRAWS):
         chosen = [rng.choice(pairs) if rng.random() < 0.7 else rng.choice(PAIR_SHAPES[:2]) for _ in PROFILE_ORDER]
         if rng.random() < 0.5:

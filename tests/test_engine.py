@@ -86,7 +86,7 @@ def stacked(moves):
 def outcome_probabilities(gamma, r, alice, bob):
     """Probabilities of CC, CD, DC, DD, shape (..., 4), read through `play_entries` with the indicator tables."""
     coeffs = coefficients(gamma, r)
-    return np.stack([p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table)], axis=-1)
+    return np.stack([p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table.entries)], axis=-1)
 
 
 def random_games(seed, n):
@@ -100,7 +100,7 @@ def random_games(seed, n):
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_engine_matches_density_matrix_reference(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    got = play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table)
+    got = play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries)
     u_alice = named_strategy_matrix(Strategy(alpha_a, theta_a))
     u_bob = named_strategy_matrix(Strategy(alpha_b, theta_b))
     want = reference_payoffs(gamma, r, u_alice, u_bob, table)
@@ -112,7 +112,7 @@ def test_batch_matches_single_plays(seed):
     params, alice, bob = random_games(seed, 200)
     table = PayoffTable.from_scalars(*np.random.default_rng([seed, 1]).normal(0.0, 3.0, 4))
     coeffs = coefficients(params[:, 0], params[:, 1])
-    batch = np.stack(play_entries(coeffs, stacked(alice), stacked(bob), table), axis=-1)
+    batch = np.stack(play_entries(coeffs, stacked(alice), stacked(bob), table.entries), axis=-1)
     single = np.array(
         [play(GameSetup(g, r, table), Strategy(aa, ta), Strategy(ab, tb)) for g, r, aa, ta, ab, tb in params]
     )
@@ -130,7 +130,7 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
     # real formula, rounded in the same order, so equal to the last bit.
     setup = GameSetup(gamma, r, table)
     moves = np.array([s.q for s in strategies])
-    batch = play_entries(coefficients(setup.gamma, setup.r), stacked(moves[:, None]), stacked(moves[None, :]), table)
+    batch = play_entries(coefficients(setup.gamma, setup.r), stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
             assert (batch[0][i, j].item(), batch[1][i, j].item()) == play(setup, alice, bob)
@@ -239,7 +239,7 @@ def test_swapping_the_players_of_the_inertial_game_swaps_their_payoffs_bit_for_b
     assert _coefficients(math.cos(half), math.sin(half), math.cos(0.0), math.sin(0.0))[3:] == (0.0, 0.0, 0.0)
     setup = GameSetup(gamma, 0.0, table)
     moves = np.array([s.q for s in strategies])
-    batch = play_entries(coefficients(setup.gamma, 0.0), stacked(moves[:, None]), stacked(moves[None, :]), table)
+    batch = play_entries(coefficients(setup.gamma, 0.0), stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
             assert play(setup, alice, bob) == play(setup, bob, alice)[::-1]
@@ -282,7 +282,7 @@ def test_kraus_form_equals_rindler_trace_out(r, parts):
 def test_engine_matches_classical_closed_forms_over_r_arrays(rs, profile):
     alice, bob = named(profile[0]), named(profile[1])
     for gamma, form in ((0.0, closed_forms.unentangled_classical), (math.pi / 2, closed_forms.max_entangled_classical)):
-        engine = np.stack(play_entries(coefficients(gamma, rs), alice, bob, PayoffTable()), axis=-1)
+        engine = np.stack(play_entries(coefficients(gamma, rs), alice, bob, PayoffTable().entries), axis=-1)
         assert np.max(np.abs(engine - np.stack(form(rs, profile), axis=-1))) <= 1e-12
 
 
@@ -290,10 +290,10 @@ def test_engine_matches_classical_closed_forms_over_r_arrays(rs, profile):
 @given(R_ARRAYS, ALPHAS, THETAS)
 def test_engine_matches_q_and_miracle_closed_forms_over_r_arrays(rs, alpha_b, theta_b):
     coeffs = coefficients(math.pi / 2, rs)
-    q_engine = np.stack(play_entries(coeffs, named("Q"), move(alpha_b, theta_b), PayoffTable()), axis=-1)
+    q_engine = np.stack(play_entries(coeffs, named("Q"), move(alpha_b, theta_b), PayoffTable().entries), axis=-1)
     q_formula = np.stack(closed_forms.q_vs_arbitrary(rs, alpha_b, theta_b), axis=-1)
     assert np.max(np.abs(q_engine - q_formula)) <= 1e-12
-    m_engine = np.stack(play_entries(coeffs, named("M"), move(0.0, theta_b), PayoffTable()), axis=-1)
+    m_engine = np.stack(play_entries(coeffs, named("M"), move(0.0, theta_b), PayoffTable().entries), axis=-1)
     m_formula = np.stack(closed_forms.miracle_vs_classical(rs, theta_b), axis=-1)
     assert np.max(np.abs(m_engine - m_formula)) <= 1e-12
 
@@ -319,8 +319,8 @@ def test_probabilities_are_a_distribution(gamma, r, alpha_a, theta_a, alpha_b, t
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_payoffs_lie_within_the_table_range(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    got = np.array(play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table))
-    entries = np.array(table.entries())
+    got = np.array(play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries))
+    entries = np.array(table.entries)
     slack = 1e-13 * max(1.0, float(np.max(np.abs(entries))))
     assert np.all(got >= entries.min(axis=0) - slack)
     assert np.all(got <= entries.max(axis=0) + slack)
@@ -354,29 +354,46 @@ def test_play_does_not_use_the_density_matrix_path(monkeypatch):
     assert len(got) == 2
 
 
-def references(name: str) -> list[tuple[str, str | None]]:
-    """(module, innermost enclosing function) of each use of `name` in the package's source, its definition excepted.
+def source_trees():
+    """(module name, parsed source) of each of the package's modules."""
+    for path in sorted(Path(unruhpd.payoff.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
-    A use is the name itself, an attribute of that name, or an import of it.
+
+def references(name: str, calls_only: bool = False) -> list[tuple[str, str | None]]:
+    """(module, enclosing definitions) of each use of `name` in the package's source, its definition excepted.
+
+    A use is the name itself, an attribute of that name, or an import of it; with `calls_only`, a call of either.
+    The enclosing classes and functions are named with dots, innermost last, as in `GameSetup.__init__`.
     """
     found = []
-    for path in sorted(Path(unruhpd.payoff.__file__).parent.glob("*.py")):
+    for module, tree in source_trees():
 
         def visit(node, owner):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = node.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name if owner is None else f"{owner}.{node.name}"
+            target = node
+            if calls_only:
+                target = node.func if isinstance(node, ast.Call) else None
             used = (
-                (isinstance(node, ast.Name) and node.id == name)
-                or (isinstance(node, ast.Attribute) and node.attr == name)
-                or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+                (isinstance(target, ast.Name) and target.id == name)
+                or (isinstance(target, ast.Attribute) and target.attr == name)
+                or (isinstance(target, ast.alias) and name in (target.name, target.asname))
             )
             if used:
-                found.append((path.stem, owner))
+                found.append((module, owner))
             for child in ast.iter_child_nodes(node):
                 visit(child, owner)
 
-        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+        visit(tree, None)
     return found
+
+
+def attribute_reads(module: str, function: str) -> list[str]:
+    """The attributes read anywhere in the body of the top-level `function` of `module`, as dotted source text."""
+    tree = dict(source_trees())[module]
+    (definition,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [ast.unparse(node) for node in ast.walk(definition) if isinstance(node, ast.Attribute)]
 
 
 def test_one_payoff_path_reaches_the_kernel():
@@ -384,3 +401,11 @@ def test_one_payoff_path_reaches_the_kernel():
     # the kernel and the coefficient formula have one caller each, and no module imports either.
     assert references("_probabilities") == [("payoff", "play_entries")]
     assert references("_coefficients") == [("payoff", "coefficients")]
+    # A single game's coefficients are computed once, by the setup that holds them; only the r grids of the CLI
+    # and `verify` compute their own, on arrays.
+    assert sorted(references("coefficients", calls_only=True)) == [
+        ("cli", "_grid_payoffs"), ("payoff", "GameSetup.__init__"), ("verify", "_engine")
+    ]
+    # The engine takes numbers: its entry and its kernel read no attribute of any record.
+    assert attribute_reads("payoff", "play_entries") == []
+    assert attribute_reads("payoff", "_probabilities") == []

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from unruhpd import equilibrium
+from unruhpd import equilibrium, payoff
 from unruhpd.closed_forms import miracle_vs_classical
 from unruhpd.equilibrium import (
     DEVIATION_TOL,
@@ -100,7 +100,8 @@ def test_payoff_table_equals_per_game_play_exactly(seed):
 
 def test_a_table_checks_its_input_once_and_takes_the_coefficients_once(monkeypatch):
     # `payoff_table` and `analyze` check the setup and the set once and score every profile through `play`'s entry
-    # with one set of coefficients, not through n x n calls of `play`, each of which checks the setup again.
+    # on the coefficients the setup holds, not through n x n calls of `play`, each of which checks the setup again:
+    # no coefficients are computed.
     counts = {}
 
     def counted(name, f):
@@ -109,12 +110,14 @@ def test_a_table_checks_its_input_once_and_takes_the_coefficients_once(monkeypat
             return f(*args)
         return counting
 
-    for name in ("validate_strategy_set", "_check_setup", "coefficients", "play"):
+    for name in ("validate_strategy_set", "_check_setup", "play"):
         monkeypatch.setattr(equilibrium, name, counted(name, getattr(equilibrium, name)))
+    monkeypatch.setattr(payoff, "coefficients", counted("coefficients", payoff.coefficients))
+    setup = GameSetup(0.7, 0.2)
     for table_of in (payoff_table, analyze):
         counts.clear()
-        table_of(GameSetup(0.7, 0.2), [C, D, Q, M])
-        assert counts == {"validate_strategy_set": 1, "_check_setup": 1, "coefficients": 1}
+        table_of(setup, [C, D, Q, M])
+        assert counts == {"validate_strategy_set": 1, "_check_setup": 1}
 
 
 def test_nash_inertial_classical_game():
@@ -340,7 +343,7 @@ def test_best_response_equals_per_game_search_with_default_knobs(k, config):
     for opponent in OPPONENTS:
         for responder in ("alice", "bob"):
             got = best_response(setup, opponent, responder)
-            # Strategy equality compares alpha, theta and label.
+            # Strategy equality compares alpha and theta: a reply is its two angles.
             assert got == reference_best_response(setup, opponent, responder)
             assert type(got[1]) is float
 
@@ -385,8 +388,8 @@ def reply_scorer(gamma, r, opponent, player, table):
     """
     coeffs = coefficients(gamma, r)
     if player == 0:
-        return lambda own: play_entries(coeffs, own, opponent, table)[0]
-    return lambda own: play_entries(coeffs, opponent, own, table)[1]
+        return lambda own: play_entries(coeffs, own, opponent, table.entries)[0]
+    return lambda own: play_entries(coeffs, opponent, own, table.entries)[1]
 
 
 def grid_points():
@@ -427,7 +430,7 @@ def test_the_prefilter_keeps_the_grids_first_maximum_and_the_replies_bits(table)
                 assert np.array_equal(matrix, matrix.T)
                 values = np.einsum("...i,ij,...j->...", q, matrix, q)
                 kernel = score(tuple(q.T))
-                weight = max(abs(pair[player]) for pair in table.entries())
+                weight = max(abs(pair[player]) for pair in table.entries)
                 delta = 1e-12 * weight + 1e-300
                 assert np.abs(values - kernel).max() <= delta / 4
                 weights = monomial_weights(form)
@@ -464,7 +467,7 @@ def test_the_form_on_the_grid_is_finite_for_the_largest_entries(table):
         for opponent in OPPONENTS:
             for player in (0, 1):
                 score = reply_scorer(gamma, r, opponent.q, player, table)
-                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300  # best_response's margin
+                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries) + 1e-300  # best_response's margin
                 with np.errstate(over="raise", invalid="raise"):
                     weights = monomial_weights(_reply_form(score))
                     values = products @ weights  # the prefilter's values, as `_candidates` computes them
@@ -513,7 +516,7 @@ def test_the_form_stays_within_a_quarter_of_the_margin_off_the_grid(table):
         for opponent in OPPONENTS:
             for player in (0, 1):
                 score = reply_scorer(gamma, r, opponent.q, player, table)
-                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries()) + 1e-300
+                delta = 1e-12 * max(abs(pair[player]) for pair in table.entries) + 1e-300
                 with np.errstate(over="raise", invalid="raise"):
                     (a00, a01, a03), (_, a11, a13), (_, _, a33) = matrix = _reply_form(score)
                     w00, w11, w33, w01, w03, w13 = monomial_weights(matrix)
@@ -564,9 +567,9 @@ def record_scored_moves(monkeypatch) -> list:
     """Patch `best_response`'s engine entry: each profile (alice, bob) it scores is appended to the list returned."""
     scored = []
 
-    def recording_entry(coeffs, alice, bob, table):
+    def recording_entry(coeffs, alice, bob, pairs):
         scored.append((alice, bob))
-        return play_entries(coeffs, alice, bob, table)
+        return play_entries(coeffs, alice, bob, pairs)
 
     monkeypatch.setattr(equilibrium, "play_entries", recording_entry)
     return scored
@@ -730,6 +733,20 @@ def test_the_work_per_reply_is_pinned(monkeypatch):
     assert len(calls) / len(tasks) <= 50
     assert entries == []
     assert sum(map(len, found)) / len(tasks) < 12
+
+
+def test_the_margin_is_taken_over_the_responders_own_column(monkeypatch):
+    # The other player's column is the default's times 1e300: a margin taken over it would pass every grid point.
+    found = record_candidates(monkeypatch)
+    products = _search_grid()[3]
+    for player, responder in enumerate(("alice", "bob")):
+        pairs = [(a, 1e300 * b) if player == 0 else (1e300 * a, b) for a, b in PayoffTable().entries]
+        setup = GameSetup(1.0, 0.3, PayoffTable(*pairs))
+        for opponent in (C, D, M, Strategy(1.0, 2.0)):
+            best_response(setup, opponent, responder)
+            weights = monomial_weights(_reply_form(reply_scorer(setup.gamma, setup.r, opponent.q, player, setup.table)))
+            assert found[-1] == _candidates(weights, products, 1e-12 * 5.0 + 1e-300), (opponent, responder)
+            assert len(found[-1]) < GRID_POINTS ** 2 // 4, (opponent, responder)
 
 
 def test_no_descent_step_scores_the_best_point(monkeypatch):

@@ -20,7 +20,6 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
-from types import SimpleNamespace
 
 from rational import circle_point, sphere_point
 from unruhpd.game import GAMMA_MAX, TWO_PI, _move_entries
@@ -54,11 +53,11 @@ def games(seed):
         yield alice, bob, cos_g, sin_g, cos_r, sin_r
 
 
-# Tables read through `entries()`, as the engine reads a PayoffTable. Each pays one outcome to Alice and one to Bob,
-# in the ints 1 and 0, exact on Fractions and on floats: the entry's payoffs are those two probabilities exactly.
+# Tables as their four pairs, as a PayoffTable holds them in `entries`. Each pays one outcome to Alice and one to
+# Bob, in the ints 1 and 0, exact on Fractions and on floats: the entry's payoffs are those two probabilities exactly.
 INDICATOR_TABLES = (
-    SimpleNamespace(entries=lambda: ((1, 0), (0, 1), (0, 0), (0, 0))),
-    SimpleNamespace(entries=lambda: ((0, 0), (0, 0), (1, 0), (0, 1))),
+    ((1, 0), (0, 1), (0, 0), (0, 0)),
+    ((0, 0), (0, 0), (1, 0), (0, 1)),
 )
 
 
@@ -145,8 +144,8 @@ def test_float_rounding_stays_within_its_budget():
         exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
         for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):
             worst_probability = max(worst_probability, abs(Fraction(got) - want))
-        for player, got in enumerate(play_entries(coefficients(gamma, r), alice, bob, table)):
-            want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries()))
+        for player, got in enumerate(play_entries(coefficients(gamma, r), alice, bob, table.entries)):
+            want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries))
             worst_payoff = max(worst_payoff, abs(Fraction(got) - want))
     assert worst_probability <= 3 * Fraction(EPS), float(worst_probability / Fraction(EPS))
     assert worst_payoff <= 16 * Fraction(EPS), float(worst_payoff / Fraction(EPS))

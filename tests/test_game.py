@@ -187,15 +187,50 @@ def test_a_table_pickled_without_its_entries_tuple_unpickles_with_it_and_scores_
     moves = [*NAMED_STRATEGIES.values(), Strategy(1.0, 2.0)]
     for table in (PayoffTable(), PayoffTable.from_scalars(-0.0, 1, 2.5, -3)):
         old = copy.copy(table)
-        del old.__dict__["_entries"]
+        del old.__dict__["entries"]
         clone = pickle.loads(pickle.dumps(old))
         assert clone == table and vars(clone) == vars(table)
-        assert clone.entries() == (clone.cc, clone.cd, clone.dc, clone.dd)
+        assert clone.entries == (clone.cc, clone.cd, clone.dc, clone.dd)
         setup, cloned = GameSetup(0.3, 0.2, table), GameSetup(0.3, 0.2, clone)
         for alice in moves:
             for bob in moves:
                 want, got = play(setup, alice, bob), play(cloned, alice, bob)
                 assert [x.hex() for x in got] == [x.hex() for x in want], (table, alice, bob)
+
+
+def written_before_the_held_numbers(setup: GameSetup) -> GameSetup:
+    """`setup` as pickled while a setup held no coefficients and a table held its pairs as `_entries`."""
+    table = copy.copy(setup.table)
+    table.__dict__["_entries"] = table.__dict__.pop("entries")
+    old = copy.copy(setup)
+    del old.__dict__["coefficients"]
+    old.__dict__["table"] = table
+    return old
+
+
+def test_a_setup_pickled_before_it_held_its_coefficients_unpickles_with_them_and_scores_bit_for_bit():
+    # The state holds gamma, r and a table whose state holds the `_entries` tuple a table used to keep.
+    moves = [*NAMED_STRATEGIES.values(), Strategy(1.0, 2.0)]
+    for setup in (GameSetup(0.3, 0.2), GameSetup(GAMMA_MAX, 0.0, PayoffTable.from_scalars(-0.0, 1, 2.5, -3))):
+        old = written_before_the_held_numbers(setup)
+        assert "coefficients" not in vars(old) and set(vars(old.table)) == {"cc", "cd", "dc", "dd", "_entries"}
+        clone = pickle.loads(pickle.dumps(old))
+        assert clone == setup and vars(clone.table) == vars(setup.table)
+        assert [x.hex() for x in clone.coefficients] == [x.hex() for x in setup.coefficients]
+        for alice in moves:
+            for bob in moves:
+                want, got = play(setup, alice, bob), play(clone, alice, bob)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (setup, alice, bob)
+
+
+def test_a_setup_pickled_with_forged_coefficients_unpickles_with_those_of_its_gamma_and_r():
+    setup = GameSetup(1.0, 0.5)
+    forged = copy.copy(setup)
+    forged.__dict__["coefficients"] = GameSetup(0.3, 0.2).coefficients
+    clone = pickle.loads(pickle.dumps(forged))
+    assert [x.hex() for x in clone.coefficients] == [x.hex() for x in setup.coefficients]
+    c, d = NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"]
+    assert [x.hex() for x in play(clone, c, d)] == [x.hex() for x in play(setup, c, d)]
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,7 @@ MOVES = {"C": C, "D": D}
 UNENTANGLED, MAX_ENTANGLED = fractions(1, 0), fractions(1, 1)  # (cos g/2, sin g/2), the latter times sqrt 2
 INERTIAL = Angle(0, 0)  # r = 0: (cos r, sin r) = (1, 0)
 QUARTER_PI = SimpleNamespace(point=fractions(1, 1))  # r = pi/4: (cos r, sin r) times sqrt 2
-TABLE = SimpleNamespace(entries=lambda: tuple(fractions(*pair) for pair in PayoffTable().entries()))
+TABLE = tuple(fractions(*pair) for pair in PayoffTable().entries)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from unruhpd.closed_forms import (
     unentangled_classical,
 )
 from unruhpd.game import NAMED_STRATEGIES, Strategy, named_strategy_matrix
-from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, PayoffTable, final_density, payoffs, play
+from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, PayoffTable, coefficients, final_density, payoffs, play
 
 RNG = np.random.default_rng(20240813)
 
@@ -35,7 +35,7 @@ def projector(index):
 
 def test_default_table_and_scalar_constructor():
     table = PayoffTable()
-    assert table.entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
+    assert table.entries == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
     rebuilt = PayoffTable.from_scalars(3.0, 0.0, 5.0, 1.0)
     assert rebuilt == table
 
@@ -45,17 +45,17 @@ def test_a_table_states_its_defaults_in_its_constructor_only():
     for f in dataclasses.fields(PayoffTable):
         assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         assert f.name not in vars(PayoffTable)
-    assert PayoffTable().entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
+    assert PayoffTable().entries == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
     assert PayoffTable(**dataclasses.asdict(PayoffTable())) == PayoffTable()
 
 
 def test_a_table_holds_its_entries_once_as_one_tuple():
     table = PayoffTable(cc=[1, -0.0], dd=(2, 2))
     fields = (table.cc, table.cd, table.dc, table.dd)
-    assert table.entries() is table.entries()
-    assert table.entries() == fields and all(got is field for got, field in zip(table.entries(), fields))
+    assert vars(table)["entries"] is table.entries  # held, not rebuilt on each read
+    assert table.entries == fields and all(got is field for got, field in zip(table.entries, fields))
     rebuilt = dataclasses.replace(table, cd=(7, 8))
-    assert rebuilt.entries() == (table.cc, (7.0, 8.0), table.dc, table.dd)
+    assert rebuilt.entries == (table.cc, (7.0, 8.0), table.dc, table.dd)
 
 
 def test_a_tables_entries_tuple_is_derived_state_that_stays_frozen():
@@ -65,14 +65,15 @@ def test_a_tables_entries_tuple_is_derived_state_that_stays_frozen():
     assert repr(table) == "PayoffTable(cc=(1.0, -0.0), cd=(0.0, 5.0), dc=(5.0, 0.0), dd=(2.0, 2.0))"
     # A table whose tuple says otherwise still compares and hashes by its four fields alone.
     other = PayoffTable(cc=[1, -0.0], dd=(2, 2))
-    other.__dict__["_entries"] = PayoffTable().entries()
+    other.__dict__["entries"] = PayoffTable().entries
     assert other == table and hash(other) == hash(table) == hash((table.cc, table.cd, table.dc, table.dd))
-    with pytest.raises(TypeError, match="'_entries'"):
-        dataclasses.replace(table, _entries=PayoffTable().entries())
+    with pytest.raises(TypeError, match="'entries'"):
+        dataclasses.replace(table, entries=PayoffTable().entries)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        table._entries = PayoffTable().entries()
+        table.entries = PayoffTable().entries
     with pytest.raises(dataclasses.FrozenInstanceError):
-        del table._entries
+        del table.entries
+    assert not hasattr(table, "_entries")
 
 
 def test_setup_validation():
@@ -103,6 +104,47 @@ def test_setup_keeps_dataclass_behaviour():
     assert dataclasses.replace(setup, r=0.5) == GameSetup(0.3, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setup.r = 0.5
+
+
+def hexes(values) -> list[str]:
+    return [x.hex() for x in values]
+
+
+@pytest.mark.parametrize(
+    "gamma, r", [(0.0, 0.0), (0.3, 0.2), (math.pi / 2, math.pi / 4), (1.5707965, 0.7853985), (-5e-7, -5e-7), (1, 0)]
+)
+def test_a_setup_holds_the_coefficients_of_its_checked_gamma_and_r(gamma, r):
+    setup = GameSetup(gamma, r)
+    assert hexes(setup.coefficients) == hexes(coefficients(setup.gamma, setup.r))
+    assert all(type(x) is float for x in setup.coefficients)
+
+
+def test_a_setup_takes_its_coefficients_from_the_clamped_values_not_its_arguments():
+    # 1.5707965 and 0.7853985 lie within the slack past pi/2 and pi/4, and are clamped onto them.
+    setup = GameSetup(1.5707965, 0.7853985)
+    assert (setup.gamma, setup.r) == (math.pi / 2, math.pi / 4)
+    assert hexes(setup.coefficients) == hexes(coefficients(math.pi / 2, math.pi / 4))
+    assert hexes(setup.coefficients) != hexes(coefficients(1.5707965, 0.7853985))
+
+
+def test_a_setups_coefficients_are_derived_state_that_stays_frozen():
+    setup = GameSetup(0.3, 0.2, PayoffTable.from_scalars(2.0, 0.0, 5.0, 1.0))
+    assert [f.name for f in dataclasses.fields(GameSetup)] == ["gamma", "r", "table"]
+    assert "coefficients" not in dataclasses.asdict(setup) and "coefficients" not in repr(setup)
+    # A setup whose coefficients say otherwise still compares and hashes by its three fields alone.
+    other = GameSetup(0.3, 0.2, PayoffTable.from_scalars(2.0, 0.0, 5.0, 1.0))
+    other.__dict__["coefficients"] = GameSetup(1.0, 0.5).coefficients
+    assert other == setup and hash(other) == hash(setup) == hash((setup.gamma, setup.r, setup.table))
+    with pytest.raises(TypeError, match="'coefficients'"):
+        dataclasses.replace(setup, coefficients=(0.0,) * 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.coefficients = (0.0,) * 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del setup.coefficients
+    # `replace` builds through `__init__`: the new setup holds the coefficients of its own gamma and r.
+    for changes in ({"r": 0.5}, {"gamma": 1.5707965}, {"table": PayoffTable()}):
+        rebuilt = dataclasses.replace(setup, **changes)
+        assert hexes(rebuilt.coefficients) == hexes(coefficients(rebuilt.gamma, rebuilt.r)), changes
 
 
 def test_final_density_identity_case():
@@ -298,9 +340,9 @@ def test_payoff_table_rejects_entries_that_are_not_pairs_of_numbers(bad):
 
 def test_payoff_table_pairs_are_tuples_of_floats():
     table = PayoffTable(cc=(3, 3), cd=[0.0, 5.0], dc=np.array([5.0, 0.0]), dd=(np.float64(1.0), True))
-    assert table.entries() == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
-    assert all(type(x) is float for pair in table.entries() for x in pair)
-    assert all(type(pair) is tuple for pair in table.entries())
+    assert table.entries == ((3.0, 3.0), (0.0, 5.0), (5.0, 0.0), (1.0, 1.0))
+    assert all(type(x) is float for pair in table.entries for x in pair)
+    assert all(type(pair) is tuple for pair in table.entries)
     # The bound applies to the value, not to arithmetic in the entry's own type: float32 near its maximum is fine.
     assert PayoffTable(cc=(np.float32(3e38), 0.0)).cc == (float(np.float32(3e38)), 0.0)
 

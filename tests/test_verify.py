@@ -119,7 +119,7 @@ def test_worst_at_locates_the_largest_deviation():
     # Re-score that one point as the suite does: the deviation there is the maximum.
     rs = np.array([at.r])
     moves = [NAMED_STRATEGIES[label].q for label in at.label]
-    engine = [values[0] for values in play_entries(coefficients(math.pi / 2, rs), *moves, PayoffTable())]
+    engine = [values[0] for values in play_entries(coefficients(math.pi / 2, rs), *moves, PayoffTable().entries)]
     formula = max_entangled_classical(rs, at.label)
     column = ("alice", "bob").index(at.player)
     assert abs(engine[column] - formula[column][0]) == outcome.max_abs_error

@@ -21,6 +21,7 @@ standard library and the package.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -53,7 +54,7 @@ def reply_table(rng: random.Random) -> PayoffTable:
         signs = (-PAYOFF_ENTRY_MAX, PAYOFF_ENTRY_MAX)
         return PayoffTable(*(tuple(rng.choice(signs) for _ in range(2)) for _ in range(4)))
     scale = {"default": 1.0, "zero": 0.0, "subnormal": rng.choice((5e-324, 1e-310, 1e-300))}[kind]
-    return PayoffTable(*(tuple(scale * x for x in pair) for pair in PayoffTable().entries()))
+    return PayoffTable(*(tuple(scale * x for x in pair) for pair in dataclasses.astuple(PayoffTable())))
 
 
 def reply_tasks():

@@ -127,6 +127,9 @@ MUTANTS = [
            "delta = 1e-12 * weight + 1e-300", "delta = 0.0", EQUILIBRIUM_TESTS),
     Mutant("margin: back at 1e-10", EQUILIBRIUM,
            "delta = 1e-12 * weight + 1e-300", "delta = 1e-10 * weight + 1e-300", EQUILIBRIUM_TESTS),
+    Mutant("margin: taken over the other player's column", EQUILIBRIUM,
+           "weight = max(abs(pair[player]) for pair in pairs)", "weight = max(abs(pair[1 - player]) for pair in pairs)",
+           EQUILIBRIUM_TESTS),
     Mutant("prefilter: the last maximum among the candidates", EQUILIBRIUM,
            "if value > best_value:  # the first maximum", "if value >= best_value:  # the first maximum",
            EQUILIBRIUM_TESTS),
@@ -165,10 +168,10 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     # best_response's scorer: `play_entries` with the players in order, and the responder's payoff taken.
     Mutant("scorer: Bob's operands in Alice's order", EQUILIBRIUM,
-           "play_entries(coeffs, other, own, table)[1]", "play_entries(coeffs, own, other, table)[1]",
+           "play_entries(coeffs, other, own, pairs)[1]", "play_entries(coeffs, own, other, pairs)[1]",
            EQUILIBRIUM_TESTS),
     Mutant("scorer: the other player's payoff taken", EQUILIBRIUM,
-           "play_entries(coeffs, own, other, table)[0]", "play_entries(coeffs, own, other, table)[1]",
+           "play_entries(coeffs, own, other, pairs)[0]", "play_entries(coeffs, own, other, pairs)[1]",
            EQUILIBRIUM_TESTS),
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
@@ -225,12 +228,17 @@ MUTANTS = [
            GAME_TESTS),
     Mutant("setup: unpickled from its state as written", PAYOFF,
            'self.__init__(state["gamma"], state["r"], state["table"])', "self.__dict__.update(state)", GAME_TESTS),
-    # A table holds its pairs once, in CC, CD, DC, DD order, and `entries()` returns that one tuple.
+    # A table holds its pairs once, as `entries` in CC, CD, DC, DD order, and the engine unpacks them in that order.
     Mutant("table: the held tuple with cd and dc swapped", PAYOFF,
-           'fields["_entries"] = entries', 'fields["_entries"] = (entries[0], entries[2], entries[1], entries[3])',
+           'fields["entries"] = entries', 'fields["entries"] = (entries[0], entries[2], entries[1], entries[3])',
            KERNEL_TESTS),
-    Mutant("table: entries() rebuilt on every call", PAYOFF,
-           "return self._entries", "return (self.cc, self.cd, self.dc, self.dd)", ("tests/test_payoff.py",)),
+    Mutant("entry: the pairs unpacked with cd and dc swapped", PAYOFF,
+           "(a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = pairs",
+           "(a_cc, b_cc), (a_dc, b_dc), (a_cd, b_cd), (a_dd, b_dd) = pairs", KERNEL_TESTS),
+    # A setup holds the coefficients of its checked gamma and r, not of the arguments it was given.
+    Mutant("setup: the coefficients of the raw arguments", PAYOFF,
+           'fields["gamma"] = gamma = validate_gamma(gamma)\n        fields["r"] = r = validate_r(r)\n',
+           'fields["gamma"] = validate_gamma(gamma)\n        fields["r"] = validate_r(r)\n', ("tests/test_payoff.py",)),
     # A Strategy's name comes from its angles: a named move written as angles prints as that move.
     Mutant("strategy: a named move's angles print as custom", GAME,
            "return _NAMES.get((self.alpha, self.theta)) or",
@@ -254,7 +262,7 @@ MUTANTS = [
            EQUILIBRIUM_TESTS),
     # The table of a finite set: `play`'s entry with the players in order, and analyze's setup checked once.
     Mutant("payoff table: the moves in Bob's order", EQUILIBRIUM,
-           "Payoffs(*play_entries(coeffs, a.q, b.q, table))", "Payoffs(*play_entries(coeffs, b.q, a.q, table))",
+           "Payoffs(*play_entries(coeffs, a.q, b.q, pairs))", "Payoffs(*play_entries(coeffs, b.q, a.q, pairs))",
            EQUILIBRIUM_TESTS),
     Mutant("analyze: the setup unchecked", EQUILIBRIUM,
            "_score_table(_check_setup(setup), strategies)", "_score_table(setup, strategies)",
