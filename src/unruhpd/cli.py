@@ -32,8 +32,8 @@ from .verify import DEFAULT_GRID, DEFAULT_TOL, MAX_GRID, SUITE_NAMES, run_suite
 # Grid points built and scored per engine call in sweep and fig2, so that
 # memory stays bounded however large --steps is.
 GRID_BLOCK = 4096
-# CSV rows joined into one write: few writes, and no string as large as a block.
-ROWS_PER_WRITE = 256
+# CSV lines joined into one write (a sweep line holds one row per profile): few writes, none as large as a block.
+LINES_PER_WRITE = 256
 
 # Values such as -5e-7, -.5 or -1,0,5,1; plain argparse takes only -5 and -0.5 for values.
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
@@ -126,10 +126,9 @@ def load_config_table(path: str, base: PayoffTable) -> PayoffTable:
 
 
 def resolve_table(args: argparse.Namespace) -> PayoffTable:
-    table = getattr(args, "payoffs", None) or PayoffTable()
-    config = getattr(args, "config", None)
-    if config is not None:
-        table = load_config_table(config, table)
+    table = args.payoffs or PayoffTable()
+    if args.config is not None:
+        table = load_config_table(args.config, table)
     return table
 
 
@@ -234,17 +233,17 @@ def cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(path: str, header: str, lines, lines_per_write: int) -> None:
+def _write_csv(path: str, header: str, lines) -> None:
     """Write the header, then the LF-terminated `lines` as they come; '-' is stdout.
 
-    Lines are joined and written `lines_per_write` at a time, so each write
-    is bounded however many rows there are.
+    Lines are joined and written LINES_PER_WRITE at a time, so each write
+    is bounded however many lines there are.
     """
     sink = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
     lines = iter(lines)
     with sink as handle:
         handle.write(header + "\n")
-        while chunk := "".join(itertools.islice(lines, lines_per_write)):
+        while chunk := "".join(itertools.islice(lines, LINES_PER_WRITE)):
             handle.write(chunk)
 
 
@@ -289,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             yield from map(template.__mod__, zip(*(c for alice, bob in columns for c in (r_text, alice, bob))))
 
     header = "gamma,r,alice_strategy,bob_strategy,alice_payoff,bob_payoff"
-    _write_csv(args.out, header, lines(), max(1, ROWS_PER_WRITE // len(args.profiles)))
+    _write_csv(args.out, header, lines())
     return 0
 
 
@@ -306,7 +305,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         for rs, columns in _grid_payoffs(math.pi / 2.0, 0.0, R_MAX, args.steps, FIG2_PROFILES, table)
         for line in map(FIG2_TEMPLATE.__mod__, zip(rs, *(alice for alice, _ in columns)))
     )
-    _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", lines, ROWS_PER_WRITE)
+    _write_csv(args.out, "r,P_CC,P_DD,P_A_CD,P_A_DC", lines)
     return 0
 
 

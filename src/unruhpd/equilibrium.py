@@ -2,9 +2,9 @@
 
 Nash, dominance and Pareto classification are exhaustive deviation checks on
 an explicit payoff table, each entry `play` of one profile, all scored through
-the engine's entry after one check of the setup and the set. Nash, dominance and
-within-set best replies read it through one player view, `_own_payoffs`, and
-Nash and those replies share one tolerant reply rule, `_replies`. The
+the engine's entry after one check of the setup and the set. The four table
+functions read a table only through `_views`, which checks it once, and Nash
+and within-set best replies share one tolerant reply rule, `_replies`. The
 continuous search takes the best point of an (alpha, theta) grid and refines it
 by coordinate descent, in which a theta step keeps alpha. It scores each move on
 Python floats through `payoff.play_entries`, the engine's one entry, with the
@@ -20,6 +20,7 @@ import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .game import _STRATEGY_TYPE, Strategy, TWO_PI, _move_entries, is_finite, safe_repr
 from .payoff import GameSetup, Payoffs, _check_setup, play, play_entries
@@ -64,7 +65,7 @@ def _score_table(setup: GameSetup, strategies: list[Strategy]) -> list[list[Payo
 
 def find_nash(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
     """Index pairs where no unilateral deviation gains more than the tolerance."""
-    alice, bob = (_own_payoffs(table, player) for player in Payoffs._fields)
+    alice, bob = _views(table)
     n = len(alice)
     return [(i, j) for i in range(n) for j in range(n) if i in _replies(alice, j) and j in _replies(bob, i)]
 
@@ -76,7 +77,7 @@ def find_dominant(table: list[list[Payoffs]], player: str) -> tuple[int, str] | 
     opponent move, (index, "weak") when never worse and somewhere better,
     None otherwise.
     """
-    own = _own_payoffs(table, player)
+    own = _views(table)[_check_player("player", player)]
     for cand, row in enumerate(own):
         gaps = [mine - theirs for alt, other in enumerate(own) if alt != cand for mine, theirs in zip(row, other)]
         if not any(gap <= DEVIATION_TOL for gap in gaps):
@@ -92,14 +93,14 @@ def pareto_front(table: list[list[Payoffs]]) -> list[tuple[int, int]]:
     Payoffs within DEVIATION_TOL count as equal, so roundoff noise cannot
     make one of two tied profiles dominate the other.
     """
-    table = _check_square(table)
-    n = len(table)
+    alice, bob = _views(table)
+    n = len(alice)
     cells = [(i, j) for i in range(n) for j in range(n)]
 
     def dominated(cell: tuple[int, int]) -> bool:
-        pa, pb = table[cell[0]][cell[1]]
-        for other in cells:
-            qa, qb = table[other[0]][other[1]]
+        pa, pb = alice[cell[0]][cell[1]], bob[cell[1]][cell[0]]
+        for i, j in cells:
+            qa, qb = alice[i][j], bob[j][i]
             no_worse = qa >= pa - DEVIATION_TOL and qb >= pb - DEVIATION_TOL
             if no_worse and (qa > pa + DEVIATION_TOL or qb > pb + DEVIATION_TOL):
                 return True
@@ -114,7 +115,7 @@ def set_best_responses(table: list[list[Payoffs]], responder: str) -> dict[int, 
     Scores within DEVIATION_TOL of the maximum count as tied and the lowest
     index wins, so roundoff noise cannot flip the reported reply.
     """
-    own = _own_payoffs(table, responder, "responder")
+    own = _views(table)[_check_player("responder", responder)]
     return {opp: _replies(own, opp)[0] for opp in range(len(own))}
 
 
@@ -133,15 +134,16 @@ class EquilibriumReport:
 def analyze(setup: GameSetup, strategies: Iterable[Strategy]) -> EquilibriumReport:
     strategies = validate_strategy_set(strategies)
     table = _score_table(_check_setup(setup), strategies)
+    views = _views(table)  # checked once here, and passed on as checked
     return EquilibriumReport(
         strategies=strategies,
         table=table,
-        nash=find_nash(table),
-        dominant_alice=find_dominant(table, "alice"),
-        dominant_bob=find_dominant(table, "bob"),
-        pareto=pareto_front(table),
-        best_responses_alice=set_best_responses(table, "alice"),
-        best_responses_bob=set_best_responses(table, "bob"),
+        nash=find_nash(views),
+        dominant_alice=find_dominant(views, "alice"),
+        dominant_bob=find_dominant(views, "bob"),
+        pareto=pareto_front(views),
+        best_responses_alice=set_best_responses(views, "alice"),
+        best_responses_bob=set_best_responses(views, "bob"),
     )
 
 
@@ -272,17 +274,6 @@ def _search_grid() -> tuple:
     return alphas, thetas, points, products
 
 
-def _own_payoffs(table: list[list[Payoffs]], player: str, name: str = "player") -> list[list[float]]:
-    """One player's view of the table: entry [own][opp] is their payoff for move own against move opp.
-
-    Alice owns the table's rows and Bob its columns; no other code reads that orientation.
-    """
-    table = _check_square(table)
-    index = _check_player(name, player)
-    rows = table if index == 0 else list(zip(*table))
-    return [[cell[index] for cell in row] for row in rows]
-
-
 def _replies(own: list[list[float]], opp: int) -> list[int]:
     """Own moves scoring within DEVIATION_TOL of the best reply to `opp`, lowest index first."""
     scores = [row[opp] for row in own]
@@ -290,12 +281,20 @@ def _replies(own: list[list[float]], opp: int) -> list[int]:
     return [k for k, v in enumerate(scores) if top <= v + DEVIATION_TOL]
 
 
-def _check_square(table: list[list[Payoffs]]) -> list[list[tuple[float, float]]]:
-    """The table's cells as pairs of Python floats, or ValueError unless it is square, nonempty and all finite reals.
+# Both players' views of a checked table: entry [own][opp] is the player's payoff for move own against move opp.
+class _Views(NamedTuple):
+    alice: list[list[float]]
+    bob: list[list[float]]
 
-    The four table functions read their table only through here, so a NaN cannot slip past the
-    tolerance tests and a numpy float32 cell cannot overflow in arithmetic with a Python float.
+
+def _views(table: list[list[Payoffs]] | _Views) -> _Views:
+    """Both players' views of the table, or ValueError unless it is square, nonempty and all finite reals.
+
+    The only reader of a table, whose rows Alice owns and columns Bob. Each cell is read once as two Python floats:
+    a NaN cannot slip past the tolerance tests, nor a float32 overflow. A `_Views` is a checked table, returned as is.
     """
+    if isinstance(table, _Views):
+        return table
     try:
         n = len(table)
         square = n > 0 and all(len(row) == n for row in table)
@@ -303,7 +302,8 @@ def _check_square(table: list[list[Payoffs]]) -> list[list[tuple[float, float]]]
         square = False
     if not square:
         raise ValueError("payoff table must be square and nonempty")
-    return [[_payoff_cell(cell) for cell in row] for row in table]
+    cells = [[_payoff_cell(cell) for cell in row] for row in table]
+    return _Views([[a for a, _ in row] for row in cells], [[b for _, b in column] for column in zip(*cells)])
 
 
 def _payoff_cell(cell) -> tuple[float, float]:

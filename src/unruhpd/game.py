@@ -10,8 +10,8 @@ Strategies and move coordinates are Python floats: on them it makes no numpy cal
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 GAMMA_MAX = math.pi / 2.0
@@ -71,7 +71,12 @@ def _move_entries(alpha: float, theta: float) -> tuple:
     return (math.cos(alpha) * cos_t, math.sin(theta / 2.0), math.sin(alpha) * cos_t)
 
 
-@dataclass(frozen=True)
+def _rebuild(self, state: dict) -> None:
+    """Each value type's `__setstate__`: `__init__` on the state's fields, so old pickles are checked anew."""
+    self.__init__(*(state[f.name] for f in dataclasses.fields(self)))  # other keys, such as an old label, are ignored
+
+
+@dataclasses.dataclass(frozen=True)
 class Strategy:
     """A two-parameter local move U(alpha, theta), nothing more: at a named move's angles it is that move.
 
@@ -91,9 +96,7 @@ class Strategy:
         fields["theta"] = theta
         fields["q"] = _move_entries(alpha, theta)
 
-    def __setstate__(self, state: dict) -> None:
-        # Through `__init__`: the angles are checked again and `q` is set, also for an old pickle; its label is ignored.
-        self.__init__(state["alpha"], state["theta"])
+    __setstate__ = _rebuild
 
     def __str__(self) -> str:
         return _NAMES.get((self.alpha, self.theta)) or f"{self.alpha:.17g},{self.theta:.17g}"

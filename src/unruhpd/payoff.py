@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .game import _STRATEGY_TYPE, Strategy, entangler, safe_repr, validate_gamma
+from .game import _STRATEGY_TYPE, Strategy, _rebuild, entangler, safe_repr, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -92,9 +92,7 @@ class PayoffTable:
         fields["cc"], fields["cd"], fields["dc"], fields["dd"] = entries
         fields["entries"] = entries
 
-    def __setstate__(self, state: dict) -> None:
-        # Through `__init__`: the pairs are checked again and the tuple is set, also for a pickle written without it.
-        self.__init__(state["cc"], state["cd"], state["dc"], state["dd"])
+    __setstate__ = _rebuild
 
     @classmethod
     def from_scalars(cls, reward: float, sucker: float, temptation: float, punishment: float) -> "PayoffTable":
@@ -143,9 +141,7 @@ class GameSetup:
         fields["table"] = table
         fields["coefficients"] = coefficients(gamma, r)  # derived state, as `Strategy.q` is: no field
 
-    def __setstate__(self, state: dict) -> None:
-        # Through `__init__`: gamma, r and the table are checked again and the coefficients set, as when it was built.
-        self.__init__(state["gamma"], state["r"], state["table"])
+    __setstate__ = _rebuild
 
 
 # The class itself, bound at import: benchmarks/tracer.py rebinds the name `GameSetup` here to a wrapper function.

@@ -16,7 +16,8 @@ from unruhpd.equilibrium import (
     _reply_form,
     _search_grid,
     _check_player,
-    _check_square,
+    _Views,
+    _views,
     analyze,
     best_response,
     find_dominant,
@@ -939,9 +940,40 @@ def test_a_float32_cell_is_read_as_a_python_float(name):
     assert TABLE_FUNCTIONS[name](table) == TABLE_FUNCTIONS[name](floats)
 
 
+def test_analyze_and_each_table_function_check_each_cell_once(monkeypatch):
+    # `_views` reads a table once, and `analyze` passes the views of the table it scored to the four functions: it
+    # used to check that table seven times (7 n^2 cells) and `find_nash` its table twice (2 n^2).
+    cells = []
+    check = equilibrium._payoff_cell
+    monkeypatch.setattr(equilibrium, "_payoff_cell", lambda cell: cells.append(cell) or check(cell))
+    setup, strategies = GameSetup(1.2, 0.3), [C, D, Q, M]
+    table = payoff_table(setup, strategies)
+    calls = {
+        "analyze": lambda: analyze(setup, strategies),
+        "find_dominant bob": lambda: find_dominant(table, "bob"),
+        "set_best_responses bob": lambda: set_best_responses(table, "bob"),
+        **{name: (lambda f=f: f(table)) for name, f in TABLE_FUNCTIONS.items()},
+    }
+    for name, call in calls.items():
+        cells.clear()
+        call()
+        assert len(cells) == len(strategies) ** 2, name
+
+
+def test_a_plain_tuple_of_two_rows_is_checked_as_a_table_not_taken_as_views():
+    # Only a `_Views` passes unchecked. A tuple of two rows is a 2 x 2 table, read as the list of the same rows is;
+    # taken as views, its rows of numbers would be Alice's and Bob's payoffs.
+    rows = (Payoffs(3.0, 3.0), Payoffs(0.0, 5.0)), (Payoffs(5.0, 0.0), Payoffs(1.0, 1.0))
+    assert _views(rows) == _Views([[3.0, 0.0], [5.0, 1.0]], [[3.0, 0.0], [5.0, 1.0]])
+    for name, f in TABLE_FUNCTIONS.items():
+        assert f(rows) == f(list(rows)), name
+        with pytest.raises(ValueError, match="^payoff table cells must be pairs of finite real numbers, got 3.0$"):
+            f(((3.0, 0.0), (5.0, 1.0)))
+
+
 def reference_find_nash(table):
     """`find_nash` before the player view: its own index bookkeeping and tolerance test per player."""
-    n = len(_check_square(table))
+    n = len(_views(table).alice)
     out = []
     for i in range(n):
         for j in range(n):
@@ -954,7 +986,7 @@ def reference_find_nash(table):
 
 def reference_find_dominant(table, player):
     """`find_dominant` before the player view."""
-    n = len(_check_square(table))
+    n = len(_views(table).alice)
     _check_player("player", player)
 
     def against(own: int, opp: int) -> float:
@@ -986,7 +1018,7 @@ def reference_find_dominant(table, player):
 
 def reference_set_best_responses(table, responder):
     """`set_best_responses` before the player view."""
-    n = len(_check_square(table))
+    n = len(_views(table).alice)
     _check_player("responder", responder)
     out: dict[int, int] = {}
     for opp in range(n):
@@ -997,6 +1029,23 @@ def reference_set_best_responses(table, responder):
         top = max(scores)
         out[opp] = next(i for i in range(n) if scores[i] >= top - DEVIATION_TOL)
     return out
+
+
+def reference_pareto_front(table):
+    """`pareto_front` before the player views: each profile's pair read from the table's cell."""
+    n = len(_views(table).alice)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def dominated(cell):
+        pa, pb = table[cell[0]][cell[1]]
+        for other in cells:
+            qa, qb = table[other[0]][other[1]]
+            no_worse = qa >= pa - DEVIATION_TOL and qb >= pb - DEVIATION_TOL
+            if no_worse and (qa > pa + DEVIATION_TOL or qb > pb + DEVIATION_TOL):
+                return True
+        return False
+
+    return [cell for cell in cells if not dominated(cell)]
 
 
 # Per base, entries DEVIATION_TOL / 2, DEVIATION_TOL and 2 * DEVIATION_TOL apart (exactly so at base 0),
@@ -1029,6 +1078,7 @@ def test_solution_concepts_equal_the_former_per_player_code():
     weak = 0
     for table in tables:
         assert find_nash(table) == reference_find_nash(table)
+        assert pareto_front(table) == reference_pareto_front(table)
         for player in ("alice", "bob"):
             dominant = find_dominant(table, player)
             assert dominant == reference_find_dominant(table, player)

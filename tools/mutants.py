@@ -220,14 +220,14 @@ MUTANTS = [
     # A Strategy's coordinates: Q's are diag(i, -i) exactly, not the rounded coordinates of its angles (pi/2, 0).
     Mutant("strategy: Q's coordinates from its angles", GAME,
            "    if theta == 0.0 and alpha == _Q_ALPHA:\n        return _Q_ENTRIES\n", "", GAME_TESTS),
-    # An unpickled Strategy, PayoffTable or GameSetup is built through `__init__`, not from its state as written.
-    Mutant("strategy: unpickled from its state as written", GAME,
-           'self.__init__(state["alpha"], state["theta"])', "self.__dict__.update(state)", GAME_TESTS),
-    Mutant("table: unpickled from its state as written", PAYOFF,
-           'self.__init__(state["cc"], state["cd"], state["dc"], state["dd"])', "self.__dict__.update(state)",
-           GAME_TESTS),
-    Mutant("setup: unpickled from its state as written", PAYOFF,
-           'self.__init__(state["gamma"], state["r"], state["table"])', "self.__dict__.update(state)", GAME_TESTS),
+    # An unpickled Strategy, PayoffTable or GameSetup is built through `__init__` by `game._rebuild`, not from its
+    # state as written, and from its fields in their declared order.
+    Mutant("rebuild: the state written as it is", GAME,
+           "self.__init__(*(state[f.name] for f in dataclasses.fields(self)))", "self.__dict__.update(state)",
+           GAME_TESTS + ("tests/test_payoff.py",)),
+    Mutant("rebuild: fields passed in reverse order", GAME,
+           "for f in dataclasses.fields(self)", "for f in reversed(dataclasses.fields(self))",
+           GAME_TESTS + ("tests/test_payoff.py",)),
     # A table holds its pairs once, as `entries` in CC, CD, DC, DD order, and the engine unpacks them in that order.
     Mutant("table: the held tuple with cd and dc swapped", PAYOFF,
            'fields["entries"] = entries', 'fields["entries"] = (entries[0], entries[2], entries[1], entries[3])',
@@ -267,6 +267,18 @@ MUTANTS = [
     Mutant("analyze: the setup unchecked", EQUILIBRIUM,
            "_score_table(_check_setup(setup), strategies)", "_score_table(setup, strategies)",
            EQUILIBRIUM_TESTS + ("tests/test_api.py",)),
+    # `_views`, the one reader of a table: Bob's view is the transpose, a `_Views` passes unchecked, and `analyze`
+    # passes the views of the table it scored.
+    Mutant("views: Bob's view not transposed", EQUILIBRIUM,
+           "[[b for _, b in column] for column in zip(*cells)]", "[[b for _, b in row] for row in cells]",
+           EQUILIBRIUM_TESTS),
+    Mutant("views: a _Views checked again", EQUILIBRIUM,
+           "    if isinstance(table, _Views):\n        return table\n",
+           "    if isinstance(table, _Views):\n"
+           "        return _views([list(zip(a, b)) for a, b in zip(table.alice, zip(*table.bob))])\n",
+           EQUILIBRIUM_TESTS),
+    Mutant("analyze: the functions given the scored table, not its views", EQUILIBRIUM,
+           "views = _views(table)", "views = table", EQUILIBRIUM_TESTS),
     # The guards on the table functions' input: the strategy set read once and each cell finite.
     Mutant("strategy set: an iterator read twice", EQUILIBRIUM,
            "strategies = list(() if strategies is None else strategies)",
