@@ -25,7 +25,7 @@ import sys
 
 from .equilibrium import analyze
 from .game import GAMMA_MAX, NAMED_STRATEGIES, Strategy, validate_gamma
-from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, coefficients, play, play_entries
+from .payoff import PROFILE_ORDER, PayoffTable, GameSetup, grid_payoffs, play
 from .unruh import R_MAX, validate_r
 from .verify import DEFAULT_GRID, DEFAULT_TOL, MAX_GRID, SUITE_NAMES, run_suite
 
@@ -252,8 +252,8 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
 
     The grid is `np.linspace(r_start, r_end, steps)`, built one block at a
     time with the same arithmetic. Its points must lie within EDGE_SLACK of
-    [0, R_MAX]; each is clamped into that range for scoring, as GameSetup
-    does, and yielded as built.
+    [0, R_MAX]; each block is yielded as built and scored by `grid_payoffs`,
+    which clamps it into that range as GameSetup does.
     """
     import numpy as np
     moves = [[NAMED_STRATEGIES[label].q for label in profile] for profile in profiles]
@@ -265,8 +265,7 @@ def _grid_payoffs(gamma: float, r_start: float, r_end: float, steps: int, profil
         block = (index * step if step != 0.0 else index / (steps - 1) * delta) + r_start
         if lo + GRID_BLOCK >= steps:
             block[-1] = r_end
-        block_coefficients = coefficients(gamma, np.clip(block, 0.0, R_MAX))  # shared by every profile
-        yield block.tolist(), [[v.tolist() for v in play_entries(block_coefficients, *move, table.entries)] for move in moves]
+        yield block.tolist(), [[v.tolist() for v in pair] for pair in grid_payoffs(gamma, block, moves, table.entries)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

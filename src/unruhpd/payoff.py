@@ -11,8 +11,9 @@ as UA Phi UB^T.
 The engine is one formula, `_probabilities`, written out per outcome, with no
 loop or list, in real arithmetic on each move's three real coordinates
 (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
-through six coefficients, which `coefficients` computes from the cos and sin
-of gamma/2 and r; a `GameSetup` holds them. Its one entry, `play_entries`,
+through six coefficients, which `_coefficients` computes from the cos and sin
+of gamma/2 and r: a `GameSetup` holds those of its gamma and r, and `grid_payoffs`
+computes one block of them for an r grid. The engine's one entry, `play_entries`,
 takes numbers only: those six, the moves as `Strategy.q` holds them and the
 table's pairs as `PayoffTable.entries` holds them. Every payoff is scored
 through it: by `play`, over the r grids of the CLI and `verify`, and in `equilibrium`.
@@ -42,7 +43,7 @@ from .game import _STRATEGY_TYPE, Strategy, _rebuild, entangler, safe_repr, vali
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
-from .unruh import validate_r
+from .unruh import R_MAX, validate_r
 
 UNITARITY_TOL = 1e-9
 
@@ -139,7 +140,8 @@ class GameSetup:
         if not isinstance(table, _PAYOFF_TABLE_TYPE):
             raise ValueError(f"table must be a PayoffTable, got {safe_repr(table)}")
         fields["table"] = table
-        fields["coefficients"] = coefficients(gamma, r)  # derived state, as `Strategy.q` is: no field
+        # Derived state, as `Strategy.q` is: no field.
+        fields["coefficients"] = _coefficients(math.cos(gamma / 2), math.sin(gamma / 2), math.cos(r), math.sin(r))
 
     __setstate__ = _rebuild
 
@@ -165,30 +167,23 @@ def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
     return Payoffs(*play_entries(setup.coefficients, alice.q, bob.q, setup.table.entries))
 
 
-def coefficients(gamma, r) -> tuple:
-    """`_coefficients` of `gamma` in [0, pi/2] and `r` in [0, pi/4], Python floats or arrays broadcast together.
+def grid_payoffs(gamma: float, rs, profiles, pairs) -> list:
+    """Each profile's `play_entries` pair over the r grid `rs`, all scored on one block of coefficients.
 
-    A Python-float angle takes its cos and sin from `math`, with no numpy call; an array angle from numpy.
+    `gamma` is a Python float in [0, pi/2], its cos and sin taken from `math` as a `GameSetup` takes them; `rs` is an
+    array, clamped into [0, R_MAX] as a `GameSetup` clamps its r, its cos and sin taken from numpy. Each profile is
+    an (alice, bob) pair of coordinates, as `Strategy.q` holds them, and `pairs` as `PayoffTable.entries` holds them.
     """
-    if isinstance(gamma, (float, int)):
-        half = gamma / 2.0
-        cos_g, sin_g = math.cos(half), math.sin(half)
-    else:
-        import numpy as np
-        half = np.asarray(gamma, dtype=float) / 2.0
-        cos_g, sin_g = np.cos(half), np.sin(half)
-    if isinstance(r, (float, int)):
-        cos_r, sin_r = math.cos(r), math.sin(r)
-    else:
-        import numpy as np
-        cos_r, sin_r = np.cos(r), np.sin(r)
-    return _coefficients(cos_g, sin_g, cos_r, sin_r)
+    import numpy as np
+    rs = np.clip(rs, 0.0, R_MAX)
+    coefficients = _coefficients(math.cos(gamma / 2), math.sin(gamma / 2), np.cos(rs), np.sin(rs))
+    return [play_entries(coefficients, alice, bob, pairs) for alice, bob in profiles]
 
 
 def play_entries(coefficients: tuple, alice: tuple, bob: tuple, pairs: tuple) -> tuple:
     """(alice, bob) expected payoffs of two moves given by their coordinates, as `Strategy.q` holds them.
 
-    The `coefficients` of gamma and r are as `coefficients` gives them and a `GameSetup` holds them; the table's
+    The `coefficients` of gamma and r are as `_coefficients` gives them and a `GameSetup` holds them; the table's
     `pairs` as `PayoffTable.entries` holds them, in CC, CD, DC, DD order. They and every coordinate are Python floats
     or arrays, all broadcast together; each payoff is a float or an array of the broadcast shape, summed over the
     outcomes in that order, as in `payoffs`. The moves are taken as unitary.

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import closed_forms
 from .game import NAMED_STRATEGIES, Strategy, entangler, is_finite, named_strategy_matrix, safe_repr
-from .payoff import Payoffs, PayoffTable, coefficients, play_entries
+from .payoff import Payoffs, PayoffTable, grid_payoffs
 from .payoff import GameSetup, play  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps them by name)
 from .unruh import R_MAX
 
@@ -111,16 +111,17 @@ def run_suite(suite: str, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) ->
     return VerifyOutcome(suite, points, worst, [*notes, *failures], worst <= tol and not failures, at)
 
 
-def _engine(gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy) -> np.ndarray:
-    """(len(rs), 2) engine payoffs of one profile over the whole r grid."""
-    import numpy as np
-    return np.stack(play_entries(coefficients(gamma, rs), alice.q, bob.q, DEFAULT_TABLE.entries), axis=-1)
+def _checks(gamma: float, rs: np.ndarray, cases, *extra) -> tuple[list, list]:
+    """The checks of `cases`, as `_worst` takes them, and the payoffs of the `extra` (alice, bob) profiles.
 
-
-def _check(label: str, gamma: float, rs: np.ndarray, alice: Strategy, bob: Strategy, form, *args) -> tuple:
-    """One profile's engine payoffs against the closed form `form(rs, *args)`, both (len(rs), 2)."""
+    Each case is (label, alice, bob, closed-form pair), its check the engine payoffs against that pair, both stacked
+    to (len(rs), 2); each extra profile's payoffs are (len(rs), 2) too. Every profile is scored in one call.
+    """
     import numpy as np
-    return label, PLAYERS, _engine(gamma, rs, alice, bob), np.stack(form(rs, *args), axis=-1)
+    profiles = [(alice.q, bob.q) for _, alice, bob, _ in cases] + [(alice.q, bob.q) for alice, bob in extra]
+    engines = [np.stack(pair, axis=-1) for pair in grid_payoffs(gamma, rs, profiles, DEFAULT_TABLE.entries)]
+    checks = [(label, PLAYERS, engine, np.stack(form, axis=-1)) for (label, _, _, form), engine in zip(cases, engines)]
+    return checks, engines[len(cases):]
 
 
 def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
@@ -142,31 +143,24 @@ def _worst(suite: str, rs: np.ndarray, checks) -> tuple[float, WorstAt]:
 
 
 def _classical_checks(gamma: float, form, rs: np.ndarray) -> tuple[list, list[str]]:
-    checks = [
-        _check(profile, gamma, rs, NAMED_STRATEGIES[profile[0]], NAMED_STRATEGIES[profile[1]], form, profile)
-        for profile in closed_forms.CLASSICAL_PROFILES
-    ]
-    return checks, []
+    cases = [(p, NAMED_STRATEGIES[p[0]], NAMED_STRATEGIES[p[1]], form(rs, p)) for p in closed_forms.CLASSICAL_PROFILES]
+    return _checks(gamma, rs, cases)[0], []
 
 
 def _eq11_checks(rs: np.ndarray) -> tuple[list, list[str]]:
-    q = NAMED_STRATEGIES["Q"]
+    q, c, d = (NAMED_STRATEGIES[label] for label in "QCD")
     moves = [Strategy(alpha, theta) for alpha in (0.0, math.pi / 4.0) for theta in (0.0, math.pi / 2.0, math.pi)]
-    form = closed_forms.q_vs_arbitrary
-    checks = [_check(f"Q vs {move}", math.pi / 2.0, rs, q, move, form, move.alpha, move.theta) for move in moves]
+    cases = [(f"Q vs {move}", q, move, closed_forms.q_vs_arbitrary(rs, move.alpha, move.theta)) for move in moves]
     # Q-vs-defect for Bob must coincide with cooperate-vs-defect for Alice.
-    qd_bob = _engine(math.pi / 2.0, rs, q, NAMED_STRATEGIES["D"])[:, 1:]
-    cd_alice = _engine(math.pi / 2.0, rs, NAMED_STRATEGIES["C"], NAMED_STRATEGIES["D"])[:, :1]
-    checks.append(("QD bob vs CD alice", ("bob",), qd_bob, cd_alice))
+    checks, (qd, cd) = _checks(math.pi / 2.0, rs, cases, (q, d), (c, d))
+    checks.append(("QD bob vs CD alice", ("bob",), qd[:, 1:], cd[:, :1]))
     return checks, []
 
 
 def _eq13_checks(rs: np.ndarray) -> tuple[list, list[str]]:
     m, form = NAMED_STRATEGIES["M"], closed_forms.miracle_vs_classical
-    checks = [
-        _check("M" + reply, math.pi / 2.0, rs, m, NAMED_STRATEGIES[reply], form, theta)
-        for reply, theta in (("C", 0.0), ("D", math.pi))
-    ]
+    cases = [("M" + reply, m, NAMED_STRATEGIES[reply], form(rs, theta)) for reply, theta in zip("CD", (0.0, math.pi))]
+    checks, _ = _checks(math.pi / 2.0, rs, cases)
     ordered = all((engine[:, 0] < engine[:, 1]).all() for _, _, engine, _ in checks)
     return checks, [] if ordered else [NOTE_EQ13_ORDERING]
 

@@ -13,7 +13,7 @@ import pytest
 from unruhpd import cli
 from unruhpd.cli import GRID_BLOCK, _grid_payoffs, build_parser, parse_angle
 from unruhpd.game import NAMED_STRATEGIES
-from unruhpd.payoff import PayoffTable, coefficients, play_entries
+from unruhpd.payoff import PayoffTable, grid_payoffs
 from unruhpd.unruh import R_MAX
 from unruhpd.verify import MAX_GRID
 
@@ -478,12 +478,10 @@ def test_equilibria_pareto_front_keeps_profiles_tied_up_to_roundoff():
 
 
 def reference_rows(gamma, r_start, r_end, steps, profiles, table):
-    """Per-field '.17g' rows, r-major, from play_entries over the clamped r grid."""
+    """Per-field '.17g' rows, r-major, from grid_payoffs over the whole r grid, clamped here."""
     rs = np.linspace(r_start, r_end, steps)
-    scores = [
-        play_entries(coefficients(gamma, np.clip(rs, 0.0, R_MAX)), *(NAMED_STRATEGIES[m].q for m in profile), table.entries)
-        for profile in profiles
-    ]
+    moves = [[NAMED_STRATEGIES[m].q for m in profile] for profile in profiles]
+    scores = grid_payoffs(gamma, np.clip(rs, 0.0, R_MAX), moves, table.entries)
     return rs.tolist(), [np.stack(score, axis=-1).tolist() for score in scores]
 
 

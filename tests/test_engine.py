@@ -16,20 +16,22 @@ from linalg import basis_ket
 from rational import circle_point, sphere_point
 import unruhpd.game
 import unruhpd.payoff
-from unruhpd import closed_forms
+from unruhpd import cli, closed_forms
+from unruhpd.equilibrium import analyze, payoff_table
 from unruhpd.game import NAMED_STRATEGIES, Strategy, entangler, initial_state, named_strategy_matrix
 from unruhpd.payoff import (
     GameSetup,
     PayoffTable,
     _coefficients,
     _probabilities,
-    coefficients,
     final_density,
+    grid_payoffs,
     payoffs,
     play,
     play_entries,
 )
 from unruhpd.unruh import unruh_channel
+from unruhpd.verify import PAYOFF_SUITES, run_suite
 
 GAMMAS = st.floats(0.0, math.pi / 2)
 RS = st.floats(0.0, math.pi / 4)
@@ -84,9 +86,16 @@ def stacked(moves):
 
 
 def outcome_probabilities(gamma, r, alice, bob):
-    """Probabilities of CC, CD, DC, DD, shape (..., 4), read through `play_entries` with the indicator tables."""
-    coeffs = coefficients(gamma, r)
-    return np.stack([p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table.entries)], axis=-1)
+    """Probabilities of CC, CD, DC, DD, shape (..., 4), read through the engine with the indicator tables.
+
+    A float `r` is scored on the coefficients its `GameSetup` holds, an array of r through `grid_payoffs`.
+    """
+    if isinstance(r, float):
+        coeffs = GameSetup(gamma, r).coefficients
+        pairs = [play_entries(coeffs, alice, bob, table.entries) for table in INDICATOR_TABLES]
+    else:
+        pairs = [grid_payoffs(gamma, r, [(alice, bob)], table.entries)[0] for table in INDICATOR_TABLES]
+    return np.stack([p for pair in pairs for p in pair], axis=-1)
 
 
 def random_games(seed, n):
@@ -100,7 +109,7 @@ def random_games(seed, n):
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_engine_matches_density_matrix_reference(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    got = play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries)
+    got = play_entries(GameSetup(gamma, r).coefficients, move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries)
     u_alice = named_strategy_matrix(Strategy(alpha_a, theta_a))
     u_bob = named_strategy_matrix(Strategy(alpha_b, theta_b))
     want = reference_payoffs(gamma, r, u_alice, u_bob, table)
@@ -111,7 +120,9 @@ def test_engine_matches_density_matrix_reference(gamma, r, alpha_a, theta_a, alp
 def test_batch_matches_single_plays(seed):
     params, alice, bob = random_games(seed, 200)
     table = PayoffTable.from_scalars(*np.random.default_rng([seed, 1]).normal(0.0, 3.0, 4))
-    coeffs = coefficients(params[:, 0], params[:, 1])
+    # The one test with an array of gammas: their coefficients from numpy's trig, as `grid_payoffs` takes r's.
+    halves, rs = params[:, 0] / 2.0, params[:, 1]
+    coeffs = _coefficients(np.cos(halves), np.sin(halves), np.cos(rs), np.sin(rs))
     batch = np.stack(play_entries(coeffs, stacked(alice), stacked(bob), table.entries), axis=-1)
     single = np.array(
         [play(GameSetup(g, r, table), Strategy(aa, ta), Strategy(ab, tb)) for g, r, aa, ta, ab, tb in params]
@@ -130,7 +141,7 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
     # real formula, rounded in the same order, so equal to the last bit.
     setup = GameSetup(gamma, r, table)
     moves = np.array([s.q for s in strategies])
-    batch = play_entries(coefficients(setup.gamma, setup.r), stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
+    batch = play_entries(setup.coefficients, stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
             assert (batch[0][i, j].item(), batch[1][i, j].item()) == play(setup, alice, bob)
@@ -239,7 +250,7 @@ def test_swapping_the_players_of_the_inertial_game_swaps_their_payoffs_bit_for_b
     assert _coefficients(math.cos(half), math.sin(half), math.cos(0.0), math.sin(0.0))[3:] == (0.0, 0.0, 0.0)
     setup = GameSetup(gamma, 0.0, table)
     moves = np.array([s.q for s in strategies])
-    batch = play_entries(coefficients(setup.gamma, 0.0), stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
+    batch = play_entries(setup.coefficients, stacked(moves[:, None]), stacked(moves[None, :]), table.entries)
     for i, alice in enumerate(strategies):
         for j, bob in enumerate(strategies):
             assert play(setup, alice, bob) == play(setup, bob, alice)[::-1]
@@ -282,18 +293,18 @@ def test_kraus_form_equals_rindler_trace_out(r, parts):
 def test_engine_matches_classical_closed_forms_over_r_arrays(rs, profile):
     alice, bob = named(profile[0]), named(profile[1])
     for gamma, form in ((0.0, closed_forms.unentangled_classical), (math.pi / 2, closed_forms.max_entangled_classical)):
-        engine = np.stack(play_entries(coefficients(gamma, rs), alice, bob, PayoffTable().entries), axis=-1)
+        engine = np.stack(grid_payoffs(gamma, rs, [(alice, bob)], PayoffTable().entries)[0], axis=-1)
         assert np.max(np.abs(engine - np.stack(form(rs, profile), axis=-1))) <= 1e-12
 
 
 @SEEDED
 @given(R_ARRAYS, ALPHAS, THETAS)
 def test_engine_matches_q_and_miracle_closed_forms_over_r_arrays(rs, alpha_b, theta_b):
-    coeffs = coefficients(math.pi / 2, rs)
-    q_engine = np.stack(play_entries(coeffs, named("Q"), move(alpha_b, theta_b), PayoffTable().entries), axis=-1)
+    profiles = [(named("Q"), move(alpha_b, theta_b)), (named("M"), move(0.0, theta_b))]
+    pairs = grid_payoffs(math.pi / 2, rs, profiles, PayoffTable().entries)
+    q_engine, m_engine = (np.stack(pair, axis=-1) for pair in pairs)
     q_formula = np.stack(closed_forms.q_vs_arbitrary(rs, alpha_b, theta_b), axis=-1)
     assert np.max(np.abs(q_engine - q_formula)) <= 1e-12
-    m_engine = np.stack(play_entries(coeffs, named("M"), move(0.0, theta_b), PayoffTable().entries), axis=-1)
     m_formula = np.stack(closed_forms.miracle_vs_classical(rs, theta_b), axis=-1)
     assert np.max(np.abs(m_engine - m_formula)) <= 1e-12
 
@@ -319,7 +330,8 @@ def test_probabilities_are_a_distribution(gamma, r, alpha_a, theta_a, alpha_b, t
 @SEEDED
 @given(GAMMAS, RS, ALPHAS, THETAS, ALPHAS, THETAS, TABLES)
 def test_payoffs_lie_within_the_table_range(gamma, r, alpha_a, theta_a, alpha_b, theta_b, table):
-    got = np.array(play_entries(coefficients(gamma, r), move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries))
+    coeffs = GameSetup(gamma, r).coefficients
+    got = np.array(play_entries(coeffs, move(alpha_a, theta_a), move(alpha_b, theta_b), table.entries))
     entries = np.array(table.entries)
     slack = 1e-13 * max(1.0, float(np.max(np.abs(entries))))
     assert np.all(got >= entries.min(axis=0) - slack)
@@ -397,15 +409,41 @@ def attribute_reads(module: str, function: str) -> list[str]:
 
 
 def test_one_payoff_path_reaches_the_kernel():
-    # Every payoff the package computes goes through `play_entries`, with gamma and r folded in by `coefficients`:
-    # the kernel and the coefficient formula have one caller each, and no module imports either.
+    # Every payoff the package computes goes through `play_entries`, with gamma and r folded in by `_coefficients`:
+    # the kernel has one caller, and no module imports it or the coefficient formula.
     assert references("_probabilities") == [("payoff", "play_entries")]
-    assert references("_coefficients") == [("payoff", "coefficients")]
-    # A single game's coefficients are computed once, by the setup that holds them; only the r grids of the CLI
-    # and `verify` compute their own, on arrays.
-    assert sorted(references("coefficients", calls_only=True)) == [
-        ("cli", "_grid_payoffs"), ("payoff", "GameSetup.__init__"), ("verify", "_engine")
-    ]
+    # A single game's coefficients are computed once, from floats, by the setup that holds them; an r grid's, from
+    # a float gamma and an array of r, by `grid_payoffs`.
+    assert references("_coefficients") == [("payoff", "GameSetup.__init__"), ("payoff", "grid_payoffs")]
+    assert references("coefficients", calls_only=True) == []
+    # The entry is named only in `payoff` and `equilibrium`: the r grids of the CLI and `verify` reach the engine
+    # through `grid_payoffs` alone, called once in each.
+    assert {module for module, _ in references("play_entries")} == {"payoff", "equilibrium"}
+    assert references("grid_payoffs", calls_only=True) == [("cli", "_grid_payoffs"), ("verify", "_checks")]
     # The engine takes numbers: its entry and its kernel read no attribute of any record.
     assert attribute_reads("payoff", "play_entries") == []
     assert attribute_reads("payoff", "_probabilities") == []
+
+
+def test_each_r_grid_takes_one_coefficient_block(monkeypatch, capsys):
+    # The trig and coefficients of an r grid are computed once for all its profiles: once per payoff suite of
+    # `verify` (its 18 profiles once took 18 blocks), once per GRID_BLOCK points of `sweep` and `fig2`, and never
+    # by the table functions, which score on the coefficients their setup holds.
+    blocks = []
+    monkeypatch.setattr(unruhpd.payoff, "_coefficients", lambda *trig: blocks.append(trig) or _coefficients(*trig))
+    for suite in PAYOFF_SUITES:
+        blocks.clear()
+        run_suite(suite, grid=101)
+        assert [len(trig[2]) for trig in blocks] == [101], suite
+    steps = str(2 * cli.GRID_BLOCK + 1)
+    for argv in (["sweep", "--gamma", "pi/3", "--steps", steps], ["fig2", "--steps", steps]):
+        blocks.clear()
+        assert cli.main(argv) == 0
+        assert [len(trig[2]) for trig in blocks] == [cli.GRID_BLOCK, cli.GRID_BLOCK, 1], argv[0]
+    capsys.readouterr()
+    setup = GameSetup(0.7, 0.2)
+    strategies = list(NAMED_STRATEGIES.values())
+    blocks.clear()
+    payoff_table(setup, strategies)
+    analyze(setup, strategies)
+    assert blocks == []

@@ -28,7 +28,7 @@ from unruhpd.equilibrium import (
     validate_strategy_set,
 )
 from unruhpd.game import NAMED_STRATEGIES, TWO_PI, Strategy, _move_entries
-from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, coefficients, play, play_entries
+from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, Payoffs, PayoffTable, play, play_entries
 
 C = NAMED_STRATEGIES["C"]
 D = NAMED_STRATEGIES["D"]
@@ -113,7 +113,7 @@ def test_a_table_checks_its_input_once_and_takes_the_coefficients_once(monkeypat
 
     for name in ("validate_strategy_set", "_check_setup", "play"):
         monkeypatch.setattr(equilibrium, name, counted(name, getattr(equilibrium, name)))
-    monkeypatch.setattr(payoff, "coefficients", counted("coefficients", payoff.coefficients))
+    monkeypatch.setattr(payoff, "_coefficients", counted("_coefficients", payoff._coefficients))
     setup = GameSetup(0.7, 0.2)
     for table_of in (payoff_table, analyze):
         counts.clear()
@@ -387,7 +387,7 @@ def reply_scorer(gamma, r, opponent, player, table):
 
     Built as `best_response` builds its scorer: the coefficients once, then `play_entries` with the players in order.
     """
-    coeffs = coefficients(gamma, r)
+    coeffs = GameSetup(gamma, r).coefficients
     if player == 0:
         return lambda own: play_entries(coeffs, own, opponent, table.entries)[0]
     return lambda own: play_entries(coeffs, opponent, own, table.entries)[1]

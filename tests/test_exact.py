@@ -23,7 +23,7 @@ from functools import reduce
 
 from rational import circle_point, sphere_point
 from unruhpd.game import GAMMA_MAX, TWO_PI, _move_entries
-from unruhpd.payoff import PayoffTable, _coefficients, coefficients, play_entries
+from unruhpd.payoff import GameSetup, PayoffTable, _coefficients, play_entries
 from unruhpd.unruh import R_MAX
 
 GAMES = 300
@@ -144,7 +144,7 @@ def test_float_rounding_stays_within_its_budget():
         exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
         for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):
             worst_probability = max(worst_probability, abs(Fraction(got) - want))
-        for player, got in enumerate(play_entries(coefficients(gamma, r), alice, bob, table.entries)):
+        for player, got in enumerate(play_entries(GameSetup(gamma, r).coefficients, alice, bob, table.entries)):
             want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries))
             worst_payoff = max(worst_payoff, abs(Fraction(got) - want))
     assert worst_probability <= 3 * Fraction(EPS), float(worst_probability / Fraction(EPS))

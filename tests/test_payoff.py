@@ -16,7 +16,17 @@ from unruhpd.closed_forms import (
     unentangled_classical,
 )
 from unruhpd.game import NAMED_STRATEGIES, Strategy, named_strategy_matrix
-from unruhpd.payoff import PAYOFF_ENTRY_MAX, GameSetup, PayoffTable, coefficients, final_density, payoffs, play
+from unruhpd.payoff import (
+    PAYOFF_ENTRY_MAX,
+    GameSetup,
+    PayoffTable,
+    _coefficients,
+    final_density,
+    grid_payoffs,
+    payoffs,
+    play,
+)
+from unruhpd.unruh import R_MAX
 
 RNG = np.random.default_rng(20240813)
 
@@ -110,6 +120,11 @@ def hexes(values) -> list[str]:
     return [x.hex() for x in values]
 
 
+def coefficients(gamma: float, r: float) -> tuple:
+    """`_coefficients` of float angles, each cos and sin taken from `math`."""
+    return _coefficients(math.cos(gamma / 2), math.sin(gamma / 2), math.cos(r), math.sin(r))
+
+
 @pytest.mark.parametrize(
     "gamma, r", [(0.0, 0.0), (0.3, 0.2), (math.pi / 2, math.pi / 4), (1.5707965, 0.7853985), (-5e-7, -5e-7), (1, 0)]
 )
@@ -125,6 +140,21 @@ def test_a_setup_takes_its_coefficients_from_the_clamped_values_not_its_argument
     assert (setup.gamma, setup.r) == (math.pi / 2, math.pi / 4)
     assert hexes(setup.coefficients) == hexes(coefficients(math.pi / 2, math.pi / 4))
     assert hexes(setup.coefficients) != hexes(coefficients(1.5707965, 0.7853985))
+
+
+def test_a_grid_clamps_its_r_as_a_setup_does_and_scores_each_profile_on_its_own_moves():
+    # -5e-7 and pi/4 + 5e-7 lie within the slack past 0 and pi/4, and are scored as those bounds.
+    strategies = [C, D, Q, M, Strategy(1.0, 2.0)]
+    profiles = [(a.q, b.q) for a in strategies for b in strategies]
+    table = PayoffTable.from_scalars(2.5, -1.0, 7.25, 0.5)
+    got = grid_payoffs(0.9, np.array([-5e-7, 0.3, R_MAX + 5e-7]), profiles, table.entries)
+    clamped = grid_payoffs(0.9, np.array([0.0, 0.3, R_MAX]), profiles, table.entries)
+    assert len(got) == len(profiles)
+    assert [[v.tobytes() for v in pair] for pair in got] == [[v.tobytes() for v in pair] for pair in clamped]
+    # At r = 0 both trig sources give exactly 1 and 0, so each profile scores bit for bit as `play` scores it.
+    setup = GameSetup(0.9, 0.0, table)
+    plays = [play(setup, a, b) for a in strategies for b in strategies]
+    assert [(alice[0], bob[0]) for alice, bob in got] == plays
 
 
 def test_a_setups_coefficients_are_derived_state_that_stays_frozen():

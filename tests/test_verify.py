@@ -11,7 +11,7 @@ import unruhpd.verify
 from unruhpd import closed_forms
 from unruhpd.closed_forms import CLASSICAL_PROFILES, max_entangled_classical
 from unruhpd.game import NAMED_STRATEGIES
-from unruhpd.payoff import Payoffs, PayoffTable, coefficients, play_entries
+from unruhpd.payoff import Payoffs, PayoffTable, grid_payoffs
 from unruhpd.unruh import R_MAX
 from unruhpd.verify import (
     DEFAULT_TOL,
@@ -119,7 +119,8 @@ def test_worst_at_locates_the_largest_deviation():
     # Re-score that one point as the suite does: the deviation there is the maximum.
     rs = np.array([at.r])
     moves = [NAMED_STRATEGIES[label].q for label in at.label]
-    engine = [values[0] for values in play_entries(coefficients(math.pi / 2, rs), *moves, PayoffTable().entries)]
+    (pair,) = grid_payoffs(math.pi / 2, rs, [moves], PayoffTable().entries)
+    engine = [values[0] for values in pair]
     formula = max_entangled_classical(rs, at.label)
     column = ("alice", "bob").index(at.player)
     assert abs(engine[column] - formula[column][0]) == outcome.max_abs_error
@@ -143,9 +144,9 @@ def test_an_outcome_cannot_be_built_without_where_its_worst_deviation_was():
 
 def test_non_finite_engine_values_fail_the_suite(monkeypatch):
     def nan_engine(*args, **kwargs):
-        return Payoffs(*(np.full_like(v, np.nan) for v in play_entries(*args, **kwargs)))
+        return [Payoffs(*(np.full_like(v, np.nan) for v in pair)) for pair in grid_payoffs(*args, **kwargs)]
 
-    monkeypatch.setattr(unruhpd.verify, "play_entries", nan_engine)
+    monkeypatch.setattr(unruhpd.verify, "grid_payoffs", nan_engine)
     outcome = run_suite("table2")
     assert not outcome.passed
     assert math.isnan(outcome.max_abs_error)
@@ -167,7 +168,7 @@ def test_a_failure_note_fails_a_suite_without_any_deviation(monkeypatch):
     def swapped(fn):
         return lambda *args, **kwargs: tuple(fn(*args, **kwargs))[::-1]
 
-    monkeypatch.setattr(unruhpd.verify, "play_entries", swapped(play_entries))
+    monkeypatch.setattr(unruhpd.verify, "grid_payoffs", lambda *args: [pair[::-1] for pair in grid_payoffs(*args)])
     monkeypatch.setattr(closed_forms, "miracle_vs_classical", swapped(closed_forms.miracle_vs_classical))
     outcome = run_suite("eq13")
     assert outcome.max_abs_error <= DEFAULT_TOL

@@ -176,6 +176,9 @@ MUTANTS = [
     # verify.run_suite's cap on the grid.
     Mutant("verify: the grid cap numpy refuses", "src/unruhpd/verify.py",
            "MAX_GRID = sys.maxsize // 8 - 64", "MAX_GRID = sys.maxsize // 8", VERIFY_TESTS),
+    # eq11's identity: Q-vs-D for Bob against C-vs-D for Alice, both scored in the suite's one engine call.
+    Mutant("verify: eq11's identity check scored on (C, C)", "src/unruhpd/verify.py",
+           "(q, d), (c, d))", "(q, d), (c, c))", VERIFY_TESTS),
     # The kernel: one flipped sign and one dropped term; its coefficients: M's sign flipped, e and f swapped, and the
     # trig of half of r taken.
     Mutant("kernel: the T term of CD's kept amplitude sign flipped", PAYOFF,
@@ -186,7 +189,14 @@ MUTANTS = [
     Mutant("coefficients: e and f swapped", PAYOFF,
            "cos_g * c1, sin_g * c1", "sin_g * c1, cos_g * c1", KERNEL_TESTS),
     Mutant("coefficients: cos(r / 2) taken for cos(r)", PAYOFF,
-           "cos_r, sin_r = math.cos(r), math.sin(r)", "cos_r, sin_r = math.cos(r / 2.0), math.sin(r)", KERNEL_TESTS),
+           "math.cos(r), math.sin(r))", "math.cos(r / 2.0), math.sin(r))", KERNEL_TESTS),
+    Mutant("coefficients: cos(r / 2) taken for cos(r) on a grid", PAYOFF,
+           "np.cos(rs), np.sin(rs))", "np.cos(rs / 2.0), np.sin(rs))", KERNEL_TESTS),
+    # `grid_payoffs`: an r grid clamped as a setup clamps its r, and each profile scored on its own moves.
+    Mutant("grid: r not clamped", PAYOFF, "    rs = np.clip(rs, 0.0, R_MAX)\n", "", CLI_TESTS),
+    Mutant("grid: every profile scored on the first profile's moves", PAYOFF,
+           "play_entries(coefficients, alice, bob, pairs) for alice, bob in profiles",
+           "play_entries(coefficients, *profiles[0], pairs) for alice, bob in profiles", KERNEL_TESTS),
     # The entry's sums: Bob's payoff weighted by his own column of the table.
     Mutant("entry: Bob's sum weighted by Alice's column", PAYOFF,
            "p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd",
