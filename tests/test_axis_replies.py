@@ -26,15 +26,14 @@ probability (Schwartz, JACM 27, 701, 1980).
 import random
 from fractions import Fraction
 
-from rational import circle_point
+from rational import C, D, M_SCALED, Q, circle_point
 from unruhpd.payoff import PayoffTable, _coefficients, play_entries
 
 SEED = 26
 FORM_POINTS = 50
 CLAIM_POINTS = 300
 
-C, D, Q = UNIT = tuple(tuple(Fraction(int(i == k)) for i in range(3)) for k in range(3))
-M_SCALED = (Fraction(0), Fraction(1), Fraction(1))  # the miracle move U(pi/2, pi/2) times sqrt 2
+UNIT = (C, D, Q)
 PLAYERS = (0, 1)  # Alice, Bob
 
 

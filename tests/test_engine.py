@@ -3,7 +3,6 @@ reference and property tests of the physics invariants."""
 
 import ast
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg import basis_ket
-from rational import circle_point, sphere_point
+from rational import C, D, INDICATOR_TABLES, Q, circle_point, kraus_probabilities, sphere_point
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import cli, closed_forms
@@ -41,7 +40,6 @@ TABLES = st.tuples(*[st.floats(-10.0, 10.0)] * 8).map(
     lambda v: PayoffTable(cc=v[0:2], cd=v[2:4], dc=v[4:6], dd=v[6:8])
 )
 SEEDED = settings(max_examples=300, derandomize=True, deadline=None)
-EPS = sys.float_info.epsilon
 
 UPPER = np.array([math.pi / 2, math.pi / 4, 2 * math.pi, math.pi, 2 * math.pi, math.pi])
 
@@ -60,13 +58,6 @@ def reference_payoffs(gamma, r, u_alice, u_bob, table):
 
 
 R_ARRAYS = st.lists(RS, min_size=1, max_size=64).map(np.array)
-
-# Each table pays one outcome to Alice and one to Bob, so its payoffs are those two probabilities exactly.
-INDICATOR_TABLES = (
-    PayoffTable(cc=(1.0, 0.0), cd=(0.0, 1.0), dc=(0.0, 0.0), dd=(0.0, 0.0)),
-    PayoffTable(cc=(0.0, 0.0), cd=(0.0, 0.0), dc=(1.0, 0.0), dd=(0.0, 1.0)),
-)
-
 
 def named(label):
     return NAMED_STRATEGIES[label].q
@@ -92,9 +83,9 @@ def outcome_probabilities(gamma, r, alice, bob):
     """
     if isinstance(r, float):
         coeffs = GameSetup(gamma, r).coefficients
-        pairs = [play_entries(coeffs, alice, bob, table.entries) for table in INDICATOR_TABLES]
+        pairs = [play_entries(coeffs, alice, bob, table) for table in INDICATOR_TABLES]
     else:
-        pairs = [grid_payoffs(gamma, r, [(alice, bob)], table.entries)[0] for table in INDICATOR_TABLES]
+        pairs = [grid_payoffs(gamma, r, [(alice, bob)], table)[0] for table in INDICATOR_TABLES]
     return np.stack([p for pair in pairs for p in pair], axis=-1)
 
 
@@ -147,63 +138,23 @@ def test_play_equals_its_batch_entry_bit_for_bit(gamma, r, strategies, table):
             assert (batch[0][i, j].item(), batch[1][i, j].item()) == play(setup, alice, bob)
 
 
-def expanded(q):
-    """The entries ((u00, u01), (u10, u11)) of the move with coordinates `q`, each a (real, imaginary) pair."""
-    q0, q1, q3 = q
-    zero = q0 - q0  # 0 of the coordinates' own type: a float, a Fraction or an array
-    return (((q0, q3), (zero, q1)), ((zero, q1), (q0, -q3)))
-
-
-def nested_loop_probabilities(a, b, cos_g, sin_g, cos_r, sin_r):
-    """The general complex kernel as loops over the outcomes, on `expanded` move entries.
-
-    `payoff._probabilities` is this polynomial multiplied out, with gamma and r folded into `_coefficients`.
-    """
-    c0 = cos_g * cos_r
-    c1 = cos_g * sin_r
-    kept, lost = [], []
-    for (a0r, a0i), (a1r, a1i) in a:
-        for (b0r, b0i), (b1r, b1i) in b:
-            a1b1_r = a1r * b1r - a1i * b1i
-            a1b1_i = a1r * b1i + a1i * b1r
-            kept.append(
-                (
-                    c0 * (a0r * b0r - a0i * b0i) - sin_g * a1b1_i,
-                    c0 * (a0r * b0i + a0i * b0r) + sin_g * a1b1_r,
-                )
-            )
-            lost.append((c1 * (a0r * b1r - a0i * b1i), c1 * (a0r * b1i + a0i * b1r)))
-    probs = []
-    for k, plus in enumerate((True, False, False, True)):
-        squares = []
-        for block in (kept, lost):
-            (mr, mi), (nr, ni) = block[k], block[3 - k]
-            if plus:
-                fr, fi = cos_g * mr + sin_g * ni, cos_g * mi - sin_g * nr
-            else:
-                fr, fi = cos_g * mr - sin_g * ni, cos_g * mi + sin_g * nr
-            squares.append(fr * fr + fi * fi)
-        probs.append(squares[0] + squares[1])
-    return tuple(probs)
-
-
 # Rational points: (cos, sin) of gamma/2 and of r for angles up to pi/2, and moves on the unit sphere.
 CIRCLE_POINTS = st.fractions(0, 1, max_denominator=16).map(circle_point)
 RATIONALS = st.fractions(-12, 12, max_denominator=12)
 SPHERE_POINTS = st.one_of(
-    st.sampled_from([tuple(map(Fraction, move)) for move in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
+    st.sampled_from((C, D, Q)),
     st.builds(sphere_point, RATIONALS, RATIONALS),
 )
 
 
 @SEEDED
 @given(CIRCLE_POINTS, CIRCLE_POINTS, SPHERE_POINTS, SPHERE_POINTS)
-def test_probabilities_are_the_nested_loop_polynomial(half, rotation, a, b):
-    # On Fractions both sides are exact, so `==` shows that the multiplied-out kernel is the same polynomial.
+def test_probabilities_are_the_kraus_polynomial(half, rotation, a, b):
+    # On Fractions both sides are exact, so `==` shows that the multiplied-out kernel is the Kraus form's polynomial.
     trig = (*half, *rotation)
     got = _probabilities(a, b, _coefficients(*trig))
     assert all(type(p) is Fraction for p in got), got
-    assert got == nested_loop_probabilities(expanded(a), expanded(b), *trig)
+    assert got == kraus_probabilities(a, b, *trig)
 
 
 ANGLE_PAIRS = st.tuples(
@@ -214,18 +165,11 @@ ANGLE_PAIRS = st.tuples(
 @SEEDED
 @given(st.lists(ANGLE_PAIRS, min_size=1, max_size=4), st.lists(MOVES, min_size=1, max_size=5))
 def test_probabilities_round_alike_on_floats_and_arrays(angles, strategies):
-    # On floats each probability is within 4 eps of the nested-loop reference; on (angles, moves, moves)
-    # broadcast arrays of the same trig values the kernel rounds as on floats, so it equals them to the last bit.
+    # On (angles, moves, moves) broadcast arrays of the same trig values the kernel rounds as on floats, so it
+    # equals them to the last bit. How far the floats are from the exact value is `test_exact`'s rounding budget.
     moves = [s.q for s in strategies]
     trigs = [(math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r)) for gamma, r in angles]
-    singles = []
-    for trig in trigs:
-        for a in moves:
-            for b in moves:
-                got = _probabilities(a, b, _coefficients(*trig))
-                want = nested_loop_probabilities(expanded(a), expanded(b), *trig)
-                assert all(abs(x - y) <= 4 * EPS for x, y in zip(got, want, strict=True)), (got, want)
-                singles.append(got)
+    singles = [_probabilities(a, b, _coefficients(*trig)) for trig in trigs for a in moves for b in moves]
     trig = tuple(np.array(column)[:, None, None] for column in zip(*trigs))
     stack = np.array(moves)
     batch = np.stack(_probabilities(stacked(stack[:, None]), stacked(stack[None, :]), _coefficients(*trig)), axis=-1)
@@ -427,8 +371,8 @@ def test_one_payoff_path_reaches_the_kernel():
 
 def test_each_r_grid_takes_one_coefficient_block(monkeypatch, capsys):
     # The trig and coefficients of an r grid are computed once for all its profiles: once per payoff suite of
-    # `verify` (its 18 profiles once took 18 blocks), once per GRID_BLOCK points of `sweep` and `fig2`, and never
-    # by the table functions, which score on the coefficients their setup holds.
+    # `verify`, once per GRID_BLOCK points of `sweep` and `fig2`, and never by the table functions, which score on
+    # the coefficients their setup holds.
     blocks = []
     monkeypatch.setattr(unruhpd.payoff, "_coefficients", lambda *trig: blocks.append(trig) or _coefficients(*trig))
     for suite in PAYOFF_SUITES:

@@ -1,39 +1,36 @@
 """Exact certificates for the payoff entry: `payoff.play_entries` on rational numbers.
 
 The entry uses only +, - and *, so on `fractions.Fraction` inputs it computes
-its polynomial exactly. It reads the outcome probabilities here through two
-tables of exact indicator entries, each paying one outcome to Alice and one
-to Bob. Rational points of the unit circle and of the unit
-sphere give exact cosines, sines and unit moves, and every check here is `==`:
-the outcome probabilities sum to exactly 1, none is negative, they equal an
-exact Kraus-form reference written below, and at r = 0 swapping the players
+its polynomial exactly. It reads the outcome probabilities here through the
+two indicator tables of `rational`, each paying one outcome to Alice and one
+to Bob. Rational points of the unit circle and of the unit sphere give exact
+cosines, sines and unit moves, and every check here is `==`: the outcome
+probabilities sum to exactly 1, none is negative, they equal the Kraus-form
+reference `rational.kraus_probabilities`, and at r = 0 swapping the players
 swaps CD and DC. gamma and r reach the entry through `payoff._coefficients`,
 as in the engine.
 
 The last test runs the engine's float path on the Fractions of its own float
 inputs: that is the exact value of the same formula, so the difference is the
-float result's rounding error alone.
+float result's rounding error alone. Its games include the endpoint angles
+and the named moves.
 """
 
 import math
 import random
 import sys
 from fractions import Fraction
-from functools import reduce
 
-from rational import circle_point, sphere_point
-from unruhpd.game import GAMMA_MAX, TWO_PI, _move_entries
+from rational import C, D, INDICATOR_TABLES, Q, circle_point, kraus_probabilities, sphere_point
+from unruhpd.game import GAMMA_MAX, NAMED_STRATEGIES, TWO_PI, _move_entries
 from unruhpd.payoff import GameSetup, PayoffTable, _coefficients, play_entries
 from unruhpd.unruh import R_MAX
 
 GAMES = 300
 EPS = sys.float_info.epsilon
 
-ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
 AT_REST = (Fraction(1), Fraction(0))  # (cos r, sin r) at r = 0: the inertial game
-NAMED_MOVES = [(Fraction(1), Fraction(0), Fraction(0)),  # C
-               (Fraction(0), Fraction(1), Fraction(0)),  # D
-               (Fraction(0), Fraction(0), Fraction(1))]  # Q = diag(i, -i)
+NAMED_MOVES = tuple(strategy.q for strategy in NAMED_STRATEGIES.values())  # as floats: C, D, Q and M
 
 
 def rational(rng):
@@ -45,7 +42,7 @@ def games(seed):
     rng = random.Random(seed)
     for k in range(GAMES):
         alice, bob = (
-            rng.choice(NAMED_MOVES) if rng.random() < 0.2 else sphere_point(rational(rng), rational(rng)) for _ in "ab"
+            rng.choice((C, D, Q)) if rng.random() < 0.2 else sphere_point(rational(rng), rational(rng)) for _ in "ab"
         )
         # gamma/2 and r run over angles up to pi/2, past their domains: the identities hold on the whole circle.
         cos_g, sin_g = circle_point(Fraction(rng.randint(0, 12), 12))
@@ -53,54 +50,10 @@ def games(seed):
         yield alice, bob, cos_g, sin_g, cos_r, sin_r
 
 
-# Tables as their four pairs, as a PayoffTable holds them in `entries`. Each pays one outcome to Alice and one to
-# Bob, in the ints 1 and 0, exact on Fractions and on floats: the entry's payoffs are those two probabilities exactly.
-INDICATOR_TABLES = (
-    ((1, 0), (0, 1), (0, 0), (0, 0)),
-    ((0, 0), (0, 0), (1, 0), (0, 1)),
-)
-
-
 def probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
     """The entry's outcome probabilities, with gamma and r folded in by `_coefficients` as the engine folds them."""
     coeffs = _coefficients(cos_g, sin_g, cos_r, sin_r)
     return tuple(p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table))
-
-
-# Complex numbers as (real, imaginary) pairs of Fractions; 2x2 and 4x4 matrices as lists of rows.
-def mul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def add(x, y):
-    return x[0] + y[0], x[1] + y[1]
-
-
-def kron(a, b):
-    return [[mul(a[i // 2][j // 2], b[i % 2][j % 2]) for j in range(4)] for i in range(4)]
-
-
-def apply(m, v):
-    return [reduce(add, (mul(m[i][j], v[j]) for j in range(4)), ZERO) for i in range(4)]
-
-
-def move_matrix(q):
-    q0, q1, q3 = q
-    return [[(q0, q3), (0, q1)], [(0, q1), (q0, -q3)]]
-
-
-def kraus_probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
-    """sum_j |<k| J^dag (UA x UB)(I x K_j)|psi>|^2 for k = CC, CD, DC, DD, from the matrices themselves."""
-    identity = [[ONE, ZERO], [ZERO, ONE]]
-    kraus = [[[(cos_r, 0), ZERO], [ZERO, ONE]], [[ZERO, ZERO], [(sin_r, 0), ZERO]]]  # diag(cos r, 1), sin r |1><0|
-    psi = [(cos_g, 0), ZERO, ZERO, (0, sin_g)]  # cos(g/2)|00> + i sin(g/2)|11>
-    d1 = [[ZERO, ONE], [(-1, 0), ZERO]]
-    d1d1 = kron(d1, d1)
-    # J^dag = cos(g/2) I - i sin(g/2) D1 x D1
-    j_dag = [[add((cos_g if i == j else 0, 0), mul((0, -sin_g), d1d1[i][j])) for j in range(4)] for i in range(4)]
-    moves = kron(move_matrix(alice), move_matrix(bob))
-    outcomes = [apply(j_dag, apply(moves, apply(kron(identity, k), psi))) for k in kraus]
-    return tuple(sum(v[k][0] ** 2 + v[k][1] ** 2 for v in outcomes) for k in range(4))
 
 
 def test_probabilities_sum_to_exactly_one_and_none_is_negative():
@@ -124,22 +77,28 @@ def test_swapping_the_players_of_the_inertial_game_swaps_cd_and_dc():
 
 def test_the_reference_is_the_classical_game_for_classical_moves():
     # The reference's own check: unentangled and inertial, C and D score the outcome they name.
-    c, d, _ = NAMED_MOVES
-    for outcome, (alice, bob) in enumerate(((c, c), (c, d), (d, c), (d, d))):
+    for outcome, (alice, bob) in enumerate(((C, C), (C, D), (D, C), (D, D))):
         want = tuple(Fraction(int(k == outcome)) for k in range(4))
         assert kraus_probabilities(alice, bob, Fraction(1), Fraction(0), *AT_REST) == want
 
 
 def test_float_rounding_stays_within_its_budget():
     # Float games in their domains, each scored on floats and then exactly on the Fractions of the same floats:
-    # at most 3 eps per probability and 16 eps per payoff of the default table (measured here: 2.13 and 10.4 eps;
-    # at most 2.58 and 13.6 eps over seeds 1 to 8).
+    # at most 3 eps per probability and 16 eps per payoff of the default table (measured here: 1.99 and 10.0 eps;
+    # at most 2.12 and 11.6 eps over seeds 1 to 8).
+    # gamma and r are each an endpoint of their domain half the time, and each move is a named one 30% of the time.
     rng = random.Random(4)
+
+    def draw_angle(top):
+        return rng.choice((0.0, top)) if rng.random() < 0.5 else rng.uniform(0.0, top)
+
+    def draw_move():
+        return rng.choice(NAMED_MOVES) if rng.random() < 0.3 else _move_entries(draw_angle(TWO_PI), draw_angle(math.pi))
+
     table = PayoffTable()
     worst_probability = worst_payoff = Fraction(0)
     for _ in range(4000):
-        gamma, r = rng.uniform(0.0, GAMMA_MAX), rng.uniform(0.0, R_MAX)
-        alice, bob = (_move_entries(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, math.pi)) for _ in "ab")
+        gamma, r, alice, bob = draw_angle(GAMMA_MAX), draw_angle(R_MAX), draw_move(), draw_move()
         trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
         exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
         for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):

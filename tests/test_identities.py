@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rational import circle_point
+from rational import C, D, M_SCALED, Q, circle_point
 from unruhpd import closed_forms
 from unruhpd.payoff import PayoffTable, _coefficients, play_entries
 from unruhpd.verify import NOTE_EQ13_INVERSION, NOTE_TABLE2_MISPRINT
@@ -94,8 +94,6 @@ def fractions(*values):
     return tuple(map(Fraction, values))
 
 
-C, D, Q = fractions(1, 0, 0), fractions(0, 1, 0), fractions(0, 0, 1)
-M_SCALED = fractions(0, 1, 1)  # the miracle move U(pi/2, pi/2) times sqrt 2
 MOVES = {"C": C, "D": D}
 UNENTANGLED, MAX_ENTANGLED = fractions(1, 0), fractions(1, 1)  # (cos g/2, sin g/2), the latter times sqrt 2
 INERTIAL = Angle(0, 0)  # r = 0: (cos r, sin r) = (1, 0)
