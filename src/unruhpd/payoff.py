@@ -8,15 +8,15 @@ sum_j |<k| J^dag (UA x UB)(I x K_j)|psi>|^2 with
 handled as a 2x2 block Phi[a, b] over (Alice, Bob) bits, on which UA x UB acts
 as UA Phi UB^T.
 
-The engine is one formula, `_probabilities`, written out per outcome, with no
-loop or list, in real arithmetic on each move's three real coordinates
-(q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter it only
-through six coefficients, which `_coefficients` computes from the cos and sin
-of gamma/2 and r: a `GameSetup` holds those of its gamma and r, and `grid_payoffs`
-computes one block of them for an r grid. The engine's one entry, `play_entries`,
-takes numbers only: those six, the moves as `Strategy.q` holds them and the
-table's pairs as `PayoffTable.entries` holds them. Every payoff is scored
-through it: by `play`, over the r grids of the CLI and `verify`, and in `equilibrium`.
+The engine is one function, `play_entries`, its formula written out per
+outcome, with no loop or list, in real arithmetic on each move's three real
+coordinates (q0, q1, q3), where U = q0 I + i q1 X + i q3 Z. gamma and r enter
+it only through six coefficients, which `_coefficients` computes from the cos
+and sin of gamma/2 and r: a `GameSetup` holds those of its gamma and r, and
+`grid_payoffs` computes one block of them for an r grid. It takes numbers
+only: those six, the moves as `Strategy.q` holds them and the table's pairs as
+`PayoffTable.entries` holds them. Every payoff is scored through it: by
+`play`, over the r grids of the CLI and `verify`, and in `equilibrium`.
 On Python floats it makes no numpy call and loads no numpy; that is how `play` scores a game.
 On arrays, broadcast together, it scores whole grids of games in one call.
 Each real operation rounds once, in the same order on floats and on arrays,
@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .game import _STRATEGY_TYPE, Strategy, _rebuild, entangler, safe_repr, validate_gamma
+from .game import Strategy, _rebuild, entangler, safe_repr, validate_gamma
 from .game import named_strategy_matrix  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .game import initial_state  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
 from .unruh import unruh_channel  # noqa: F401  (kept bound here: benchmarks/tracer.py wraps it by name)
@@ -160,9 +160,9 @@ def _check_setup(setup: GameSetup) -> GameSetup:
 def play(setup: GameSetup, alice: Strategy, bob: Strategy) -> Payoffs:
     """Expected payoffs for one strategy profile, scored on Python floats."""
     _check_setup(setup)
-    if not isinstance(alice, _STRATEGY_TYPE):
+    if not isinstance(alice, Strategy):
         raise ValueError(f"alice must be a Strategy, got {safe_repr(alice)}")
-    if not isinstance(bob, _STRATEGY_TYPE):
+    if not isinstance(bob, Strategy):
         raise ValueError(f"bob must be a Strategy, got {safe_repr(bob)}")
     return Payoffs(*play_entries(setup.coefficients, alice.q, bob.q, setup.table.entries))
 
@@ -186,39 +186,9 @@ def play_entries(coefficients: tuple, alice: tuple, bob: tuple, pairs: tuple) ->
     The `coefficients` of gamma and r are as `_coefficients` gives them and a `GameSetup` holds them; the table's
     `pairs` as `PayoffTable.entries` holds them, in CC, CD, DC, DD order. They and every coordinate are Python floats
     or arrays, all broadcast together; each payoff is a float or an array of the broadcast shape, summed over the
-    outcomes in that order, as in `payoffs`. The moves are taken as unitary.
-    """
-    p_cc, p_cd, p_dc, p_dd = _probabilities(alice, bob, coefficients)
-    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = pairs
-    return (
-        p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
-        p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
-    )
-
-
-def _coefficients(cos_g, sin_g, cos_r, sin_r) -> tuple:
-    """The six numbers (P, M, S, T, e, f) through which gamma and r enter `_probabilities`.
-
-    With c0 = cos(g/2) cos r and c1 = cos(g/2) sin r: P, M = cos(g/2) c0 +- sin^2(g/2),
-    S, T = sin(g/2) (cos(g/2) +- c0), e = cos(g/2) c1 and f = sin(g/2) c1.
-    `cos_g` and `sin_g` are the cos and sin of gamma/2, `cos_r` and `sin_r`
-    those of r, all Python floats or arrays broadcast together. Only + - and *
-    are used, so on floats and arrays they round alike, and at r = 0
-    (cos_r = 1.0, sin_r = 0.0) T, e and f are exactly 0.0.
-    """
-    c0, c1 = cos_g * cos_r, cos_g * sin_r
-    q, s2 = cos_g * c0, sin_g * sin_g
-    return q + s2, q - s2, sin_g * (cos_g + c0), sin_g * (cos_g - c0), cos_g * c1, sin_g * c1
-
-
-def _probabilities(a, b, coefficients) -> tuple:
-    """Probabilities of CC, CD, DC, DD for Alice's move coordinates `a` and Bob's `b`.
-
-    Moves are given as `Strategy.q` holds them, and gamma and r as
-    `_coefficients` gives them. Every value is a Python float or an array,
-    all broadcast together. The formula is written out per outcome: only +,
-    - and * are used, on real numbers, in the same order for both, and each
-    rounds once, so a game scores bit for bit the same on floats as in any batch.
+    outcomes in that order, as in `payoffs`. The moves are taken as unitary. The outcome probabilities are written
+    out per outcome: only +, - and * are used, on real numbers, in the same order for both, and each rounds once,
+    so a game scores bit for bit the same on floats as in any batch.
     """
     # (I x K0)|psi> = cos(g/2) cos r |00> + i sin(g/2) |11> and
     # (I x K1)|psi> = cos(g/2) sin r |01>. After the moves their blocks over
@@ -229,8 +199,8 @@ def _probabilities(a, b, coefficients) -> tuple:
     # move products weighted by the coefficients: the same polynomial, expanded without
     # using cos^2 + sin^2 = 1. Overall signs are dropped: they are squared away.
     P, M, S, T, e, f = coefficients
-    a0, a1, a3 = a
-    b0, b1, b3 = b
+    a0, a1, a3 = alice
+    b0, b1, b3 = bob
     a0b0, a0b1, a0b3 = a0 * b0, a0 * b1, a0 * b3
     a1b0, a1b1, a1b3 = a1 * b0, a1 * b1, a1 * b3
     a3b0, a3b1, a3b3 = a3 * b0, a3 * b1, a3 * b3
@@ -248,7 +218,26 @@ def _probabilities(a, b, coefficients) -> tuple:
     kr, ki = S * t - P * a1b1, T * s
     lr, li = e * a1b3 + f * a0b1, e * a1b0 + f * a3b1
     p_dd = kr * kr + ki * ki + (lr * lr + li * li)
-    return p_cc, p_cd, p_dc, p_dd
+    (a_cc, b_cc), (a_cd, b_cd), (a_dc, b_dc), (a_dd, b_dd) = pairs
+    return (
+        p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd,
+        p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd,
+    )
+
+
+def _coefficients(cos_g, sin_g, cos_r, sin_r) -> tuple:
+    """The six numbers (P, M, S, T, e, f) through which gamma and r enter `play_entries`.
+
+    With c0 = cos(g/2) cos r and c1 = cos(g/2) sin r: P, M = cos(g/2) c0 +- sin^2(g/2),
+    S, T = sin(g/2) (cos(g/2) +- c0), e = cos(g/2) c1 and f = sin(g/2) c1.
+    `cos_g` and `sin_g` are the cos and sin of gamma/2, `cos_r` and `sin_r`
+    those of r, all Python floats or arrays broadcast together. Only + - and *
+    are used, so on floats and arrays they round alike, and at r = 0
+    (cos_r = 1.0, sin_r = 0.0) T, e and f are exactly 0.0.
+    """
+    c0, c1 = cos_g * cos_r, cos_g * sin_r
+    q, s2 = cos_g * c0, sin_g * sin_g
+    return q + s2, q - s2, sin_g * (cos_g + c0), sin_g * (cos_g - c0), cos_g * c1, sin_g * c1
 
 
 def _density_4x4(rho) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 The payoff entry uses only +, - and *, so on `fractions.Fraction` inputs it
 computes its polynomial exactly. Rational points of the unit circle give exact
-cosines and sines, rational points of the unit sphere exact unit moves, and
+cosines and sines, rational points of the unit sphere exact unit moves,
+`probabilities` reads the entry's outcome probabilities, and
 `kraus_probabilities` is the protocol itself, built from its 4x4 matrices, for
-the tests to compare the entry's probabilities with by `==`.
+the tests to compare them with by `==`.
 """
 
 from fractions import Fraction
 from functools import reduce
+
+from unruhpd.payoff import play_entries
 
 
 def circle_point(t):
@@ -32,6 +35,12 @@ INDICATOR_TABLES = (
     ((1, 0), (0, 1), (0, 0), (0, 0)),
     ((0, 0), (0, 0), (1, 0), (0, 1)),
 )
+
+
+def probabilities(coefficients, alice, bob):
+    """The entry's probabilities of CC, CD, DC, DD: its payoffs on the two indicator tables."""
+    return tuple(p for table in INDICATOR_TABLES for p in play_entries(coefficients, alice, bob, table))
+
 
 # Complex numbers as (real, imaginary) pairs of Fractions; 2x2 and 4x4 matrices as lists of rows.
 ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))

@@ -3,6 +3,14 @@
 "C becomes the dominant strategy" at gamma = pi/2: for both players, C scores
 strictly more than D against C and against D, at every r in [0, pi/4].
 
+"Any quantum strategy does no better for any player against the classical
+strategies" at gamma = pi/2: against C and against D, C is the strict best
+reply over the whole move space, for both players, at every r. A player's
+payoff against a fixed opponent is a quadratic form q^T A q in their own move
+coordinates q = (q0, q1, q3). Against C and D its off-diagonal entries are the
+zero polynomial in t, so a unit move scores sum A_ii q_i², a weighting of C's,
+D's and Q's payoffs, and C scores strictly more than both.
+
 "The acceleration disturbs the symmetry" holds below maximal entanglement, not
 at it. At gamma = pi/2, swapping the players swaps the CD and DC probabilities
 and keeps CC and DD, at every r, for 30 seeded exact move pairs. At gamma = 0,
@@ -33,7 +41,7 @@ import math
 import random
 from fractions import Fraction
 
-from rational import C, D, INDICATOR_TABLES, circle_point, sphere_point
+from rational import C, D, Q, circle_point, probabilities, sphere_point
 from unruhpd.game import NAMED_STRATEGIES
 from unruhpd.payoff import GameSetup, PayoffTable, _coefficients, play, play_entries
 
@@ -54,14 +62,47 @@ def payoff(t, alice, bob, player):
     return play_entries(_coefficients(1, 1, *circle_point(t)), alice, bob, TABLE)[player] / 4
 
 
-def scaled_gap(opponent, player):
-    """t -> (C's payoff less D's, for `player` against `opponent`) times (1 + t²)²."""
+def moves_of(player, own, opponent):
+    """The (alice, bob) moves of a game in which `player` plays `own` against `opponent`."""
+    return (own, opponent) if player == 0 else (opponent, own)
+
+
+def scaled_gap(opponent, player, rival):
+    """t -> (C's payoff less `rival`'s, for `player` against `opponent`) times (1 + t²)²."""
 
     def value(t):
-        own_c, own_d = ((own, opponent) if player == 0 else (opponent, own) for own in (C, D))
-        return (payoff(t, *own_c, player) - payoff(t, *own_d, player)) * (1 + t * t) ** 2
+        own_c, own_rival = (moves_of(player, own, opponent) for own in (C, rival))
+        return (payoff(t, *own_c, player) - payoff(t, *own_rival, player)) * (1 + t * t) ** 2
 
     return value
+
+
+def off_diagonal_quartics(opponent, player):
+    """The off-diagonal entries A_01, A_03, A_13 of `player`'s reply form against `opponent`, times (1 + t²)², as
+    polynomials in t, each confirmed at every CHECK_TS.
+
+    The form is polarized with the unnormalised probes e_i + e_j, as in `test_axis_replies`:
+    A_ij = (score(e_i + e_j) - A_ii - A_jj) / 2 with A_ii = score(e_i).
+    """
+    axes = (C, D, Q)
+
+    @functools.cache
+    def entries(t):
+        def score(own):
+            return payoff(t, *moves_of(player, own, opponent), player)
+
+        diagonal = [score(e) for e in axes]
+        return [
+            (score(tuple(x + y for x, y in zip(axes[i], axes[j]))) - diagonal[i] - diagonal[j]) / 2 * (1 + t * t) ** 2
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
+
+    return [fitted_quartic(lambda t: entries(t)[k]) for k in range(3)]
+
+
+def lower_bound(quartic):
+    """A lower bound of the quartic sum a_k t^k on [0, T_MAX]: a_0 plus its negative terms at T_MAX."""
+    return quartic[0] + sum(min(a, 0) * T_MAX**k for k, a in enumerate(quartic) if k)
 
 
 def interpolate(points):
@@ -108,10 +149,7 @@ def swap_quartics(half_angle, alice, bob):
     @functools.cache
     def gaps(t):
         coefficients = _coefficients(*half_angle, *circle_point(t))
-        here, swapped = (
-            [p for table in INDICATOR_TABLES for p in play_entries(coefficients, *moves, table)]
-            for moves in ((alice, bob), (bob, alice))
-        )
+        here, swapped = (probabilities(coefficients, *moves) for moves in ((alice, bob), (bob, alice)))
         return [(here[k] - swapped[SWAPPED[k]]) * (1 + t * t) ** 2 for k in range(4)]
 
     return [fitted_quartic(lambda t: gaps(t)[k]) for k in range(4)]
@@ -123,13 +161,27 @@ def test_c_strictly_dominates_d_at_maximal_entanglement_for_every_r():
     quartics = {}
     for name, opponent in (("C", C), ("D", D)):
         for player in (0, 1):
-            quartic = fitted_quartic(scaled_gap(opponent, player))
-            lower = quartic[0] + sum(min(a, 0) * T_MAX**k for k, a in enumerate(quartic) if k)
-            assert lower > 0, (name, player, quartic)
+            quartic = fitted_quartic(scaled_gap(opponent, player, D))
+            assert lower_bound(quartic) > 0, (name, player, quartic)
             quartics[name, player] = quartic
     # The same quartics for both players: 3 + t² − 4t⁴ against C and 4 − t² − 3t⁴ against D.
     assert quartics["C", 0] == quartics["C", 1] == [3, 0, 1, 0, -4]
     assert quartics["D", 0] == quartics["D", 1] == [4, 0, -1, 0, -3]
+
+
+def test_c_is_the_strict_best_reply_to_the_classical_moves_at_maximal_entanglement_for_every_r():
+    # Against C and D the reply form is diagonal for every r: a unit move q scores sum A_ii q_i², with A_00, A_11
+    # and A_33 the payoffs of C, D and Q. C beats D (the test above) and Q, so C is the strict best reply over the
+    # whole move space: no quantum move does better against a classical one, for either player.
+    for name, opponent in (("C", C), ("D", D)):
+        for player in (0, 1):
+            assert off_diagonal_quartics(opponent, player) == [[0] * (DEGREE + 1)] * 3, (name, player)
+    # C's payoff less Q's, times (1 + t²)², is 2 − 2t⁴ against C and 5 − 5t⁴ against D, for both players: the
+    # gaps are 2 cos r and 5 cos r.
+    for player in (0, 1):
+        quartics = [fitted_quartic(scaled_gap(opponent, player, Q)) for opponent in (C, D)]
+        assert quartics == [[2, 0, 0, 0, -2], [5, 0, 0, 0, -5]], (player, quartics)
+        assert all(lower_bound(quartic) > 0 for quartic in quartics), (player, quartics)
 
 
 def test_the_exact_payoffs_are_plays_at_maximal_entanglement():

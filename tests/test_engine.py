@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg import basis_ket
-from rational import C, D, INDICATOR_TABLES, Q, circle_point, kraus_probabilities, sphere_point
+from rational import C, D, INDICATOR_TABLES, Q, circle_point, kraus_probabilities, probabilities, sphere_point
 import unruhpd.game
 import unruhpd.payoff
 from unruhpd import cli, closed_forms
@@ -22,7 +22,6 @@ from unruhpd.payoff import (
     GameSetup,
     PayoffTable,
     _coefficients,
-    _probabilities,
     final_density,
     grid_payoffs,
     payoffs,
@@ -152,7 +151,7 @@ SPHERE_POINTS = st.one_of(
 def test_probabilities_are_the_kraus_polynomial(half, rotation, a, b):
     # On Fractions both sides are exact, so `==` shows that the multiplied-out kernel is the Kraus form's polynomial.
     trig = (*half, *rotation)
-    got = _probabilities(a, b, _coefficients(*trig))
+    got = probabilities(_coefficients(*trig), a, b)
     assert all(type(p) is Fraction for p in got), got
     assert got == kraus_probabilities(a, b, *trig)
 
@@ -169,10 +168,10 @@ def test_probabilities_round_alike_on_floats_and_arrays(angles, strategies):
     # equals them to the last bit. How far the floats are from the exact value is `test_exact`'s rounding budget.
     moves = [s.q for s in strategies]
     trigs = [(math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r)) for gamma, r in angles]
-    singles = [_probabilities(a, b, _coefficients(*trig)) for trig in trigs for a in moves for b in moves]
+    singles = [probabilities(_coefficients(*trig), a, b) for trig in trigs for a in moves for b in moves]
     trig = tuple(np.array(column)[:, None, None] for column in zip(*trigs))
     stack = np.array(moves)
-    batch = np.stack(_probabilities(stacked(stack[:, None]), stacked(stack[None, :]), _coefficients(*trig)), axis=-1)
+    batch = np.stack(probabilities(_coefficients(*trig), stacked(stack[:, None]), stacked(stack[None, :])), axis=-1)
     assert batch.shape == (len(angles), len(moves), len(moves), 4)
     assert np.array_equal(batch.reshape(-1, 4), np.array(singles))
 
@@ -353,20 +352,17 @@ def attribute_reads(module: str, function: str) -> list[str]:
 
 
 def test_one_payoff_path_reaches_the_kernel():
-    # Every payoff the package computes goes through `play_entries`, with gamma and r folded in by `_coefficients`:
-    # the kernel has one caller, and no module imports it or the coefficient formula.
-    assert references("_probabilities") == [("payoff", "play_entries")]
-    # A single game's coefficients are computed once, from floats, by the setup that holds them; an r grid's, from
-    # a float gamma and an array of r, by `grid_payoffs`.
+    # Every payoff the package computes goes through `play_entries`, the engine, with gamma and r folded in by
+    # `_coefficients`, which no module imports. A single game's coefficients are computed once, from floats, by the
+    # setup that holds them; an r grid's, from a float gamma and an array of r, by `grid_payoffs`.
     assert references("_coefficients") == [("payoff", "GameSetup.__init__"), ("payoff", "grid_payoffs")]
     assert references("coefficients", calls_only=True) == []
     # The entry is named only in `payoff` and `equilibrium`: the r grids of the CLI and `verify` reach the engine
     # through `grid_payoffs` alone, called once in each.
     assert {module for module, _ in references("play_entries")} == {"payoff", "equilibrium"}
     assert references("grid_payoffs", calls_only=True) == [("cli", "_grid_payoffs"), ("verify", "_checks")]
-    # The engine takes numbers: its entry and its kernel read no attribute of any record.
+    # The engine takes numbers: it reads no attribute of any record.
     assert attribute_reads("payoff", "play_entries") == []
-    assert attribute_reads("payoff", "_probabilities") == []
 
 
 def test_each_r_grid_takes_one_coefficient_block(monkeypatch, capsys):

@@ -1,14 +1,14 @@
 """Exact certificates for the payoff entry: `payoff.play_entries` on rational numbers.
 
 The entry uses only +, - and *, so on `fractions.Fraction` inputs it computes
-its polynomial exactly. It reads the outcome probabilities here through the
-two indicator tables of `rational`, each paying one outcome to Alice and one
-to Bob. Rational points of the unit circle and of the unit sphere give exact
-cosines, sines and unit moves, and every check here is `==`: the outcome
-probabilities sum to exactly 1, none is negative, they equal the Kraus-form
-reference `rational.kraus_probabilities`, and at r = 0 swapping the players
-swaps CD and DC. gamma and r reach the entry through `payoff._coefficients`,
-as in the engine.
+its polynomial exactly. It reads the outcome probabilities here through
+`rational.probabilities`: the entry on two indicator tables, each paying one
+outcome to Alice and one to Bob. Rational points of the unit circle and of
+the unit sphere give exact cosines, sines and unit moves, and every check
+here is `==`: the outcome probabilities sum to exactly 1, none is negative,
+they equal the Kraus-form reference `rational.kraus_probabilities`, and at
+r = 0 swapping the players swaps CD and DC. gamma and r reach the entry
+through `payoff._coefficients`, as in the engine.
 
 The last test runs the engine's float path on the Fractions of its own float
 inputs: that is the exact value of the same formula, so the difference is the
@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from rational import C, D, INDICATOR_TABLES, Q, circle_point, kraus_probabilities, sphere_point
+from rational import C, D, Q, circle_point, kraus_probabilities, probabilities, sphere_point
 from unruhpd.game import GAMMA_MAX, NAMED_STRATEGIES, TWO_PI, _move_entries
 from unruhpd.payoff import GameSetup, PayoffTable, _coefficients, play_entries
 from unruhpd.unruh import R_MAX
@@ -50,29 +50,24 @@ def games(seed):
         yield alice, bob, cos_g, sin_g, cos_r, sin_r
 
 
-def probabilities(alice, bob, cos_g, sin_g, cos_r, sin_r):
-    """The entry's outcome probabilities, with gamma and r folded in by `_coefficients` as the engine folds them."""
-    coeffs = _coefficients(cos_g, sin_g, cos_r, sin_r)
-    return tuple(p for table in INDICATOR_TABLES for p in play_entries(coeffs, alice, bob, table))
-
-
 def test_probabilities_sum_to_exactly_one_and_none_is_negative():
-    for game in games(1):
-        probs = probabilities(*game)
+    for alice, bob, *trig in games(1):
+        probs = probabilities(_coefficients(*trig), alice, bob)
         assert all(type(p) is Fraction for p in probs), probs
-        assert sum(probs) == 1, game
-        assert min(probs) >= 0, game
+        assert sum(probs) == 1, (alice, bob, trig)
+        assert min(probs) >= 0, (alice, bob, trig)
 
 
 def test_probabilities_equal_the_exact_kraus_reference():
-    for game in games(2):
-        assert probabilities(*game) == kraus_probabilities(*game), game
+    for alice, bob, *trig in games(2):
+        assert probabilities(_coefficients(*trig), alice, bob) == kraus_probabilities(alice, bob, *trig), (alice, bob)
 
 
 def test_swapping_the_players_of_the_inertial_game_swaps_cd_and_dc():
     for alice, bob, cos_g, sin_g, _, _ in games(3):
-        p_cc, p_cd, p_dc, p_dd = probabilities(alice, bob, cos_g, sin_g, *AT_REST)
-        assert probabilities(bob, alice, cos_g, sin_g, *AT_REST) == (p_cc, p_dc, p_cd, p_dd), (alice, bob)
+        coeffs = _coefficients(cos_g, sin_g, *AT_REST)
+        p_cc, p_cd, p_dc, p_dd = probabilities(coeffs, alice, bob)
+        assert probabilities(coeffs, bob, alice) == (p_cc, p_dc, p_cd, p_dd), (alice, bob)
 
 
 def test_the_reference_is_the_classical_game_for_classical_moves():
@@ -100,8 +95,9 @@ def test_float_rounding_stays_within_its_budget():
     for _ in range(4000):
         gamma, r, alice, bob = draw_angle(GAMMA_MAX), draw_angle(R_MAX), draw_move(), draw_move()
         trig = (math.cos(gamma / 2.0), math.sin(gamma / 2.0), math.cos(r), math.sin(r))
-        exact = probabilities(*(tuple(map(Fraction, move)) for move in (alice, bob)), *map(Fraction, trig))
-        for got, want in zip(probabilities(alice, bob, *trig), exact, strict=True):
+        exact_moves = (tuple(map(Fraction, move)) for move in (alice, bob))
+        exact = probabilities(_coefficients(*map(Fraction, trig)), *exact_moves)
+        for got, want in zip(probabilities(_coefficients(*trig), alice, bob), exact, strict=True):
             worst_probability = max(worst_probability, abs(Fraction(got) - want))
         for player, got in enumerate(play_entries(GameSetup(gamma, r).coefficients, alice, bob, table.entries)):
             want = sum(p * Fraction(pair[player]) for p, pair in zip(exact, table.entries))

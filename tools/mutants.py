@@ -201,13 +201,27 @@ MUTANTS = [
     Mutant("entry: Bob's sum weighted by Alice's column", PAYOFF,
            "p_cc * b_cc + p_cd * b_cd + p_dc * b_dc + p_dd * b_dd",
            "p_cc * a_cc + p_cd * a_cd + p_dc * a_dc + p_dd * a_dd", KERNEL_TESTS),
+    # The folded entry: its operands unpacked in order, each outcome's kept and lost amplitudes summed, and each
+    # probability weighted by its own outcome's entry.
+    Mutant("entry: the coefficients unpacked with S and T swapped", PAYOFF,
+           "P, M, S, T, e, f = coefficients", "P, M, T, S, e, f = coefficients", KERNEL_TESTS),
+    Mutant("entry: Alice's coordinates unpacked as (q0, q3, q1)", PAYOFF,
+           "a0, a1, a3 = alice", "a0, a3, a1 = alice", KERNEL_TESTS),
+    Mutant("entry: the players' coordinates swapped", PAYOFF,
+           "a0, a1, a3 = alice\n    b0, b1, b3 = bob", "a0, a1, a3 = bob\n    b0, b1, b3 = alice", KERNEL_TESTS),
+    Mutant("kernel: the imaginary part of (a0 + i a3)(b0 - i b3) sign flipped", PAYOFF,
+           "u, v = a0b0 + a3b3, a3b0 - a0b3", "u, v = a0b0 + a3b3, a0b3 - a3b0", KERNEL_TESTS),
+    Mutant("kernel: DD's lost amplitude dropped", PAYOFF,
+           "p_dd = kr * kr + ki * ki + (lr * lr + li * li)", "p_dd = kr * kr + ki * ki", KERNEL_TESTS),
+    Mutant("entry: Bob's sum weights p_dc by b_cd", PAYOFF, "p_dc * b_dc", "p_dc * b_cd", KERNEL_TESTS),
+    Mutant("entry: Alice's sum drops DD", PAYOFF, " + p_dd * a_dd,", ",", KERNEL_TESTS),
     # `play` and `named_strategy_matrix` refuse arguments of the wrong type.
     Mutant("play: a setup that is no GameSetup accepted", PAYOFF,
            "if not isinstance(setup, _GAME_SETUP_TYPE):", "if False:", ("tests/test_api.py",)),
     Mutant("play: an alice that is no Strategy accepted", PAYOFF,
-           "if not isinstance(alice, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
+           "if not isinstance(alice, Strategy):", "if False:", ("tests/test_api.py",)),
     Mutant("play: a bob that is no Strategy accepted", PAYOFF,
-           "if not isinstance(bob, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
+           "if not isinstance(bob, Strategy):", "if False:", ("tests/test_api.py",)),
     Mutant("move matrix: a strategy that is no Strategy accepted", GAME,
            "if not isinstance(strategy, _STRATEGY_TYPE):", "if False:", ("tests/test_api.py",)),
     # The channel: Rindler-mode amplitudes of Bob's |0> swapped; region I traced in place of region II; the
